@@ -396,13 +396,12 @@ def structure_weights(
     n = p.size
     G = part.n_groups
     w = np.ones(n)
-    within = np.zeros(n)
     counts = np.zeros(G)
     exceed = np.zeros(n, dtype=bool)
     for g in range(G):
         idx = part.indices(g)
         scan, u, v = _group_scan(p, idx, curves, alpha)
-        counts[g] = int(np.count_nonzero(scan.loo_mask))
+        counts[g] = scan.loo_count
         res = thresholds[g]
         if res.feasible:
             exceed[idx] = v <= res.threshold
@@ -444,7 +443,7 @@ def structure_weights(
                             t_max=(1.0 - 1e-9) * float(hcurves.at(0.5).min()),
                             inclusive=True,
                         )
-                        total += int(np.count_nonzero(scan_h.loo_mask))
+                        total += scan_h.loo_count
                     sup_count = max(sup_count, total)
                 w[i] = (n / part.sizes[g]) * b[local] / (b[local] + sup_count)
     return w

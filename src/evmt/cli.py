@@ -77,6 +77,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_blank(row) -> bool:
+    return not row or all(not cell.strip() for cell in row)
+
+
+def _data_line(path, row: int) -> int:
+    """File line of the 0-based data row ``row``, counting the blank lines skipped.
+
+    Only error messages need it, so the file is read again rather than
+    keeping a line number per row.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for k, rec in enumerate(r for r in reader if not _is_blank(r)):
+            if k == row:
+                return reader.line_num
+    raise ValueError(f"{path} has no data row {row}")
+
+
 def read_table(path) -> dict:
     """Parse a CSV with a header row into typed column arrays."""
     try:
@@ -90,13 +109,16 @@ def read_table(path) -> dict:
         except StopIteration:
             raise InputError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        for k, name in enumerate(header):
+            if name in header[:k]:
+                raise InputError(f"{path}: line 1: duplicate column {name!r}")
         columns = {name: [] for name in header}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+        for row in reader:
+            if _is_blank(row):
                 continue
             if len(row) != len(header):
                 raise InputError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    f"{path}: line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
                 )
             for name, cell in zip(header, row):
                 columns[name].append(cell.strip())
@@ -108,6 +130,9 @@ def read_table(path) -> dict:
     table = {}
     for name, cells in columns.items():
         if name == "group":
+            if "" in cells:
+                line = _data_line(path, cells.index(""))
+                raise InputError(f"{path}: line {line}: empty group label")
             table[name] = np.asarray(cells)
             continue
         values = np.empty(len(cells))
@@ -116,15 +141,15 @@ def read_table(path) -> dict:
                 values[i] = float(cell)
             except ValueError:
                 raise InputError(
-                    f"{path}: line {i + 2}: cannot parse {name}={cell!r} as a number"
+                    f"{path}: line {_data_line(path, i)}: cannot parse {name}={cell!r} as a number"
                 ) from None
         table[name] = values
     if "pvalue" in table and (np.min(table["pvalue"]) < 0 or np.max(table["pvalue"]) > 1):
         bad = int(np.argmax((table["pvalue"] < 0) | (table["pvalue"] > 1)))
-        raise InputError(f"{path}: line {bad + 2}: pvalue outside [0, 1]")
+        raise InputError(f"{path}: line {_data_line(path, bad)}: pvalue outside [0, 1]")
     if "truth" in table and not np.all(np.isin(table["truth"], (0.0, 1.0))):
         bad = int(np.argmax(~np.isin(table["truth"], (0.0, 1.0))))
-        raise InputError(f"{path}: line {bad + 2}: truth must be 0 or 1")
+        raise InputError(f"{path}: line {_data_line(path, bad)}: truth must be 0 or 1")
     return table
 
 

@@ -149,16 +149,6 @@ def loo_group_threshold(pvals, part: GroupPartition, alpha: float, i: int):
     return _bc_scan(sub, alpha).threshold
 
 
-def _loo_exceed_count(p_group: np.ndarray, alpha: float) -> int:
-    """#{j : p_j >= 1 - T_{l,j}} for one group, via the relaxed scan.
-
-    The censored thresholds T_{l,j} can be feasible even when the group's
-    base threshold is not, so the count is taken unconditionally.
-    """
-    scan = _bc_scan(p_group, alpha)
-    return int(np.count_nonzero(scan.loo_mask))
-
-
 def assemble_weights(
     pvals, part: GroupPartition, thresholds, scheme: str, alpha: Optional[float] = None
 ) -> np.ndarray:
@@ -195,7 +185,9 @@ def assemble_weights(
         if res.feasible:
             # mirror-score comparison, matching the threshold scan's counts
             exceed[idx] = (1.0 - p[idx]) <= res.threshold
-        counts[l] = _loo_exceed_count(p[idx], alpha)
+        # the censored thresholds T_{l,j} can be feasible even when the
+        # group's base threshold is not, so the count is taken unconditionally
+        counts[l] = _bc_scan(p[idx], alpha).loo_count
     total = counts.sum()
     for l in range(L):
         idx = part.indices(l)

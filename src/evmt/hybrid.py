@@ -85,21 +85,26 @@ rejection among k at ``alpha_b = alpha / (1 + alpha)`` has e-value at least
 ``k / (1 + alpha)``; the rest may lose their weight to the leave-one-out
 bounds.
 
-The ``fast`` mode replaces t_bc_loo2(j, i) by t_bc_loo[j] in ``s_i`` and is
-otherwise identical.  That count can depend on p_i, so the fast weights
-carry no finite-sample guarantee; they agree with the exact ones whenever
-zeroing one p-value does not move the relaxed plateau past another mirror
-point.
+The ``fast`` mode replaces t_bc_loo2(j, i) by t_bc_loo[j] in ``s_i``, that
+is, it counts the mirrors at or below the base relaxed plateau m* instead
+of the plateau with p_i zeroed, and is otherwise identical.  That count can
+depend on p_i, so the fast weights carry no finite-sample guarantee; they
+agree with the exact ones whenever zeroing one p-value does not move the
+relaxed plateau past another mirror point.
 
-The pairwise counts are never materialised: each count reduces to
-comparing mirror points against a single scan plateau (recomputed per
-zeroed index for ``s_i`` in the exact mode, and read off one pass over
-the base grid for ``b_i``).
+The pairwise counts are never materialised.  Zeroing p_i adds one
+rejection below p~_i and, when p_i > 1/2, removes i's own mirror from p~_i
+on; everywhere else the counting functions are those of the base mirror
+scan.  Each zeroed criterion is therefore a splice of two fixed arrays over
+the base grid, and its last passing grid point (T0_i for ``b_i``, the
+zeroed relaxed plateau for ``s_i``) is one vectorised lookup.  Both
+leave-one-out modes run in O(n log n); the fast one only skips the lookup
+for ``s_i``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -108,7 +113,9 @@ from .errors import ConfigurationError, InvariantError
 from .procedures import (
     ProcedureSpec,
     _bc_scan,
-    _mirror_grid,
+    _last_at_or_after,
+    _last_at_or_before,
+    _MirrorScan,
     as_pvalues,
     ebh_select,
     procedure_to_evalues,
@@ -135,8 +142,9 @@ class HybridConfig:
 
     ``weight_mode`` is ``averaged`` (constant 0.5/0.5), ``adaptive``
     (leave-one-out weights in {0, 1} that keep the null e-value budget, see
-    the module docstring) or ``fast`` (the same weights with an approximate,
-    O(n log n) mirror count; no finite-sample guarantee).
+    the module docstring) or ``fast`` (the same weights with an approximate
+    mirror count and no finite-sample guarantee).  Both leave-one-out modes
+    run in O(n log n).
 
     When not given explicitly, the base-procedure levels default to
     ``alpha_ebh / 2`` in ``averaged`` mode, where a weight of 0.5 then
@@ -206,14 +214,9 @@ def _bh_loo_vector(censored: np.ndarray, alpha: float) -> np.ndarray:
     shifted = np.empty(n, dtype=bool)
     shifted[0] = True  # position 1 holds the zeroed entry
     shifted[1:] = s[:-1] <= thresh[1:]
-    plain = s <= thresh
-
-    ks = np.arange(1, n + 1)
-    best_shifted = np.maximum.accumulate(np.where(shifted, ks, 0))
-    best_plain = np.flip(np.maximum.accumulate(np.flip(np.where(plain, ks, 0))))
-    best_plain = np.append(best_plain, 0)
-
-    khat = np.maximum(best_shifted[ranks], best_plain[ranks + 1])
+    khat = 1 + np.maximum(
+        _last_at_or_before(shifted, ranks), _last_at_or_after(s <= thresh, ranks + 1)
+    )
     return khat * alpha / n
 
 
@@ -235,79 +238,28 @@ class LooThresholds:
     t_bc_feasible: bool
     d_count: int  # #{p_j >= 1 - T_bc}, 0 when infeasible
     t_bc_loo: np.ndarray  # nan marks an infeasible censored threshold
-    # base candidate grid with rejection / mirror counts and the relaxed
-    # (post-censoring) feasibility used by the plateau reductions
-    _cands: np.ndarray
-    _n_rej: np.ndarray
-    _n_mir: np.ndarray
-    _relaxed: np.ndarray
-    _mstar: Optional[float]
-    _cache: dict = field(default_factory=dict)
-
-    def t_bc_loo2(self, j: int, i: int) -> Optional[float]:
-        """Censored threshold for j with p_i zeroed (exact, cached).
-
-        Zeroing can only enlarge the feasible region, but it may also delete
-        the grid point that carried the previous threshold, so the returned
-        plateau representative is validated through the mirror indicator
-        (which is plateau-stable) rather than by raw comparison.
-        """
-        if i == j:
-            raise ConfigurationError("t_bc_loo2 needs two distinct indices")
-        key = (int(j), int(i))
-        if key not in self._cache:
-            q = self.pvals.copy()
-            q[i] = 0.0
-            q[j] = min(q[j], 1.0 - q[j])
-            t = _bc_scan(q, self.alpha_bc).threshold
-            base = self.t_bc_loo[j]
-            if not np.isnan(base):
-                if t is None:
-                    raise InvariantError("zeroing must keep the search feasible")
-                if self.mirror[j] <= base and not self.mirror[j] <= t:
-                    raise InvariantError("zeroing must not drop the mirror indicator")
-            self._cache[key] = t
-        return self._cache[key]
+    # base mirror scan: candidate grid, counts, both criteria and the
+    # relaxed plateau that every leave-one-out lookup reads
+    _scan: _MirrorScan
 
 
 def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresholds:
     """All leave-one-out quantities needed by the adaptive weights."""
     p = as_pvalues(pvals)
-    n = p.size
     mirror = 1.0 - p
-    censored = np.minimum(p, mirror)
-    t_bh_loo = _bh_loo_vector(censored, alpha_bh)
-
-    cands, n_rej, n_mir = _mirror_grid(p, mirror, t_max=0.5, inclusive=False)
-    feas = (1.0 + n_mir) / np.maximum(n_rej, 1) <= alpha_bc
-    relaxed = n_mir / (n_rej + 1.0) <= alpha_bc
-
-    t_bc, d_count, t_bc_feasible = None, 0, False
-    if feas.any():
-        t_bc = float(cands[np.nonzero(feas)[0][-1]])
-        d_count = int(np.count_nonzero(mirror <= t_bc))
-        t_bc_feasible = True
-    mstar = float(cands[np.nonzero(relaxed)[0][-1]]) if relaxed.any() else None
+    t_bh_loo = _bh_loo_vector(np.minimum(p, mirror), alpha_bh)
+    scan = _bc_scan(p, alpha_bc)
 
     # exact censored thresholds: below the mirror point the instance is
-    # unchanged, at or above it the relaxed criterion applies
-    t_bc_loo = np.full(n, t_bc if t_bc_feasible else np.nan)
+    # unchanged, at or above it the relaxed criterion applies, and the
+    # relaxed plateau, when it reaches the mirror point, dominates any
+    # feasible candidate below it
+    t_bc_loo = np.full(p.size, scan.threshold if scan.feasible else np.nan)
     big = p > 0.5
-    if big.any() and cands.size:
-        ks = np.arange(1, cands.size + 1)
-        last_feas_upto = np.maximum.accumulate(np.where(feas, ks, 0))
-        last_feas_upto = np.concatenate([[0], last_feas_upto])  # index by count
-        last_relaxed = int(np.nonzero(relaxed)[0][-1]) + 1 if relaxed.any() else 0
-        pos = np.searchsorted(cands, mirror[big], side="left")
-        low = last_feas_upto[pos]  # last feasible strictly below the mirror point
-        vals = np.full(pos.size, np.nan)
-        low_ok = low > 0
-        vals[low_ok] = cands[low[low_ok] - 1]
-        # the relaxed plateau, when it reaches the mirror point, always
-        # dominates any feasible candidate below it
-        high_ok = last_relaxed > pos
-        vals[high_ok] = cands[last_relaxed - 1]
-        t_bc_loo[big] = vals
+    pos = np.searchsorted(scan.cands, mirror[big], side="left")
+    k = _last_at_or_after(scan.relaxed, pos)
+    k = np.where(k >= 0, k, _last_at_or_before(scan.feas, pos - 1))
+    t_bc_loo[big] = np.where(k >= 0, scan.cands[k], np.nan)
 
     return LooThresholds(
         pvals=p,
@@ -315,15 +267,11 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
         alpha_bh=alpha_bh,
         alpha_bc=alpha_bc,
         t_bh_loo=t_bh_loo,
-        t_bc=t_bc,
-        t_bc_feasible=t_bc_feasible,
-        d_count=d_count,
+        t_bc=scan.threshold,
+        t_bc_feasible=scan.feasible,
+        d_count=int(scan.m_at_T) - 1 if scan.feasible else 0,
         t_bc_loo=t_bc_loo,
-        _cands=cands,
-        _n_rej=n_rej,
-        _n_mir=n_mir,
-        _relaxed=relaxed,
-        _mstar=mstar,
+        _scan=scan,
     )
 
 
@@ -343,75 +291,49 @@ def _bc_weight(loo: LooThresholds) -> np.ndarray:
     return _phi(1.0 + d_i, n * float(loo.t_bh_loo.max()))
 
 
-def _zeroed_mirror_count(loo: LooThresholds, i: int) -> int:
-    """s_i = #{j != i : p_j >= 1 - t_bc_loo2(j, i)} via one relaxed scan."""
-    cands = loo._cands
-    if cands.size == 0:
-        return 0
-    n_mir = loo._n_mir - (cands >= loo.mirror[i]) if loo.pvals[i] > 0.5 else loo._n_mir
-    n_rej = loo._n_rej + (cands < loo.pvals[i])
-    relaxed = n_mir / (n_rej + 1.0) <= loo.alpha_bc
-    if not relaxed.any():
-        return 0
-    mstar = cands[np.nonzero(relaxed)[0][-1]]
-    if loo._mstar is not None and mstar < loo._mstar:
-        raise InvariantError("zeroing must not shrink the relaxed plateau")
-    count = int(np.count_nonzero(loo.mirror <= mstar))
-    if loo.mirror[i] <= mstar:
-        count -= 1
-    return count
+def _bh_weight(loo: LooThresholds, fast: bool) -> np.ndarray:
+    """w_bh_i = 1 - phi_{n t_bh_loo[i]}(c_i) with c_i = max(s_i, b_i), for all i.
 
+    Zeroing p_i adds one rejection below p~_i and, when p_i > 1/2, removes
+    i's mirror from p~_i on; elsewhere the counts are those of the base
+    grid.  Each zeroed criterion is therefore a splice of two fixed arrays
+    over that grid, and its last passing index k_i is one lookup:
 
-def _zeroed_bc_mirrors(loo: LooThresholds) -> np.ndarray:
-    """b_i = 1 + #{j != i : p_j >= 1 - T0_i} for all i, 0 where T0_i is infeasible.
+    * T0_i (for b_i): (1 + A) / (R + 1) below p~_i; from p~_i on, the base
+      criterion when p_i < 1/2 and the relaxed A / (R + 1) when p_i > 1/2.
+    * the zeroed relaxed plateau (for s_i): A / (R + 2) below p~_i; from
+      p~_i on, A / (R + 1) when p_i < 1/2 and (A - 1) / (R + 2) when
+      p_i > 1/2.  The fast mode takes the base plateau instead.
 
-    T0_i is the mirror-count threshold with p_i set to 0.  Zeroing adds one
-    rejection below p~_i, so there the criterion reads (1 + A) / (R + 1).
-    From p~_i on it is the base criterion when p_i < 1/2, and the relaxed
-    A / (R + 1) when p_i > 1/2, whose mirror leaves the count at p~_i.
+    Either count is ``n_mir[k_i]`` less i's own mirror when it lies at or
+    below ``cands[k_i]``.
     """
+    scan = loo._scan
+    cands, n_rej, n_mir = scan.cands, scan.n_rej, scan.n_mir
     n = loo.pvals.size
-    out = np.zeros(n)
-    cands, n_rej, n_mir = loo._cands, loo._n_rej, loo._n_mir
     if cands.size == 0:
-        return out
+        return np.ones(n)
     a = loo.alpha_bc
-    ks = np.arange(1, cands.size + 1)
-
-    def last(mask):
-        return int(np.nonzero(mask)[0][-1]) + 1 if mask.any() else 0
-
-    shifted = (1.0 + n_mir) / (n_rej + 1.0) <= a
-    last_shifted = np.concatenate([[0], np.maximum.accumulate(np.where(shifted, ks, 0))])
     big = loo.pvals > 0.5
-    last_feas = last((1.0 + n_mir) / np.maximum(n_rej, 1) <= a)
-    upper = np.where(big, last(loo._relaxed), last_feas)
     pos = np.searchsorted(cands, np.minimum(loo.pvals, loo.mirror), side="left")
-    k0 = np.where(upper > pos, upper, last_shifted[pos])  # 1-based, 0 = infeasible
-    ok = k0 > 0
-    t0 = cands[k0[ok] - 1]
-    own = big[ok] & (loo.mirror[ok] <= t0)
-    out[ok] = 1.0 + n_mir[k0[ok] - 1] - own
-    return out
 
+    def zeroed(below, above_small, above_big):
+        k = np.where(big, _last_at_or_after(above_big, pos), _last_at_or_after(above_small, pos))
+        return np.where(k >= 0, k, _last_at_or_before(below, pos - 1))
 
-def _bh_weight(loo: LooThresholds, fast: bool, needed=None) -> np.ndarray:
-    n = loo.pvals.size
-    if needed is None:
-        needed = np.ones(n, dtype=bool)
+    def count(k):
+        return np.where(k >= 0, n_mir[k] - (loo.mirror <= cands[k]), 0)
+
+    k0 = zeroed((1.0 + n_mir) / (n_rej + 1.0) <= a, scan.feas, scan.relaxed)
+    b = np.where(k0 >= 0, 1.0 + count(k0), 0.0)
     if fast:
-        if loo._mstar is not None:
-            base_mask = loo.mirror <= loo._mstar
-            s = np.count_nonzero(base_mask) - base_mask
-        else:
-            s = np.zeros(n, dtype=int)
+        k = _last_at_or_after(scan.relaxed, 0)
     else:
-        s = np.zeros(n, dtype=int)
-        for i in np.nonzero(needed)[0]:
-            s[i] = _zeroed_mirror_count(loo, int(i))
-    c = np.maximum(s, _zeroed_bc_mirrors(loo))
-    w = 1.0 - _phi(c, n * loo.t_bh_loo)
-    return np.where(needed, w, 0.0)
+        k = zeroed(n_mir / (n_rej + 2.0) <= a, scan.relaxed, (n_mir - 1.0) / (n_rej + 2.0) <= a)
+        if scan.mstar is not None and np.any((k < 0) | (cands[k] < scan.mstar)):
+            raise InvariantError("zeroing must not shrink the relaxed plateau")
+    c = np.maximum(count(k), b)
+    return 1.0 - _phi(c, n * loo.t_bh_loo)
 
 
 def adaptive_weights(pvals, loo: LooThresholds):
@@ -425,7 +347,7 @@ def adaptive_weights(pvals, loo: LooThresholds):
 def fast_adaptive_weights(pvals, loo: LooThresholds):
     """As :func:`adaptive_weights` with t_bc_loo2(j, i) replaced by t_bc_loo[j].
 
-    Runs in O(n log n) but, unlike the exact weights, carries no
+    Runs in O(n log n), as the exact weights do, but unlike them carries no
     finite-sample guarantee on the null e-value budget.
     """
     p = as_pvalues(pvals)
@@ -444,8 +366,8 @@ def _hybrid_evalues(pvals, config: HybridConfig):
         w_bc = np.full(p.size, 0.5)
     else:
         loo = compute_loo_thresholds(p, config.alpha_bh, config.alpha_bc)
-        # weights multiplying a zero e-value never matter; skip their scans
-        w_bh = _bh_weight(loo, fast=config.weight_mode == "fast", needed=e_bh > 0)
+        # a weight multiplying a zero e-value never matters; report it as 0
+        w_bh = np.where(e_bh > 0, _bh_weight(loo, fast=config.weight_mode == "fast"), 0.0)
         w_bc = _bc_weight(loo)
     return w_bh * e_bh + w_bc * e_bc, w_bh, w_bc
 

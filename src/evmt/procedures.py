@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, InvariantError
 
 __all__ = [
     "ProcedureSpec",
@@ -190,35 +190,46 @@ def _validate_fbc(funcs, n: int, t_upper: Optional[float]) -> float:
 
 @dataclass(frozen=True)
 class _MirrorScan:
-    """Internal result of one mirror-count threshold scan."""
+    """Internal result of one mirror-count threshold scan.
+
+    Keeps the candidate grid with its counting functions, ``n_rej[k] =
+    #{u <= cands[k]}`` and ``n_mir[k] = #{v <= cands[k]}``, and both
+    criteria over it: ``feas`` is the count criterion
+    ``(1 + A) / max(R, 1) <= alpha`` and ``relaxed`` the criterion
+    ``A / (R + 1) <= alpha`` that holds after one mirror move.
+    """
 
     threshold: Optional[float]
     m_at_T: float
     rejected_mask: np.ndarray
     feasible: bool
-    # Largest candidate where the count criterion holds after one mirror
-    # move, i.e. with numerator A(t) and denominator R(t) + 1.  Equals the
-    # common leave-one-out threshold of every score that clears it.
+    cands: np.ndarray
+    n_rej: np.ndarray
+    n_mir: np.ndarray
+    feas: np.ndarray
+    relaxed: np.ndarray
+    # The relaxed plateau: the largest candidate where ``relaxed`` holds, the
+    # common leave-one-out threshold of every score that clears it, and
+    # loo_count = #{v <= mstar}, the number of hypotheses whose mirror score
+    # their own leave-one-out threshold reaches (None and 0 when empty).
     mstar: Optional[float]
-    # loo_mask[j] is 1{v_j <= mstar}: whether hypothesis j's mirror score is
-    # reachable by its own leave-one-out threshold.
-    loo_mask: np.ndarray
+    loo_count: int
 
 
-def _mirror_grid(u, v, t_max=None, inclusive=False):
-    """Candidate grid and counting functions for a bc/fbc-style scan.
+def _last_at_or_before(mask: np.ndarray, pos) -> np.ndarray:
+    """Last index j <= pos with mask[j], elementwise over pos (-1 where none).
 
-    Returns ``(cands, n_rej, n_mir)`` where ``n_rej[k] = #{u <= cands[k]}``
-    and ``n_mir[k] = #{v <= cands[k]}``.
+    ``pos`` may hold -1, which always yields -1.
     """
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    cands = np.unique(np.concatenate([u, v]))
-    if t_max is not None:
-        cands = cands[cands <= t_max] if inclusive else cands[cands < t_max]
-    n_rej = np.searchsorted(np.sort(u), cands, side="right")
-    n_mir = np.searchsorted(np.sort(v), cands, side="right")
-    return cands, n_rej, n_mir
+    run = np.maximum.accumulate(np.where(mask, np.arange(mask.size), -1))
+    return np.concatenate(([-1], run))[np.asarray(pos) + 1]
+
+
+def _last_at_or_after(mask: np.ndarray, pos) -> np.ndarray:
+    """Last index j >= pos with mask[j], elementwise over pos (-1 where none)."""
+    hits = np.flatnonzero(mask)
+    last = hits[-1] if hits.size else -1
+    return np.where(last >= np.asarray(pos), last, -1)
 
 
 def _mirror_scan(u, v, alpha, t_max=None, inclusive=False) -> _MirrorScan:
@@ -231,29 +242,26 @@ def _mirror_scan(u, v, alpha, t_max=None, inclusive=False) -> _MirrorScan:
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    cands, n_rej, n_mir = _mirror_grid(u, v, t_max, inclusive)
-    no_loo = np.zeros(u.size, dtype=bool)
-    if cands.size == 0:
-        return _MirrorScan(None, 0.0, no_loo.copy(), False, None, no_loo)
+    cands = np.unique(np.concatenate([u, v]))
+    if t_max is not None:
+        cands = cands[cands <= t_max] if inclusive else cands[cands < t_max]
+    n_rej = np.searchsorted(np.sort(u), cands, side="right")
+    n_mir = np.searchsorted(np.sort(v), cands, side="right")
     feas = (1.0 + n_mir) / np.maximum(n_rej, 1) <= alpha
     relaxed = n_mir / (n_rej + 1.0) <= alpha
-
-    if feas.any():
-        k = np.nonzero(feas)[0][-1]
-        threshold = float(cands[k])
-        m_at = 1.0 + float(n_mir[k])
+    k = _last_at_or_after(feas, 0)
+    if k >= 0:
+        threshold, m_at, feasible = float(cands[k]), 1.0 + float(n_mir[k]), True
         rejected_mask = u <= threshold
-        feasible = True
     else:
-        threshold, m_at, rejected_mask, feasible = None, 0.0, no_loo.copy(), False
-
-    if relaxed.any():
-        mstar = float(cands[np.nonzero(relaxed)[0][-1]])
-        loo_mask = v <= mstar
-    else:
-        mstar, loo_mask = None, no_loo
-
-    return _MirrorScan(threshold, m_at, rejected_mask, feasible, mstar, loo_mask)
+        threshold, m_at, feasible = None, 0.0, False
+        rejected_mask = np.zeros(u.size, dtype=bool)
+    k = _last_at_or_after(relaxed, 0)
+    mstar, loo_count = (float(cands[k]), int(n_mir[k])) if k >= 0 else (None, 0)
+    return _MirrorScan(
+        threshold, m_at, rejected_mask, feasible,
+        cands, n_rej, n_mir, feas, relaxed, mstar, loo_count,
+    )
 
 
 def _bc_scan(p: np.ndarray, alpha: float) -> _MirrorScan:
@@ -336,7 +344,8 @@ def procedure_to_evalues(pvals, spec: ProcedureSpec, result: ThresholdResult) ->
     e = np.zeros(p.size)
     if not result.feasible:
         return e
-    assert result.m_at_T > 0.0, "feasible threshold with zero false-rejection estimate"
+    if not result.m_at_T > 0.0:
+        raise InvariantError("feasible threshold with zero false-rejection estimate")
     e[result.rejected] = p.size / result.m_at_T
     return e
 
@@ -364,7 +373,8 @@ def ebh_select(evalues, alpha: float) -> np.ndarray:
     khat = int(np.nonzero(ok)[0][-1]) + 1
     cutoff = es[khat - 1]
     rejected = np.nonzero(e >= cutoff)[0]
-    assert rejected.size == khat, "ties at the cutoff must already be inside k_hat"
+    if rejected.size != khat:
+        raise InvariantError("ties at the cutoff must already be inside k_hat")
     return rejected
 
 

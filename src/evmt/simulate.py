@@ -392,18 +392,31 @@ def _mean_se(values: np.ndarray):
     return mean, se
 
 
+def _worker_count() -> int:
+    """Worker processes from ``EVMT_THREADS``, capped at the CPU count (default 1)."""
+    raw = os.environ.get("EVMT_THREADS", "").strip() or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(f"EVMT_THREADS must be a positive integer, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def run_campaign(config: SimulationConfig, methods) -> MetricsReport:
     """Run every method on every replicate and reduce to mean FDR / power.
 
-    ``EVMT_THREADS`` caps process-level parallelism over replicates
-    (default 1, serial); results do not depend on the worker count.
+    ``EVMT_THREADS`` (a positive integer, default 1: serial) sets the number
+    of worker processes over replicates, capped at the CPU count; results do
+    not depend on the worker count.
     """
     methods = list(methods)
     for name in methods:
         if name not in _METHODS:
             raise ConfigurationError(f"unknown method {name!r}")
     start = time.monotonic()
-    workers = int(os.environ.get("EVMT_THREADS", "1") or "1")
+    workers = _worker_count()
     reps = range(config.replications)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

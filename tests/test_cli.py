@@ -224,3 +224,33 @@ def test_read_table_rejects_out_of_range_pvalue(tmp_path):
 
     with pytest.raises(InputError):
         read_table(path)
+
+
+def test_duplicate_header_gives_exit_2(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    write_csv(path, ["pvalue", "pvalue"], [(0.01, 0.02), (0.5, 0.6)])
+    assert run_cli(["bh", "--input", path, "--out", tmp_path / "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "duplicate column 'pvalue'" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_empty_group_label_gives_exit_2(tmp_path, capsys):
+    path = tmp_path / "g.csv"
+    write_csv(path, ["pvalue", "group"], [(0.01, "a"), (0.02, ""), (0.5, "a")])
+    assert run_cli(["groups", "--input", path, "--out", tmp_path / "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "group" in err
+
+
+def test_line_numbers_count_skipped_blank_lines(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    path.write_text("pvalue\n0.1\n\n0.2\nbad\n")
+    assert run_cli(["bh", "--input", path]) == 2
+    assert "line 5" in capsys.readouterr().err
+
+
+def test_simulate_bad_thread_count_exit_3(monkeypatch, capsys):
+    monkeypatch.setenv("EVMT_THREADS", "abc")
+    assert run_cli(["simulate", "--setting", "E1", "--reps", 2, "--seed", 1]) == 3
+    assert "EVMT_THREADS" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from evmt.groups import (
     loo_group_threshold,
     run_grouped_ebh,
 )
-from evmt.groups import _loo_exceed_count
+from evmt.procedures import _bc_scan
 
 from oracles import brute_bc_loo_threshold, brute_bc_threshold, random_pvalues
 
@@ -142,7 +142,7 @@ def test_loo_exceed_count_equals_per_index_brute_force():
             t_j = brute_bc_loo_threshold(list(q), alpha, j)
             if t_j is not None and 1.0 - q[j] <= t_j:
                 want += 1
-        assert _loo_exceed_count(q, alpha) == want
+        assert _bc_scan(q, alpha).loo_count == want
 
 
 def test_prop_loo_threshold_identity_probes():

@@ -2,11 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evmt import ConfigurationError, InvariantError, ebh_select, fdp_power
 from evmt.hybrid import (
     HybridConfig,
-    _zeroed_mirror_count,
+    _hybrid_evalues,
     adaptive_weights,
     bc_evalues,
     bh_evalues,
@@ -188,23 +190,21 @@ def test_bc_loo_vector_matches_brute_force():
 
 
 def test_bc_loo2_monotone_and_exact():
+    # the exact weights read the zeroed relaxed plateau off the base grid;
+    # that is sound because zeroing p_i can move the plateau's grid
+    # representative but never drops j's own mirror indicator
     rng = np.random.default_rng(7)
     for _ in range(40):
         p = random_pvalues(rng, int(rng.integers(3, 20)))
         alpha = float(rng.uniform(0.1, 0.6))
-        loo = compute_loo_thresholds(p, alpha, alpha)
-        i, j = rng.choice(p.size, size=2, replace=False)
-        got = loo.t_bc_loo2(int(j), int(i))
-        want = brute_bc_zeroed_loo_threshold(list(p), alpha, int(j), int(i))
-        if want is None:
-            assert got is None
-        else:
-            assert got == pytest.approx(want)
-            base = brute_bc_loo_threshold(list(p), alpha, int(j))
-            # zeroing may move the plateau's grid representative but can
-            # never drop j's own mirror indicator
-            if base is not None and 1.0 - p[j] <= base:
-                assert 1.0 - p[j] <= got
+        for j in range(p.size):
+            base = brute_bc_loo_threshold(list(p), alpha, j)
+            if base is None or not 1.0 - p[j] <= base:
+                continue
+            for i in range(p.size):
+                if i != j:
+                    zeroed = brute_bc_zeroed_loo_threshold(list(p), alpha, j, i)
+                    assert zeroed is not None and 1.0 - p[j] <= zeroed
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,39 @@ def test_adaptive_weights_match_exhaustive_recomputation():
     assert seen == {("bh", 0.0), ("bh", 1.0), ("bc", 0.0), ("bc", 1.0)}
 
 
+_TIED = st.sampled_from([0.0, 0.001, 0.01, 0.02, 0.05, 0.3, 0.5, 0.7, 0.95, 0.98, 0.99, 0.999, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.lists(_TIED | st.floats(0.0, 1.0), min_size=1, max_size=12),
+    a_bh=st.floats(0.005, 0.5),
+    a_bc=st.floats(0.05, 0.7),
+)
+def test_prop_exact_weights_match_exhaustive_recomputation(p, a_bh, a_bc):
+    q = np.array(p)
+    w_bh, w_bc = adaptive_weights(q, compute_loo_thresholds(q, a_bh, a_bc))
+    want_bh, want_bc = brute_adaptive_weights(p, a_bh, a_bc)
+    assert np.array_equal(w_bh, want_bh)
+    assert np.array_equal(w_bc, want_bc)
+
+
+def test_fast_and_exact_bh_weights_can_differ():
+    # the fast count reads the base relaxed plateau, not the zeroed one; on
+    # some instances that changes a BH weight, and the exact one is right
+    rng = np.random.default_rng(43)
+    for _ in range(4000):
+        p = random_pvalues(rng, int(rng.integers(4, 14)))
+        a_bh, a_bc = float(rng.uniform(0.005, 0.1)), float(rng.uniform(0.2, 0.7))
+        loo = compute_loo_thresholds(p, a_bh, a_bc)
+        exact, fast = adaptive_weights(p, loo)[0], fast_adaptive_weights(p, loo)[0]
+        if not np.array_equal(exact, fast):
+            break
+    else:
+        pytest.fail("fast and exact BH weights agreed on every instance")
+    assert np.array_equal(exact, brute_adaptive_weights(list(p), a_bh, a_bc)[0])
+
+
 def test_mirror_bound_is_supremum_of_loo_mirror_count():
     # c_i = max(s_i, b_i) must dominate D* for every value of p_i (the BH
     # weight may not look at p_i), and is attained at p_i = 0 or p_i -> 1
@@ -275,17 +308,24 @@ def test_weights_are_exclusive_on_shared_rejections():
 
 
 def test_invariant_checks_survive_optimisation():
-    # the guards are explicit checks, not asserts that python -O strips
+    # the guard is an explicit check, not an assert that python -O strips
     p = np.array([0.001, 0.002, 0.003, 0.004, 0.9, 0.95])
     loo = compute_loo_thresholds(p, 0.4, 0.4)
-    assert loo._mstar is not None
-    grown = replace(loo, _mstar=float(loo._cands[-1]) + 1.0, _cache={})
+    assert loo._scan.mstar is not None
+    # a base plateau beyond the grid: every zeroed plateau seems to shrink it
+    grown = replace(loo, _scan=replace(loo._scan, mstar=float(loo._scan.cands[-1]) + 1.0))
     with pytest.raises(InvariantError):
-        _zeroed_mirror_count(grown, 0)
-    # every zeroed search is infeasible at this level, yet t_bc_loo says feasible
-    starved = replace(loo, t_bc_loo=np.full(p.size, 0.45), alpha_bc=1e-6, _cache={})
-    with pytest.raises(InvariantError):
-        starved.t_bc_loo2(int(np.argmax(p)), 0)
+        adaptive_weights(p, grown)
+
+
+def test_bh_weight_is_zero_without_bh_evalue():
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        p = random_pvalues(rng, int(rng.integers(2, 60)))
+        for mode in ("adaptive", "fast"):
+            cfg = HybridConfig(alpha_ebh=0.1, weight_mode=mode)
+            _, w_bh, _ = _hybrid_evalues(p, cfg)
+            assert np.all(w_bh[bh_evalues(p, cfg.alpha_bh) == 0.0] == 0.0)
 
 
 def test_weights_lie_in_unit_interval():

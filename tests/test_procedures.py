@@ -1,10 +1,16 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from evmt import (
     ConfigurationError,
     InputError,
+    InvariantError,
     ProcedureSpec,
+    ThresholdResult,
     ebh_select,
     fdp_power,
     procedure_to_evalues,
@@ -198,6 +204,29 @@ def test_infeasible_conversion_is_all_zero():
     e = procedure_to_evalues(p, spec, res)
     assert not res.feasible
     assert np.all(e == 0.0)
+
+
+def test_feasible_result_without_false_rejection_estimate_raises():
+    broken = ThresholdResult(threshold=0.1, m_at_T=0.0, rejected=np.array([0]), feasible=True)
+    spec = ProcedureSpec(kind="bh", alpha=0.1)
+    with pytest.raises(InvariantError):
+        procedure_to_evalues([0.01, 0.5], spec, broken)
+
+
+def test_invariant_check_survives_python_optimisation():
+    code = (
+        "import numpy as np\n"
+        "from evmt import InvariantError, ProcedureSpec, ThresholdResult, procedure_to_evalues\n"
+        "r = ThresholdResult(threshold=0.1, m_at_T=0.0, rejected=np.array([0]), feasible=True)\n"
+        "try:\n"
+        "    procedure_to_evalues([0.01, 0.5], ProcedureSpec(kind='bh', alpha=0.1), r)\n"
+        "except InvariantError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": src}, timeout=60)
+    assert run.returncode == 0
 
 
 def test_bh_conversion_reproduces_rejections_via_ebh():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from evmt import ConfigurationError, ProcedureSpec, solve_threshold
 from evmt.simulate import (
     MetricsReport,
     SimulationConfig,
+    _worker_count,
     default_parameters,
     generate,
     run_campaign,
@@ -181,3 +184,20 @@ def test_parallel_campaign_matches_serial(monkeypatch):
     monkeypatch.setenv("EVMT_THREADS", "2")
     parallel = run_campaign(cfg, ["eBH_2"])
     assert serial.rows() == parallel.rows()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_count_is_a_configuration_error(monkeypatch, value):
+    monkeypatch.setenv("EVMT_THREADS", value)
+    with pytest.raises(ConfigurationError, match="EVMT_THREADS"):
+        run_campaign(SimulationConfig(setting="E1", replications=2, seed=1), ["BH"])
+
+
+def test_thread_count_is_capped_at_cpu_count(monkeypatch):
+    # parsing only: no pool is started
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for value, want in (("", 1), (" 1 ", 1), ("2", 2), ("100000", 2)):
+        monkeypatch.setenv("EVMT_THREADS", value)
+        assert _worker_count() == want
+    monkeypatch.delenv("EVMT_THREADS")
+    assert _worker_count() == 1
