@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit, logit
 
 from .errors import ConfigurationError, InputError
@@ -132,6 +131,17 @@ def pseudo_loglik(beta_pi, beta_kappa, pvals, covars=None) -> float:
     return float(np.sum(np.log(pi + (1.0 - pi) * alt)))
 
 
+def _minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use.
+
+    The import takes about a second, which commands that fit no model
+    should not pay.
+    """
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
+
+
 def _mstep_pi(z, gamma, beta0):
     if z.shape[1] == 1:
         mean = float(np.clip(gamma.mean(), 1e-12, 1.0 - 1e-12))
@@ -145,7 +155,7 @@ def _mstep_pi(z, gamma, beta0):
         return val, grad
 
     # partial M-step: any improvement keeps the EM ascent property
-    res = minimize(negobj, beta0, jac=True, method="L-BFGS-B", options={"maxiter": 25})
+    res = _minimize(negobj, beta0, jac=True, method="L-BFGS-B", options={"maxiter": 25})
     return res.x if res.fun <= negobj(beta0)[0] else beta0
 
 
@@ -166,7 +176,7 @@ def _mstep_kappa(z, weights, ell, beta0):
         grad = z.T @ (weights * kap * (1.0 - (1.0 - kap) * ell))
         return val, grad
 
-    res = minimize(negobj, beta0, jac=True, method="L-BFGS-B", options={"maxiter": 25})
+    res = _minimize(negobj, beta0, jac=True, method="L-BFGS-B", options={"maxiter": 25})
     return res.x if res.fun <= negobj(beta0)[0] else beta0
 
 
@@ -193,7 +203,7 @@ def _polish(z, ell, beta_pi, beta_kappa):
 
     theta0 = np.concatenate([beta_pi, beta_kappa])
     bounds = [(-36.0, 36.0)] * theta0.size
-    res = minimize(negobj, theta0, jac=True, method="L-BFGS-B", bounds=bounds)
+    res = _minimize(negobj, theta0, jac=True, method="L-BFGS-B", bounds=bounds)
     if np.isfinite(res.fun) and -res.fun >= -negobj(theta0)[0]:
         return res.x[:d1], res.x[d1:], float(-res.fun)
     return beta_pi, beta_kappa, float(-negobj(theta0)[0])

@@ -6,6 +6,12 @@ column is treated as a covariate) or drive a simulation campaign.  Every
 data run writes a rejection CSV (``index, rejected, evalue, weight``, index
 1-based) plus a JSON summary next to it, and echoes the summary to stdout.
 
+Input is parsed column by column with numpy.  Only a file numpy rejects is
+read again row by row with the csv module, which either accepts the
+irregular rows it tolerates (whitespace-only lines, rows of blank cells) or
+reports the offending line.  The rejection table is written in bounded
+chunks, with each distinct value formatted once.
+
 Exit codes: 0 success, 2 input error (unreadable file, bad column), 3
 configuration error (bad level, wrong weight scheme for a subcommand).
 """
@@ -17,6 +23,7 @@ import csv
 import json
 import secrets
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +35,7 @@ from .hybrid import HybridConfig, _hybrid_evalues
 from .knockoffs import knockoff_evalues
 from .procedures import (
     ProcedureSpec,
+    _group_fdp_power,
     as_evalues,
     ebh_select,
     fdp_power,
@@ -77,6 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CSV = dict(delimiter=",", comments=None, quotechar='"', encoding="utf-8")
+
+# Rows of the rejection table formatted and written at a time; bounds the
+# text held in memory.
+_WRITE_ROWS = 1 << 16
+
+
 def _is_blank(row) -> bool:
     return not row or all(not cell.strip() for cell in row)
 
@@ -96,8 +111,8 @@ def _data_line(path, row: int) -> int:
     raise ValueError(f"{path} has no data row {row}")
 
 
-def read_table(path) -> dict:
-    """Parse a CSV with a header row into typed column arrays."""
+def _read_header(path):
+    """Stripped column names and the number of file lines the header spans."""
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -108,10 +123,48 @@ def read_table(path) -> dict:
             header = next(reader)
         except StopIteration:
             raise InputError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        for k, name in enumerate(header):
-            if name in header[:k]:
-                raise InputError(f"{path}: line 1: duplicate column {name!r}")
+        lines = reader.line_num
+    header = [h.strip() for h in header]
+    for k, name in enumerate(header):
+        if name in header[:k]:
+            raise InputError(f"{path}: line 1: duplicate column {name!r}")
+    return header, lines
+
+
+def _parse_columns(path, header, skip) -> dict:
+    """Whole columns parsed by numpy; ``ValueError`` on any irregular row."""
+    g = header.index("group") if "group" in header else None
+    with warnings.catch_warnings():
+        # loadtxt warns about empty lines, which are skipped as blank rows,
+        # and about files without rows, which the caller reports
+        warnings.simplefilter("ignore", UserWarning)
+        # the group column is read on its own below; converting it with len
+        # keeps it in this call, so rows with a different field count fail
+        values = np.loadtxt(
+            path, skiprows=skip, ndmin=2, converters=None if g is None else {g: len}, **_CSV
+        )
+        if values.shape[0] == 0 or values.shape[1] != len(header):
+            raise ValueError("no rows, or a field count that differs from the header")
+        table = {name: values[:, k] for k, name in enumerate(header)}
+        if g is not None:
+            labels = np.loadtxt(path, skiprows=skip, usecols=g, dtype=str, ndmin=1, **_CSV)
+            labels = np.strings.strip(labels)
+            if np.any(labels == ""):
+                # a blank row or an empty label: the row scan tells them apart
+                raise ValueError("empty group cell")
+            table["group"] = labels
+    return table
+
+
+def _scan_table(path, header) -> dict:
+    """Row-by-row parse with the csv module; raises a line-numbered InputError.
+
+    Blank rows (no cells, or only blank cells) are skipped, and cells are
+    stripped before parsing.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)
         columns = {name: [] for name in header}
         for row in reader:
             if _is_blank(row):
@@ -122,10 +175,6 @@ def read_table(path) -> dict:
                 )
             for name, cell in zip(header, row):
                 columns[name].append(cell.strip())
-
-    n = len(next(iter(columns.values()))) if columns else 0
-    if n == 0:
-        raise InputError(f"{path}: no data rows")
 
     table = {}
     for name, cells in columns.items():
@@ -144,6 +193,28 @@ def read_table(path) -> dict:
                     f"{path}: line {_data_line(path, i)}: cannot parse {name}={cell!r} as a number"
                 ) from None
         table[name] = values
+    return table
+
+
+def read_table(path) -> dict:
+    """Parse a CSV with a header row into typed column arrays.
+
+    ``group`` holds strings, every other column finite floats.
+    """
+    header, skip = _read_header(path)
+    try:
+        table = _parse_columns(path, header, skip)
+    except ValueError:
+        table = _scan_table(path, header)
+
+    if not table or len(next(iter(table.values()))) == 0:
+        raise InputError(f"{path}: no data rows")
+    for name, values in table.items():
+        if name != "group" and not np.all(np.isfinite(values)):
+            bad = int(np.argmin(np.isfinite(values)))
+            raise InputError(
+                f"{path}: line {_data_line(path, bad)}: {name} must be finite, got {values[bad]}"
+            )
     if "pvalue" in table and (np.min(table["pvalue"]) < 0 or np.max(table["pvalue"]) > 1):
         bad = int(np.argmax((table["pvalue"] < 0) | (table["pvalue"] > 1)))
         raise InputError(f"{path}: line {_data_line(path, bad)}: pvalue outside [0, 1]")
@@ -184,25 +255,42 @@ def _metrics(summary, rejected, truth, partition=None):
     fdp, power = fdp_power(rejected, theta)
     summary["metrics"] = {"fdp": fdp, "power": power}
     if partition is not None:
-        mask = np.zeros(theta.size, dtype=bool)
-        mask[rejected] = True
-        per_group = []
-        for l in range(partition.n_groups):
-            idx = partition.indices(l)
-            f, w = fdp_power(np.nonzero(mask[idx])[0], theta[idx])
-            label = partition.names[l] if partition.names else l + 1
-            per_group.append({"group": label, "fdp": f, "power": w})
-        summary["metrics"]["groups"] = per_group
+        g_fdp, g_power = _group_fdp_power(rejected, theta, partition.labels, partition.n_groups)
+        names = partition.names or range(1, partition.n_groups + 1)
+        summary["metrics"]["groups"] = [
+            {"group": label, "fdp": f, "power": w}
+            for label, f, w in zip(names, g_fdp.tolist(), g_power.tolist())
+        ]
+
+
+def _distinct_text(values):
+    """``:.10g`` text of each distinct value, and each entry's index into it.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
+    """
+    bits, at = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True)
+    text = np.array([f"{v:.10g}" for v in bits.view(np.float64).tolist()], dtype=object)
+    return text, at
 
 
 def _write_outputs(args, evalues, weights, rejected, summary):
     out = Path(args.out) if args.out else Path("evmt_rejections.csv")
     mask = np.zeros(evalues.size, dtype=bool)
     mask[rejected] = True
+    e_text, e_at = _distinct_text(evalues)
+    w_text, w_at = _distinct_text(weights)
+    flags = mask.view(np.uint8)
     with open(out, "w", encoding="utf-8") as handle:
         handle.write("index,rejected,evalue,weight\n")
-        for i in range(evalues.size):
-            handle.write(f"{i + 1},{int(mask[i])},{evalues[i]:.10g},{weights[i]:.10g}\n")
+        for a in range(0, evalues.size, _WRITE_ROWS):
+            b = min(a + _WRITE_ROWS, evalues.size)
+            rows = zip(
+                range(a + 1, b + 1),
+                flags[a:b].tolist(),
+                e_text[e_at[a:b]].tolist(),
+                w_text[w_at[a:b]].tolist(),
+            )
+            handle.write("".join([f"{i},{r},{e},{w}\n" for i, r, e, w in rows]))
     summary["n"] = int(evalues.size)
     summary["n_rejected"] = int(mask.sum())
     summary["rejections_csv"] = str(out)

@@ -38,7 +38,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .procedures import ThresholdResult, _bc_scan, as_pvalues, ebh_select, fdp_power
+from .procedures import (
+    ThresholdResult,
+    _bc_scan,
+    _group_fdp_power,
+    as_pvalues,
+    ebh_select,
+    fdp_power,
+)
 
 __all__ = [
     "GroupPartition",
@@ -79,6 +86,11 @@ class GroupPartition:
         if np.any(counts == 0):
             raise ConfigurationError("every group must contain at least one hypothesis")
         object.__setattr__(self, "_sizes", counts)
+        # the members of group l, ascending, are order[starts[l]:starts[l + 1]]
+        order = np.argsort(labels, kind="stable")
+        order.flags.writeable = False
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_starts", [0, *np.cumsum(counts).tolist()])
 
     @classmethod
     def from_labels(cls, labels: Sequence) -> "GroupPartition":
@@ -103,7 +115,8 @@ class GroupPartition:
         return self._sizes
 
     def indices(self, group: int) -> np.ndarray:
-        return np.nonzero(self.labels == group)[0]
+        """Ascending indices of the group's members, as a read-only view."""
+        return self._order[self._starts[group]:self._starts[group + 1]]
 
 
 def _check_partition(p: np.ndarray, part: GroupPartition) -> None:
@@ -111,6 +124,24 @@ def _check_partition(p: np.ndarray, part: GroupPartition) -> None:
         raise InputError(
             f"partition covers {part.n} hypotheses, got {p.size} p-values"
         )
+
+
+def _scan_groups(p: np.ndarray, part: GroupPartition, alpha: float):
+    """One mirror scan per group: the thresholds and the leave-one-out counts.
+
+    Returns a list of :class:`ThresholdResult` with global indices and an
+    array of the groups' relaxed-plateau counts ``loo_count``.
+    """
+    results = []
+    counts = np.zeros(part.n_groups)
+    for l in range(part.n_groups):
+        idx = part.indices(l)
+        scan = _bc_scan(p[idx], alpha)
+        results.append(
+            ThresholdResult(scan.threshold, scan.m_at_T, idx[scan.rejected_mask], scan.feasible)
+        )
+        counts[l] = scan.loo_count
+    return results, counts
 
 
 def groupwise_bc_thresholds(pvals, part: GroupPartition, alpha: float):
@@ -121,15 +152,7 @@ def groupwise_bc_thresholds(pvals, part: GroupPartition, alpha: float):
     """
     p = as_pvalues(pvals)
     _check_partition(p, part)
-    results = []
-    for l in range(part.n_groups):
-        idx = part.indices(l)
-        scan = _bc_scan(p[idx], alpha)
-        rejected = idx[scan.rejected_mask]
-        results.append(
-            ThresholdResult(scan.threshold, scan.m_at_T, rejected, scan.feasible)
-        )
-    return results
+    return _scan_groups(p, part, alpha)[0]
 
 
 def loo_group_threshold(pvals, part: GroupPartition, alpha: float, i: int):
@@ -161,10 +184,27 @@ def assemble_weights(
     """
     p = as_pvalues(pvals)
     _check_partition(p, part)
+    scheme = _scheme(scheme)
+    counts = None
+    if scheme == "adaptive":
+        if alpha is None:
+            raise ConfigurationError("adaptive weights need the threshold level alpha")
+        # the censored thresholds T_{l,j} can be feasible even when the
+        # group's base threshold is not, so the count is taken unconditionally
+        counts = _scan_groups(p, part, alpha)[1]
+    return _weights(p, part, thresholds, scheme, counts)
+
+
+def _scheme(scheme: str) -> str:
     try:
-        scheme = _SCHEMES[scheme.lower()]
+        return _SCHEMES[scheme.lower()]
     except KeyError:
         raise ConfigurationError(f"unknown weight scheme {scheme!r}") from None
+
+
+def _weights(p, part: GroupPartition, thresholds, scheme: str, counts) -> np.ndarray:
+    """Weights of a resolved scheme; ``counts`` holds the groups' leave-one-out
+    counts (adaptive scheme only)."""
     n = p.size
     L = part.n_groups
     w = np.ones(n)
@@ -175,25 +215,15 @@ def assemble_weights(
             w[part.indices(l)] = n / (L * part.sizes[l])
         return w
 
-    if alpha is None:
-        raise ConfigurationError("adaptive weights need the threshold level alpha")
-    exceed = np.zeros(n, dtype=bool)
-    counts = np.zeros(L)
-    for l in range(L):
-        idx = part.indices(l)
-        res = thresholds[l]
-        if res.feasible:
-            # mirror-score comparison, matching the threshold scan's counts
-            exceed[idx] = (1.0 - p[idx]) <= res.threshold
-        # the censored thresholds T_{l,j} can be feasible even when the
-        # group's base threshold is not, so the count is taken unconditionally
-        counts[l] = _bc_scan(p[idx], alpha).loo_count
     total = counts.sum()
     for l in range(L):
         idx = part.indices(l)
         res = thresholds[l]
-        n_exc = int(np.count_nonzero(exceed[idx])) if res.feasible else 0
-        b = 1.0 + n_exc - exceed[idx]
+        b = np.ones(idx.size)
+        if res.feasible:
+            # mirror-score comparison, matching the threshold scan's counts
+            exceed = (1.0 - p[idx]) <= res.threshold
+            b += np.count_nonzero(exceed) - exceed
         w[idx] = (n / part.sizes[l]) * b / (b + (total - counts[l]))
     return w
 
@@ -252,28 +282,21 @@ def run_grouped_ebh(
         included in the report.
     """
     p = as_pvalues(pvals)
-    thresholds = groupwise_bc_thresholds(p, part, alpha)
-    weights = assemble_weights(p, part, thresholds, scheme, alpha=alpha)
+    _check_partition(p, part)
+    scheme = _scheme(scheme)
+    thresholds, counts = _scan_groups(p, part, alpha)
+    weights = _weights(p, part, thresholds, scheme, counts)
     evalues = group_evalues(p, part, thresholds, weights)
     rejected = ebh_select(evalues, alpha) if evalues.any() else np.empty(0, dtype=np.intp)
     per_group = [res.rejected for res in thresholds]
 
     fdp = power = group_fdp = group_power = None
     if truth is not None:
-        theta = np.asarray(truth)
-        fdp, power = fdp_power(rejected, theta)
-        group_fdp = np.zeros(part.n_groups)
-        group_power = np.zeros(part.n_groups)
-        rej_mask = np.zeros(p.size, dtype=bool)
-        rej_mask[rejected] = True
-        for l in range(part.n_groups):
-            idx = part.indices(l)
-            group_fdp[l], group_power[l] = fdp_power(
-                np.nonzero(rej_mask[idx])[0], theta[idx]
-            )
+        fdp, power = fdp_power(rejected, truth)
+        group_fdp, group_power = _group_fdp_power(rejected, truth, part.labels, part.n_groups)
     return GroupReport(
         alpha=alpha,
-        scheme=_SCHEMES[scheme.lower()],
+        scheme=scheme,
         thresholds=thresholds,
         weights=weights,
         evalues=evalues,

@@ -360,12 +360,17 @@ def _hybrid_evalues(pvals, config: HybridConfig):
     """Blended e-values plus the weight pair actually used."""
     p = as_pvalues(pvals)
     e_bh = bh_evalues(p, config.alpha_bh)
-    e_bc = bc_evalues(p, config.alpha_bc)
     if config.weight_mode == "averaged":
+        e_bc = bc_evalues(p, config.alpha_bc)
         w_bh = np.full(p.size, 0.5)
         w_bc = np.full(p.size, 0.5)
     else:
         loo = compute_loo_thresholds(p, config.alpha_bh, config.alpha_bc)
+        # bc_evalues from the mirror scan the leave-one-out thresholds hold
+        scan = loo._scan
+        e_bc = np.zeros(p.size)
+        if scan.feasible:
+            e_bc[scan.rejected_mask] = p.size / scan.m_at_T
         # a weight multiplying a zero e-value never matters; report it as 0
         w_bh = np.where(e_bh > 0, _bh_weight(loo, fast=config.weight_mode == "fast"), 0.0)
         w_bc = _bc_weight(loo)

@@ -405,3 +405,18 @@ def fdp_power(rejected, truth) -> tuple[float, float]:
     fdp = (n_rej - n_true) / max(1, n_rej)
     power = n_true / max(1, int(np.count_nonzero(theta)))
     return float(fdp), float(power)
+
+
+def _group_fdp_power(rejected, truth, labels, n_groups):
+    """Per-group FDP and power: entry l is :func:`fdp_power` within group l.
+
+    ``labels`` holds each hypothesis's group code in 0..n_groups-1.  Returns
+    two float arrays of length ``n_groups``.
+    """
+    theta = np.asarray(truth) != 0
+    hit = np.zeros(theta.size, dtype=bool)
+    hit[np.asarray(rejected, dtype=np.intp)] = True
+    n_rej = np.bincount(labels[hit], minlength=n_groups)
+    n_true = np.bincount(labels[hit & theta], minlength=n_groups)
+    n_alt = np.bincount(labels[theta], minlength=n_groups)
+    return (n_rej - n_true) / np.maximum(n_rej, 1), n_true / np.maximum(n_alt, 1)

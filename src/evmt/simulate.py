@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .adaptive import run_structure_adaptive
 from .errors import ConfigurationError, InputError
 from .groups import GroupPartition, run_grouped_ebh
 from .hybrid import HybridConfig, run_hybrid
 from .knockoffs import combine_and_select, knockoff_threshold
-from .procedures import ProcedureSpec, fdp_power, solve_threshold
+from .procedures import ProcedureSpec, _group_fdp_power, fdp_power, solve_threshold
 
 __all__ = [
     "SimulationConfig",
@@ -197,7 +197,7 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
         x[:na] = rng.normal(params["mu"] * np.log(n), params["sigma"], size=na)
         truth = np.zeros(n, dtype=int)
         truth[:na] = 1
-        return SimInstance(pvals=1.0 - norm.cdf(x), truth=truth)
+        return SimInstance(pvals=1.0 - ndtr(x), truth=truth)
 
     if setting == "STRUCT":
         n = int(params["n"])
@@ -208,7 +208,7 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
         eta = 2.0 / (1.0 + np.exp(-params["a_f"] * x2))
         z = rng.normal(eta * params["mu"] * theta, 1.0)
         return SimInstance(
-            pvals=1.0 - norm.cdf(z), truth=theta, covars=np.column_stack([x, x2])
+            pvals=1.0 - ndtr(z), truth=theta, covars=np.column_stack([x, x2])
         )
 
     if setting == "KNOCK_SYNTH":
@@ -319,17 +319,11 @@ def _replicate_metrics(config: SimulationConfig, replicate: int, methods) -> dic
         rejected = _run_method(name, instance, config.target_alpha, config.seed, replicate)
         fdp, power = fdp_power(rejected, instance.truth)
         record = {"fdp": fdp, "power": power}
-        if instance.partition is not None:
-            mask = np.zeros(instance.truth.size, dtype=bool)
-            mask[rejected] = True
-            gf, gp = [], []
-            for l in range(instance.partition.n_groups):
-                idx = instance.partition.indices(l)
-                f, w = fdp_power(np.nonzero(mask[idx])[0], instance.truth[idx])
-                gf.append(f)
-                gp.append(w)
-            record["group_fdp"] = gf
-            record["group_power"] = gp
+        part = instance.partition
+        if part is not None:
+            gf, gp = _group_fdp_power(rejected, instance.truth, part.labels, part.n_groups)
+            record["group_fdp"] = gf.tolist()
+            record["group_power"] = gp.tolist()
         out[name] = record
     return out
 

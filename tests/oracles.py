@@ -164,3 +164,13 @@ def sample_working_model(rng, n, beta_pi, beta_kappa, d=1):
     m = ~null
     p[m] = rng.uniform(size=int(m.sum())) ** (1.0 / (1.0 - kap[m]))
     return p, x
+
+
+def rejection_table_lines(evalues, weights, rejected):
+    """The CLI rejection table, one f-string per row."""
+    mask = np.zeros(len(evalues), dtype=bool)
+    mask[np.asarray(rejected, dtype=np.intp)] = True
+    text = "index,rejected,evalue,weight\n"
+    for i in range(len(evalues)):
+        text += f"{i + 1},{int(mask[i])},{evalues[i]:.10g},{weights[i]:.10g}\n"
+    return text

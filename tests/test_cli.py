@@ -1,11 +1,21 @@
+import argparse
 import csv
 import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evmt import GroupPartition, InputError, cli
 from evmt.cli import main, read_table
 from evmt.simulate import toy_two_group
+from oracles import rejection_table_lines
 
 
 def write_csv(path, header, rows):
@@ -254,3 +264,189 @@ def test_simulate_bad_thread_count_exit_3(monkeypatch, capsys):
     monkeypatch.setenv("EVMT_THREADS", "abc")
     assert run_cli(["simulate", "--setting", "E1", "--reps", 2, "--seed", 1]) == 3
     assert "EVMT_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, header, rows, column",
+    [
+        ("bh", ["pvalue"], [(0.1,), ("nan",), (0.2,)], "pvalue"),
+        ("bh", ["pvalue", "truth"], [(0.1, 1), (0.2, "nan")], "truth"),
+        ("ebh", ["evalue"], [(1.0,), ("inf",)], "evalue"),
+        ("fbc", ["pvalue", "x1"], [(0.1, 0.5), (0.2, "-inf"), (0.3, 1.0)], "x1"),
+    ],
+)
+def test_non_finite_value_reports_line_number(tmp_path, capsys, command, header, rows, column):
+    path = tmp_path / "p.csv"
+    write_csv(path, header, rows)
+    assert run_cli([command, "--input", path, "--out", tmp_path / "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 3: {column} must be finite" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_regular_file_is_parsed_without_the_row_scan(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text('pvalue, group ,truth\r\n0.25," g#1 ",1\r\n\r\n1e-3,g2,0\r\n')
+    with mock.patch.object(cli, "_scan_table", side_effect=AssertionError("row scan ran")):
+        table = read_table(path)
+    assert list(table) == ["pvalue", "group", "truth"]
+    assert table["pvalue"].tolist() == [0.25, 1e-3]
+    assert table["group"].tolist() == ["g#1", "g2"]
+    assert table["truth"].tolist() == [1.0, 0.0]
+
+
+# --------------------------------------------------------------- properties
+
+_SPACE = st.sampled_from(["", "", "", " ", "  ", "\t", "\xa0"])
+_PVALUE = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.floats(0.0, 1.0).map(lambda x: f"{x:.3e}"),
+    st.sampled_from(["0", "1", ".5", "5e-1", "1E-03", "-0", "1e-400", "0.1000000000000000055511"]),
+)
+_NUMBER = st.one_of(
+    _PVALUE,
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e6, 1e6).map(lambda x: f"{x:.4E}"),
+    st.integers(-5, 5).map(str),
+    st.sampled_from(["5.", "+3", "1E+03", "Infinity", "-inf", "nan"]),
+)
+# cells that only Python's float() accepts, or nothing does
+_ODD_NUMBER = st.sampled_from(["1_0", "", "abc", "0x1", "nan(1)", "\uff11", "1 2"])
+_LABEL = st.text(st.sampled_from("ab#1 _-,\"\xa0é"), min_size=1, max_size=5)
+
+
+def _cell(text, quote, pad):
+    text = pad[0] + text + pad[1]
+    if quote or any(c in text for c in ',"'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _rare(draw, one_in):
+    return draw(st.integers(1, one_in)) == 1
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text that is mostly regular, with rare irregular rows and cells."""
+    names = draw(st.lists(st.sampled_from(["pvalue", "group", "truth", "x1"]),
+                          min_size=1, max_size=4, unique=True))
+    odd = draw(st.sampled_from([8, 30, 1000]))  # how rare irregularities are
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(draw(_SPACE) + name + draw(_SPACE) for name in names)]
+    for _ in range(draw(st.integers(1, 8))):
+        if _rare(draw, 8):
+            lines.append("")
+            continue
+        if _rare(draw, odd):
+            lines.append(draw(st.sampled_from([" ", "\t", ",".join(" " for _ in names)])))
+            continue
+        cells = []
+        for name in names:
+            if name == "group":
+                text = "" if _rare(draw, odd) else draw(_LABEL)
+            elif _rare(draw, odd):
+                text = draw(_ODD_NUMBER)
+            elif name == "truth":
+                text = draw(st.sampled_from(["0", "1", "1.0", "0.0"]))
+            else:
+                text = draw(_PVALUE if name == "pvalue" else _NUMBER)
+            cells.append(_cell(text, _rare(draw, 4), (draw(_SPACE), draw(_SPACE))))
+        if _rare(draw, odd):
+            cells = cells[:-1] if len(cells) > 1 else cells + ["0"]
+        lines.append(",".join(cells))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def _outcome(path):
+    try:
+        return read_table(path)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_files())
+def test_prop_columnar_parse_matches_row_scan(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = _outcome(path)
+        with mock.patch.object(cli, "_parse_columns", side_effect=ValueError):
+            slow = _outcome(path)
+    if isinstance(slow, str) or isinstance(fast, str):
+        assert fast == slow
+        return
+    assert list(fast) == list(slow)
+    for name in slow:
+        if name == "group":
+            assert fast[name].tolist() == slow[name].tolist()
+        else:
+            assert fast[name].dtype == slow[name].dtype
+            assert fast[name].tobytes() == slow[name].tobytes()
+
+
+_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 20.0, 1e-300, np.nan, np.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _write_table(evalues, weights, rejected):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r.csv"
+        cli._write_outputs(argparse.Namespace(out=str(out)), evalues, weights, rejected, {})
+        return out.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_VALUE, _VALUE, st.booleans()), min_size=1, max_size=40),
+    st.integers(1, 8),
+    st.booleans(),
+)
+def test_prop_writer_matches_line_loop(rows, chunk, distinct):
+    evalues = np.array([r[0] for r in rows])
+    weights = np.array([r[1] for r in rows])
+    if distinct:
+        evalues = evalues + np.arange(evalues.size)
+    rejected = np.array([i for i, r in enumerate(rows) if r[2]], dtype=np.intp)
+    with mock.patch.object(cli, "_WRITE_ROWS", chunk):
+        written = _write_table(evalues, weights, rejected)
+    assert written == rejection_table_lines(evalues, weights, rejected).encode("utf-8")
+
+
+def test_writer_matches_line_loop_across_chunks():
+    rng = np.random.default_rng(17)
+    n = 2 * cli._WRITE_ROWS + 3
+    evalues = rng.exponential(size=n)  # every value distinct
+    weights = np.where(rng.random(n) < 0.5, 1.0, 2.0 / 3.0)
+    rejected = np.flatnonzero(rng.random(n) < 0.1)
+    written = _write_table(evalues, weights, rejected)
+    assert written == rejection_table_lines(evalues, weights, rejected).encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=60), st.booleans())
+def test_prop_group_slices_match_label_scan(labels, by_sizes):
+    if by_sizes:
+        part = GroupPartition.from_sizes([s + 1 for s in labels[:7]])
+    else:
+        part = GroupPartition.from_labels(labels)
+    for l in range(part.n_groups):
+        idx = part.indices(l)
+        assert np.array_equal(idx, np.nonzero(part.labels == l)[0])
+        assert not idx.flags.writeable
+
+
+def test_import_does_not_load_scipy_optimize_or_stats():
+    code = (
+        "import sys\n"
+        "import evmt\n"
+        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

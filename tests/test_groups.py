@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evmt import ConfigurationError, InputError, ProcedureSpec, solve_threshold
+from evmt import ConfigurationError, InputError, ProcedureSpec, fdp_power, solve_threshold
 from evmt.groups import (
     GroupPartition,
     assemble_weights,
@@ -297,3 +297,29 @@ def test_null_evalue_sums_stay_below_n():
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert vals.mean() <= n + 3 * se, scheme
+
+
+def test_grouped_procedure_matches_its_public_steps():
+    # run_grouped_ebh takes thresholds and leave-one-out counts from one scan
+    # per group; the public steps scan again and must give the same bits
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        sizes = rng.integers(3, 40, size=int(rng.integers(1, 6)))
+        p = random_pvalues(rng, int(sizes.sum()))
+        if rng.random() < 0.3:
+            p = np.round(p, 2)
+        part = GroupPartition.from_labels(rng.permutation(np.repeat(np.arange(sizes.size), sizes)))
+        truth = (rng.random(p.size) < 0.3).astype(int)
+        alpha = float(rng.uniform(0.05, 0.4))
+        thr = groupwise_bc_thresholds(p, part, alpha)
+        for scheme in ("unit", "size", "adaptive"):
+            rep = run_grouped_ebh(p, part, alpha, scheme, truth=truth)
+            w = assemble_weights(p, part, thr, scheme, alpha=alpha)
+            assert rep.weights.tobytes() == w.tobytes()
+            assert rep.evalues.tobytes() == group_evalues(p, part, thr, w).tobytes()
+            for l in range(part.n_groups):
+                idx = part.indices(l)
+                hit = np.isin(idx, rep.rejected)
+                assert (rep.group_fdp[l], rep.group_power[l]) == fdp_power(
+                    np.flatnonzero(hit), truth[idx]
+                )

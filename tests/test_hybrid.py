@@ -452,3 +452,16 @@ def test_null_evalue_budget_holds_with_signals_present():
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert vals.mean() <= n + 3 * se, mode
+
+
+def test_blend_reads_bc_evalues_off_the_loo_scan():
+    rng = np.random.default_rng(43)
+    instances = [np.ones(20), rng.uniform(size=50)]
+    instances += [random_pvalues(rng) for _ in range(60)]
+    instances += [np.round(random_pvalues(rng), 2) for _ in range(20)]
+    for p in instances:
+        for mode in ("adaptive", "fast"):
+            cfg = HybridConfig(alpha_ebh=float(rng.uniform(0.05, 0.3)), weight_mode=mode)
+            e, w_bh, w_bc = _hybrid_evalues(p, cfg)
+            blend = w_bh * bh_evalues(p, cfg.alpha_bh) + w_bc * bc_evalues(p, cfg.alpha_bc)
+            assert e.tobytes() == blend.tobytes()

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evmt import (
     ConfigurationError,
@@ -17,6 +19,7 @@ from evmt import (
     solve_threshold,
     storey_pi0,
 )
+from evmt.procedures import _group_fdp_power
 
 from oracles import (
     brute_bc_rejections,
@@ -383,3 +386,19 @@ def test_permutation_equivariance(kind):
         assert {int(np.where(perm == i)[0][0]) for i in base.rejected} == set(
             shuffled.rejected
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1), st.booleans()), min_size=1, max_size=40)
+)
+def test_prop_group_fdp_power_matches_per_group_loop(rows):
+    labels = np.array([r[0] for r in rows])
+    truth = np.array([r[1] for r in rows])
+    rejected = np.array([i for i, r in enumerate(rows) if r[2]], dtype=np.intp)
+    n_groups = int(labels.max()) + 2  # the last group is empty
+    fdp, power = _group_fdp_power(rejected, truth, labels, n_groups)
+    for l in range(n_groups):
+        idx = np.flatnonzero(labels == l)
+        want = fdp_power(np.flatnonzero(np.isin(idx, rejected)), truth[idx])
+        assert (fdp[l], power[l]) == want
