@@ -2,9 +2,10 @@
 
 Each hypothesis carries two covariates: one shifting how likely it is to be
 non-null, one modulating its signal strength.  Rejection curves fitted by
-EM on complementary folds let the mirror-count procedure spend its budget
-where signals are plausible, beating the covariate-blind step-up baseline
-at the same (finite-sample) FDR level.  (Run time: ~1 minute.)
+maximum likelihood on complementary folds let the mirror-count procedure
+spend its budget where signals are plausible, beating the covariate-blind
+step-up baseline at the same (finite-sample) FDR level.  (Run time: about a
+second.)
 """
 
 import numpy as np

@@ -6,7 +6,7 @@ links,
 
     density(p | x) = pi(x) + (1 - pi(x)) * (1 - kappa(x)) * p^(-kappa(x)),
 
-is fitted by EM, and the posterior null probability
+is fitted by maximising its likelihood, and the posterior null probability
 
     phi(p) = pi / (pi + (1 - pi) * (1 - kappa) * p^(-kappa))
 
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .errors import ConfigurationError, InputError
-from .groups import GroupPartition
+from .groups import GroupPartition, group_evalues
 from .procedures import ThresholdResult, _mirror_scan, as_pvalues, ebh_select
 
 __all__ = [
@@ -142,50 +142,11 @@ def _minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
-def _mstep_pi(z, gamma, beta0):
-    if z.shape[1] == 1:
-        mean = float(np.clip(gamma.mean(), 1e-12, 1.0 - 1e-12))
-        return np.array([logit(mean)])
+def _ascend(z, ell, beta_pi, beta_kappa):
+    """Bounded L-BFGS-B ascent on the observed-data log-likelihood.
 
-    def negobj(beta):
-        eta = z @ beta
-        # -sum gamma*log(pi) + (1-gamma)*log(1-pi), stable via logaddexp
-        val = np.sum(gamma * np.logaddexp(0.0, -eta) + (1.0 - gamma) * np.logaddexp(0.0, eta))
-        grad = z.T @ (expit(eta) - gamma)
-        return val, grad
-
-    # partial M-step: any improvement keeps the EM ascent property
-    res = _minimize(negobj, beta0, jac=True, method="L-BFGS-B", options={"maxiter": 25})
-    return res.x if res.fun <= negobj(beta0)[0] else beta0
-
-
-def _mstep_kappa(z, weights, ell, beta0):
-    wsum = weights.sum()
-    if wsum <= 1e-12:
-        return beta0
-    if z.shape[1] == 1:
-        mbar = float(weights @ ell) / wsum
-        kap = 1.0 - 1.0 / mbar if mbar > 1.0 else 1e-9
-        return np.array([logit(np.clip(kap, 1e-9, 1.0 - 1e-9))])
-
-    def negobj(beta):
-        eta = z @ beta
-        kap = expit(eta)
-        # -sum w * (log(1 - kappa) + kappa * ell)
-        val = np.sum(weights * (np.logaddexp(0.0, eta) - kap * ell))
-        grad = z.T @ (weights * kap * (1.0 - (1.0 - kap) * ell))
-        return val, grad
-
-    res = _minimize(negobj, beta0, jac=True, method="L-BFGS-B", options={"maxiter": 25})
-    return res.x if res.fun <= negobj(beta0)[0] else beta0
-
-
-def _polish(z, ell, beta_pi, beta_kappa):
-    """Quasi-Newton ascent on the observed-data likelihood from the EM iterate.
-
-    The EM loop stalls on near-unidentifiable inputs (e.g. all-uniform
-    p-values, where pi -> 1 and kappa -> 0 describe the same density); a few
-    gradient steps close the remaining gap to the maximiser.
+    Returns ``(beta_pi, beta_kappa, loglik, success, nit)``; when the
+    optimiser ends below its start, the start is returned instead.
     """
     d1 = beta_pi.size
 
@@ -204,32 +165,9 @@ def _polish(z, ell, beta_pi, beta_kappa):
     theta0 = np.concatenate([beta_pi, beta_kappa])
     bounds = [(-36.0, 36.0)] * theta0.size
     res = _minimize(negobj, theta0, jac=True, method="L-BFGS-B", bounds=bounds)
-    if np.isfinite(res.fun) and -res.fun >= -negobj(theta0)[0]:
-        return res.x[:d1], res.x[d1:], float(-res.fun)
-    return beta_pi, beta_kappa, float(-negobj(theta0)[0])
-
-
-def _em_once(p, z, ell, beta_pi, beta_kappa, tol, max_iter, polish=True):
-    ll_prev = None
-    ll = -np.inf
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        pi = expit(z @ beta_pi)
-        kap = expit(z @ beta_kappa)
-        alt = (1.0 - kap) * np.exp(kap * ell)
-        dens = pi + (1.0 - pi) * alt
-        ll = float(np.sum(np.log(dens)))
-        gamma = pi / dens
-        if ll_prev is not None and abs(ll - ll_prev) <= tol * max(abs(ll_prev), 1.0):
-            converged = True
-            break
-        ll_prev = ll
-        beta_pi = _mstep_pi(z, gamma, beta_pi)
-        beta_kappa = _mstep_kappa(z, 1.0 - gamma, ell, beta_kappa)
-    if polish:
-        beta_pi, beta_kappa, ll = _polish(z, ell, beta_pi, beta_kappa)
-    return beta_pi, beta_kappa, ll, converged, it
+    f0 = negobj(theta0)[0]
+    theta, f = (res.x, res.fun) if np.isfinite(res.fun) and res.fun <= f0 else (theta0, f0)
+    return theta[:d1], theta[d1:], float(-f), bool(res.success), int(res.nit)
 
 
 def fit_lfdr_em(
@@ -237,32 +175,36 @@ def fit_lfdr_em(
     covars=None,
     eps1: float = 0.1,
     eps2: float = 1e-5,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-    n_restarts: int = 5,
-    rng=None,
     init: Optional[tuple] = None,
 ) -> LfdrModel:
-    """Fit the two-group mixture by EM.
+    """Fit the two-group mixture by maximising its likelihood directly.
+
+    A bounded L-BFGS-B ascent on the observed-data log-likelihood runs from
+    two fixed starts, and the fit with the higher log-likelihood wins:
+
+    * the default start, pi = 0.9 and kappa = 1/2 with no covariate effect;
+    * an edge start, pi = 0.99 and kappa = 0.01 with no covariate effect.
+
+    On (nearly) null data the mixture is not identifiable: pi -> 1 and
+    kappa -> 0 both describe the uniform density, the likelihood is flat
+    along that edge, and an ascent from the default start can stall far
+    from it.  The edge start reaches the maximiser there.
 
     Parameters
     ----------
     pvals, covars : array_like
         P-values in [0, 1] (zeros are clamped to 1e-15) and an optional
         (n, d) covariate matrix.
-    n_restarts : int
-        Number of random restarts beyond the deterministic initialisation;
-        the fit with the best final log-likelihood wins.
-    rng : numpy Generator, optional
-        Source of restart initialisations (seeded default when omitted).
+    eps1, eps2 : float
+        Winsorization of the fitted ``pi`` into [eps1, 1 - eps2].
     init : (beta_pi, beta_kappa), optional
-        Warm-start coefficients replacing the deterministic initialisation.
+        Warm-start coefficients; when given, the only start.
 
     Returns
     -------
     LfdrModel
-        Best-likelihood parameters; ``converged`` is False when the EM hit
-        the iteration cap for the winning start.
+        Best-likelihood parameters; ``converged`` and ``n_iter`` are the
+        winning start's L-BFGS-B success flag and iteration count.
     """
     p = np.maximum(as_pvalues(pvals), P_FLOOR)
     if not np.all(np.isfinite(-np.log(p))):
@@ -271,46 +213,31 @@ def fit_lfdr_em(
     d = x.shape[1]
     if p.size < 2 * (d + 1):
         raise ConfigurationError(
-            f"EM needs at least {2 * (d + 1)} observations for d={d}, got {p.size}"
+            f"the mixture fit needs at least {2 * (d + 1)} observations for d={d}, got {p.size}"
         )
     z = np.hstack([np.ones((p.size, 1)), x])
     ell = -np.log(p)
-    if rng is None:
-        rng = np.random.default_rng(0)
 
-    starts = []
     if init is not None:
-        starts.append((np.asarray(init[0], dtype=float), np.asarray(init[1], dtype=float)))
+        starts = [(np.asarray(init[0], dtype=float), np.asarray(init[1], dtype=float))]
     else:
-        a0 = np.zeros(d + 1)
-        a0[0] = logit(0.9)
-        b0 = np.zeros(d + 1)
-        starts.append((a0, b0))
-    for _ in range(n_restarts):
-        a = np.concatenate([[logit(rng.uniform(0.3, 0.97))], rng.normal(0.0, 0.5, size=d)])
-        b = np.concatenate([[logit(rng.uniform(0.1, 0.9))], rng.normal(0.0, 0.5, size=d)])
-        starts.append((a, b))
-
-    if len(starts) == 1:
-        best = _em_once(p, z, ell, starts[0][0].copy(), starts[0][1].copy(), tol, max_iter)
-    else:
-        # short exploration runs pick the basin; the winner runs to convergence
-        probe_iters = min(25, max_iter)
-        probes = [
-            _em_once(p, z, ell, a.copy(), b.copy(), tol, probe_iters, polish=False)
-            for a, b in starts
-        ]
-        a, b = max(probes, key=lambda fit: fit[2])[:2]
-        best = _em_once(p, z, ell, a, b, tol, max_iter)
-    beta_pi, beta_kappa, ll, converged, it = best
+        starts = []
+        for pi0, kappa0 in ((0.9, 0.5), (0.99, 0.01)):
+            a0 = np.zeros(d + 1)
+            a0[0] = logit(pi0)
+            b0 = np.zeros(d + 1)
+            b0[0] = logit(kappa0)
+            starts.append((a0, b0))
+    fits = [_ascend(z, ell, a, b) for a, b in starts]
+    beta_pi, beta_kappa, ll, success, nit = max(fits, key=lambda fit: fit[2])
     return LfdrModel(
         beta_pi=beta_pi,
         beta_kappa=beta_kappa,
         eps1=eps1,
         eps2=eps2,
         loglik=ll,
-        converged=converged,
-        n_iter=it,
+        converged=success,
+        n_iter=nit,
     )
 
 
@@ -319,7 +246,6 @@ def cross_fit(
     covars,
     part: GroupPartition,
     return_models: bool = False,
-    **fit_options,
 ):
     """Fit each fold's rejection curves on the complementary folds.
 
@@ -339,7 +265,7 @@ def cross_fit(
         mask = part.labels == g
         comp = ~mask
         try:
-            model = fit_lfdr_em(p[comp], x[comp], **fit_options)
+            model = fit_lfdr_em(p[comp], x[comp])
         except ConfigurationError as exc:
             raise ConfigurationError(f"fold {g}: {exc}") from exc
         models.append(model)
@@ -351,12 +277,13 @@ def cross_fit(
     return curves
 
 
-def _group_scan(p, idx, curves, alpha):
-    sub = curves[idx]
-    u = sub.at(p[idx])
-    v = sub.at(1.0 - p[idx])
-    t_up = (1.0 - 1e-9) * float(sub.at(0.5).min())
-    return _mirror_scan(u, v, alpha, t_max=t_up, inclusive=True), u, v
+def _group_scan(p, curves, alpha):
+    """Mirror scan of one fold from its own p-values and rejection curves,
+    and the fold's mirror scores phi_i(1 - p_i)."""
+    u = curves.at(p)
+    v = curves.at(1.0 - p)
+    t_up = (1.0 - 1e-9) * float(curves.at(0.5).min())
+    return _mirror_scan(u, v, alpha, t_max=t_up, inclusive=True), v
 
 
 def fbc_group_threshold(pvals, part: GroupPartition, curves: RejectionCurves, alpha_fbc: float):
@@ -369,7 +296,7 @@ def fbc_group_threshold(pvals, part: GroupPartition, curves: RejectionCurves, al
     results = []
     for g in range(part.n_groups):
         idx = part.indices(g)
-        scan, _, _ = _group_scan(p, idx, curves, alpha_fbc)
+        scan, _ = _group_scan(p[idx], curves[idx], alpha_fbc)
         results.append(
             ThresholdResult(scan.threshold, scan.m_at_T, idx[scan.rejected_mask], scan.feasible)
         )
@@ -385,7 +312,6 @@ def structure_weights(
     alpha: Optional[float] = None,
     covars=None,
     models=None,
-    fit_options=None,
 ) -> np.ndarray:
     """E-value weights for the cross-fitted procedure.
 
@@ -410,62 +336,57 @@ def structure_weights(
     exceed = np.zeros(n, dtype=bool)
     for g in range(G):
         idx = part.indices(g)
-        scan, u, v = _group_scan(p, idx, curves, alpha)
+        scan, v = _group_scan(p[idx], curves[idx], alpha)
         counts[g] = scan.loo_count
         res = thresholds[g]
         if res.feasible:
             exceed[idx] = v <= res.threshold
 
-    if mode == "full" and G > 1:
+    if mode == "cheap" or G == 1:
+        cross = counts.sum() - counts
+    else:
         if models is None:
             raise ConfigurationError("full weights need the per-fold models")
         x = _as_covars(covars, n)
-        opts = dict(fit_options or {})
-        opts.update(n_restarts=0, rng=np.random.default_rng(0))
+        folds = []
+        for h in range(G):
+            hidx = part.indices(h)
+            comp = part.labels != h
+            folds.append((p[hidx], x[hidx], comp, x[comp], models[h]))
+        cross = [
+            _sup_cross_counts(p, part.indices(g), folds[:g] + folds[g + 1:], alpha)
+            for g in range(G)
+        ]
 
     for g in range(G):
         idx = part.indices(g)
         n_exc = int(np.count_nonzero(exceed[idx]))
         b = 1.0 + n_exc - exceed[idx]
-        if mode == "cheap":
-            cross = counts.sum() - counts[g]
-            w[idx] = (n / part.sizes[g]) * b / (b + cross)
-        else:
-            others = [h for h in range(G) if h != g]
-            for local, i in enumerate(idx):
-                sup_count = 0.0
-                for rho in FULL_WEIGHT_GRID:
-                    pm = p.copy()
-                    pm[i] = rho
-                    total = 0
-                    for h in others:
-                        hmask = part.labels == h
-                        comp = ~hmask
-                        model = fit_lfdr_em(
-                            pm[comp], x[comp], init=(models[h].beta_pi, models[h].beta_kappa), **opts
-                        )
-                        hcurves = model.curves(x[hmask])
-                        hidx = np.nonzero(hmask)[0]
-                        scan_h = _mirror_scan(
-                            hcurves.at(pm[hidx]),
-                            hcurves.at(1.0 - pm[hidx]),
-                            alpha,
-                            t_max=(1.0 - 1e-9) * float(hcurves.at(0.5).min()),
-                            inclusive=True,
-                        )
-                        total += scan_h.loo_count
-                    sup_count = max(sup_count, total)
-                w[i] = (n / part.sizes[g]) * b[local] / (b[local] + sup_count)
+        w[idx] = (n / part.sizes[g]) * b / (b + cross[g])
     return w
 
 
-def _structure_evalues(p, part, curves, thresholds, weights):
-    e = np.zeros(p.size)
-    for g in range(part.n_groups):
-        res = thresholds[g]
-        if res.feasible:
-            e[res.rejected] = part.sizes[g] * weights[res.rejected] / res.m_at_T
-    return e
+def _sup_cross_counts(p, idx, others, alpha):
+    """Full-mode cross count of each member i of one fold (indices ``idx``).
+
+    The supremum over p_i in ``FULL_WEIGHT_GRID`` of the other folds'
+    leave-one-out counts, each fold's curves refitted on its complement
+    with p_i replaced, warm-started from its model.  Each entry of
+    ``others`` holds one other fold's p-values and covariates, its
+    complement mask, the complement's covariates and its model.
+    """
+    sup = np.zeros(idx.size)
+    pm = p.copy()
+    for local, i in enumerate(idx):
+        for rho in FULL_WEIGHT_GRID:
+            pm[i] = rho
+            total = 0
+            for p_h, x_h, comp, x_comp, model in others:
+                refit = fit_lfdr_em(pm[comp], x_comp, init=(model.beta_pi, model.beta_kappa))
+                total += _group_scan(p_h, refit.curves(x_h), alpha)[0].loo_count
+            sup[local] = max(sup[local], total)
+        pm[i] = p[i]
+    return sup
 
 
 def structure_pipeline(
@@ -475,7 +396,6 @@ def structure_pipeline(
     mode: str = "cheap",
     n_groups: int = 2,
     rng=None,
-    fit_options=None,
 ):
     """Full cross-fitted run; returns a dict with every intermediate piece."""
     p = as_pvalues(pvals)
@@ -486,16 +406,13 @@ def structure_pipeline(
     labels = np.empty(p.size, dtype=np.intp)
     labels[rng.permutation(p.size)] = np.arange(p.size) % n_groups
     part = GroupPartition(labels=labels, n_groups=n_groups)
-    opts = dict(fit_options or {})
-    opts.setdefault("rng", rng)
-    curves, models = cross_fit(p, covars, part, return_models=True, **opts)
+    curves, models = cross_fit(p, covars, part, return_models=True)
     alpha_fbc = alpha_ebh / (1.0 + alpha_ebh)
     thresholds = fbc_group_threshold(p, part, curves, alpha_fbc)
     weights = structure_weights(
-        p, part, curves, thresholds, mode, alpha=alpha_fbc,
-        covars=covars, models=models, fit_options=fit_options,
+        p, part, curves, thresholds, mode, alpha=alpha_fbc, covars=covars, models=models
     )
-    evalues = _structure_evalues(p, part, curves, thresholds, weights)
+    evalues = group_evalues(p, part, thresholds, weights)
     rejected = ebh_select(evalues, alpha_ebh) if evalues.any() else np.empty(0, dtype=np.intp)
     return {
         "partition": part,
@@ -516,7 +433,6 @@ def run_structure_adaptive(
     mode: str = "cheap",
     n_groups: int = 2,
     rng=None,
-    fit_options=None,
 ) -> np.ndarray:
     """Cross-fitted covariate-adaptive testing; returns rejected indices.
 
@@ -526,6 +442,5 @@ def run_structure_adaptive(
     and the weighted e-values are selected at ``alpha_ebh``.
     """
     return structure_pipeline(
-        pvals, covars, alpha_ebh, mode=mode, n_groups=n_groups, rng=rng,
-        fit_options=fit_options,
+        pvals, covars, alpha_ebh, mode=mode, n_groups=n_groups, rng=rng
     )["rejected"]

@@ -32,7 +32,7 @@ from .adaptive import fit_lfdr_em, structure_pipeline
 from .errors import ConfigurationError, InputError
 from .groups import GroupPartition, run_grouped_ebh
 from .hybrid import HybridConfig, _hybrid_evalues
-from .knockoffs import knockoff_evalues
+from .knockoffs import _combined_evalues
 from .procedures import (
     ProcedureSpec,
     _group_fdp_power,
@@ -418,6 +418,10 @@ def _cmd_adaptive(args):
             {"fold": g + 1, "threshold": t.threshold, "feasible": t.feasible}
             for g, t in enumerate(pipe["thresholds"])
         ],
+        "models": [
+            {"fold": g + 1, "converged": m.converged, "n_iter": m.n_iter, "loglik": m.loglik}
+            for g, m in enumerate(pipe["models"])
+        ],
     }
     _metrics(summary, pipe["rejected"], table.get("truth"))
     return _write_outputs(args, pipe["evalues"], pipe["weights"], pipe["rejected"], summary)
@@ -439,7 +443,7 @@ def _cmd_knockoff(args):
     if w_a.size != w_b.size:
         raise InputError("the two statistic files must have the same number of rows")
     alpha_ko = args.alpha / 2.0
-    evalues = 0.5 * knockoff_evalues(w_a, alpha_ko) + 0.5 * knockoff_evalues(w_b, alpha_ko)
+    evalues = _combined_evalues(w_a, w_b, alpha_ko, 0.5, 0.5)
     rejected = ebh_select(evalues, args.alpha) if evalues.any() else np.empty(0, dtype=int)
     summary = {
         "command": "knockoff-combine",

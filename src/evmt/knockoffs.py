@@ -96,7 +96,12 @@ def combine_and_select(
         raise ConfigurationError("combination weights must be nonnegative with sum <= 1")
     if alpha_ko is None:
         alpha_ko = alpha_ebh / 2.0
-    e = w1 * knockoff_evalues(wa, alpha_ko) + w2 * knockoff_evalues(wb, alpha_ko)
+    e = _combined_evalues(wa, wb, alpha_ko, w1, w2)
     if not e.any():
         return np.empty(0, dtype=np.intp)
     return ebh_select(e, alpha_ebh)
+
+
+def _combined_evalues(wa, wb, alpha_ko: float, w1: float, w2: float) -> np.ndarray:
+    """``w1 * e_a + w2 * e_b``, each family's e-values at level ``alpha_ko``."""
+    return w1 * knockoff_evalues(wa, alpha_ko) + w2 * knockoff_evalues(wb, alpha_ko)

@@ -32,7 +32,7 @@ from scipy.special import ndtr
 
 from .adaptive import run_structure_adaptive
 from .errors import ConfigurationError, InputError
-from .groups import GroupPartition, run_grouped_ebh
+from .groups import GroupPartition, groupwise_bc_thresholds, run_grouped_ebh
 from .hybrid import HybridConfig, run_hybrid
 from .knockoffs import combine_and_select, knockoff_threshold
 from .procedures import ProcedureSpec, _group_fdp_power, fdp_power, solve_threshold
@@ -244,15 +244,14 @@ def _need(instance, attr, method):
     return value
 
 
+def _run_bc(instance, alpha):
+    return solve_threshold(instance.pvals, ProcedureSpec(kind="bc", alpha=alpha)).rejected
+
+
 def _run_bc_sep(instance, alpha):
-    p = instance.pvals
     part = _need(instance, "partition", "BC_Sep")
-    rejected = []
-    for l in range(part.n_groups):
-        idx = part.indices(l)
-        res = solve_threshold(p[idx], ProcedureSpec(kind="bc", alpha=alpha))
-        rejected.extend(idx[res.rejected].tolist())
-    return np.asarray(sorted(rejected), dtype=np.intp)
+    thresholds = groupwise_bc_thresholds(instance.pvals, part, alpha)
+    return np.sort(np.concatenate([res.rejected for res in thresholds]))
 
 
 def _run_grouped(instance, alpha, scheme):
@@ -279,8 +278,8 @@ def _run_knockoff(instance, alpha, which):
 _METHODS = {
     "BH": (False, lambda inst, a: solve_threshold(inst.pvals, ProcedureSpec(kind="bh", alpha=a)).rejected),
     "ST": (False, lambda inst, a: solve_threshold(inst.pvals, ProcedureSpec(kind="storey", alpha=a)).rejected),
-    "BC": (False, lambda inst, a: solve_threshold(inst.pvals, ProcedureSpec(kind="bc", alpha=a)).rejected),
-    "BC_Com": (False, lambda inst, a: solve_threshold(inst.pvals, ProcedureSpec(kind="bc", alpha=a)).rejected),
+    "BC": (False, _run_bc),
+    "BC_Com": (False, _run_bc),
     "BC_Sep": (False, _run_bc_sep),
     "eBH_1": (False, lambda inst, a: _run_grouped(inst, a, "unit")),
     "eBH_2": (False, lambda inst, a: _run_grouped(inst, a, "size")),

@@ -314,7 +314,6 @@ def test_criterion_08_null_evalue_budgets():
         p = rng.uniform(size=n)
         pipe = structure_pipeline(
             p, None, 0.2, rng=np.random.default_rng(int(rng.integers(1 << 31))),
-            fit_options={"n_restarts": 0},
         )
         part2, curves, thr = pipe["partition"], pipe["curves"], pipe["thresholds"]
         for mode in sums:

@@ -5,6 +5,7 @@ from scipy.stats import norm
 
 from evmt import ConfigurationError, InputError, ProcedureSpec, fdp_power, solve_threshold
 from evmt.adaptive import (
+    FULL_WEIGHT_GRID,
     LfdrModel,
     RejectionCurves,
     cross_fit,
@@ -16,6 +17,7 @@ from evmt.adaptive import (
     structure_weights,
 )
 from evmt.groups import GroupPartition
+from evmt.procedures import _mirror_scan
 
 from oracles import brute_fbc_threshold, grid_search_loglik, sample_working_model
 
@@ -72,6 +74,33 @@ def test_em_constant_covariate_still_finite():
     pi = model.pi(x)
     assert np.all(np.isfinite(pi))
     assert np.all((pi >= model.eps1) & (pi <= 1.0 - model.eps2))
+
+
+def test_em_is_deterministic():
+    rng = np.random.default_rng(61)
+    p, x = sample_working_model(rng, 2000, np.array([1.0, 0.5]), np.array([0.3, -0.4]))
+    a, b = fit_lfdr_em(p, x), fit_lfdr_em(p, x)
+    assert a.beta_pi.tobytes() == b.beta_pi.tobytes()
+    assert a.beta_kappa.tobytes() == b.beta_kappa.tobytes()
+    assert (a.loglik, a.converged, a.n_iter) == (b.loglik, b.converged, b.n_iter)
+
+
+def test_warm_started_fit_never_ends_below_its_start():
+    rng = np.random.default_rng(67)
+    p, x = sample_working_model(rng, 1500, np.array([1.0, 0.5]), np.array([0.3, -0.4]))
+    fitted = fit_lfdr_em(p, x)
+    for init in [
+        (fitted.beta_pi, fitted.beta_kappa),
+        (np.array([2.0, 0.0]), np.array([-1.0, 0.0])),
+        (np.array([30.0, -5.0]), np.array([-30.0, 5.0])),
+    ]:
+        model = fit_lfdr_em(p, x, init=init)
+        assert model.loglik >= pseudo_loglik(*init, p, x)
+    # a start outside the optimiser's box (pi = 1 exactly), on data whose
+    # likelihood no point inside the box reaches
+    q = np.linspace(0.8, 0.99, 50)
+    outside = (np.array([40.0]), np.array([0.0]))
+    assert fit_lfdr_em(q, None, init=outside).loglik >= pseudo_loglik(*outside, q)
 
 
 def test_em_preconditions():
@@ -205,6 +234,45 @@ def test_single_fold_weights_reduce_to_unit():
         assert np.allclose(w, 1.0)
 
 
+def test_full_weights_match_their_definition():
+    # w_i = (n / n_g) b_i / (b_i + sup_rho sum_{h != g} count_h(rho)), where
+    # count_h(rho) is fold h's leave-one-out count under curves refitted on
+    # its complement with p_i replaced by rho, warm-started from fold h's model
+    rng = np.random.default_rng(71)
+    alpha = 0.5
+    for G, d, n in ((2, 0, 12), (3, 0, 9), (2, 1, 8)):
+        if d:
+            p, x = sample_working_model(rng, n, np.array([1.0, 0.5]), np.array([0.0, 0.3]))
+        else:
+            p, x = rng.uniform(size=n) ** 3, np.empty((n, 0))
+        part = GroupPartition(labels=rng.permutation(np.arange(n) % G), n_groups=G)
+        curves, models = cross_fit(p, x, part, return_models=True)
+        thr = fbc_group_threshold(p, part, curves, alpha)
+        w = structure_weights(p, part, curves, thr, "full", alpha=alpha, covars=x, models=models)
+        for i in range(n):
+            g = part.labels[i]
+            fold = part.labels == g
+            exceed = thr[g].feasible & fold & (curves.at(1.0 - p) <= (thr[g].threshold or 0.0))
+            b = 1.0 + np.count_nonzero(exceed) - exceed[i]
+            sup = 0
+            for rho in FULL_WEIGHT_GRID:
+                q = p.copy()
+                q[i] = rho
+                total = 0
+                for h in range(G):
+                    if h == g:
+                        continue
+                    hm = part.labels == h
+                    init = (models[h].beta_pi, models[h].beta_kappa)
+                    c = fit_lfdr_em(q[~hm], x[~hm], init=init).curves(x[hm])
+                    t_up = (1.0 - 1e-9) * float(c.at(0.5).min())
+                    total += _mirror_scan(
+                        c.at(q[hm]), c.at(1.0 - q[hm]), alpha, t_max=t_up, inclusive=True
+                    ).loo_count
+                sup = max(sup, total)
+            assert w[i] == (n / part.sizes[g]) * b / (b + sup)
+
+
 def test_cheap_dominates_full_weights_on_random_instances():
     rng = np.random.default_rng(37)
     worse = total = 0
@@ -215,13 +283,11 @@ def test_cheap_dominates_full_weights_on_random_instances():
         p, x = sample_working_model(rng, n, *beta, d=d) if d else (
             rng.uniform(size=n) ** (1.0 + rng.uniform()), np.empty((n, 0)))
         part = GroupPartition(labels=rng.permutation(np.arange(n) % 2), n_groups=2)
-        opts = {"n_restarts": 1, "max_iter": 40}
-        curves, models = cross_fit(p, x, part, return_models=True, **opts)
+        curves, models = cross_fit(p, x, part, return_models=True)
         thr = fbc_group_threshold(p, part, curves, 0.3)
         cheap = structure_weights(p, part, curves, thr, "cheap", alpha=0.3)
         full = structure_weights(
             p, part, curves, thr, "full", alpha=0.3, covars=x, models=models,
-            fit_options=opts,
         )
         total += n
         worse += int(np.sum(full > cheap + 1e-12))
@@ -308,7 +374,6 @@ def test_null_evalue_budget_for_unit_and_cheap():
         p = rng.uniform(size=n)
         pipe = structure_pipeline(
             p, None, 0.2, rng=np.random.default_rng(int(rng.integers(1 << 31))),
-            fit_options={"n_restarts": 0},
         )
         part, curves, thr = pipe["partition"], pipe["curves"], pipe["thresholds"]
         for mode in sums:

@@ -153,6 +153,12 @@ def test_fbc_and_adaptive_with_covariates(tmp_path):
     summary = json.loads((tmp_path / "ada.json").read_text())
     assert summary["seed"] == 3
     assert len(summary["thresholds"]) == 2
+    assert [m["fold"] for m in summary["models"]] == [1, 2]
+    for m in summary["models"]:
+        assert set(m) == {"fold", "converged", "n_iter", "loglik"}
+        assert isinstance(m["converged"], bool)
+        assert isinstance(m["n_iter"], int) and m["n_iter"] >= 1
+        assert np.isfinite(m["loglik"])
 
 
 def test_hybrid_command(tmp_path):
