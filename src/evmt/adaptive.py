@@ -18,8 +18,10 @@ weighted, and passed to the e-value step-up selector.
 
 Weight modes: ``unit`` (all ones), ``cheap`` (leave-one-out counts at the
 realised data, the recommended default) and ``full`` (additionally takes a
-supremum over replacements of p_i on a fixed 23-point grid, refitting the
-complement curves at every grid point; exact but far more expensive).
+supremum over replacements of p_i, refitting the complement curves at every
+replacement; far more expensive).  The ``full`` supremum is taken over the
+23 points of ``FULL_WEIGHT_GRID`` only, so it is a grid supremum: a
+replacement between grid points can give a larger count.
 """
 
 from __future__ import annotations

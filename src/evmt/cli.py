@@ -6,11 +6,12 @@ column is treated as a covariate) or drive a simulation campaign.  Every
 data run writes a rejection CSV (``index, rejected, evalue, weight``, index
 1-based) plus a JSON summary next to it, and echoes the summary to stdout.
 
-Input is parsed column by column with numpy.  Only a file numpy rejects is
-read again row by row with the csv module, which either accepts the
-irregular rows it tolerates (whitespace-only lines, rows of blank cells) or
-reports the offending line.  The rejection table is written in bounded
-chunks, with each distinct value formatted once.
+Input is parsed column by column with numpy.  Group labels are read as
+text only by ``groups``; every command rejects an empty one.  Only a file
+numpy rejects is read again row by row with the csv module, which either
+accepts the irregular rows it tolerates (whitespace-only lines, rows of
+blank cells) or reports the offending line.  The rejection table is written
+in bounded chunks, with each distinct value formatted once.
 
 Exit codes: 0 success, 2 input error (unreadable file, bad column), 3
 configuration error (bad level, wrong weight scheme for a subcommand).
@@ -131,29 +132,38 @@ def _read_header(path):
     return header, lines
 
 
-def _parse_columns(path, header, skip) -> dict:
-    """Whole columns parsed by numpy; ``ValueError`` on any irregular row."""
+def _parse_columns(path, header, skip, labels) -> dict:
+    """Whole columns parsed by numpy; ``ValueError`` on any irregular row.
+
+    The ``group`` column is read as text only when ``labels`` is true;
+    otherwise it holds the length of each stripped label.
+    """
     g = header.index("group") if "group" in header else None
     with warnings.catch_warnings():
         # loadtxt warns about empty lines, which are skipped as blank rows,
         # and about files without rows, which the caller reports
         warnings.simplefilter("ignore", UserWarning)
-        # the group column is read on its own below; converting it with len
-        # keeps it in this call, so rows with a different field count fail
+        # converting the group column to a text length keeps it in this call,
+        # so rows with a different field count fail
         values = np.loadtxt(
-            path, skiprows=skip, ndmin=2, converters=None if g is None else {g: len}, **_CSV
+            path, skiprows=skip, ndmin=2,
+            converters=None if g is None else {g: len if labels else _stripped_len}, **_CSV
         )
         if values.shape[0] == 0 or values.shape[1] != len(header):
             raise ValueError("no rows, or a field count that differs from the header")
         table = {name: values[:, k] for k, name in enumerate(header)}
-        if g is not None:
-            labels = np.loadtxt(path, skiprows=skip, usecols=g, dtype=str, ndmin=1, **_CSV)
-            labels = np.strings.strip(labels)
-            if np.any(labels == ""):
-                # a blank row or an empty label: the row scan tells them apart
-                raise ValueError("empty group cell")
-            table["group"] = labels
+        if g is not None and labels:
+            names = np.loadtxt(path, skiprows=skip, usecols=g, dtype=str, ndmin=1, **_CSV)
+            table["group"] = np.strings.strip(names)
+    if g is not None and np.any(table["group"] == ("" if labels else 0)):
+        # an empty label (text "" or stripped length 0), or a row of blank
+        # cells: the row scan tells them apart
+        raise ValueError("empty group cell")
     return table
+
+
+def _stripped_len(cell: str) -> int:
+    return len(cell.strip())
 
 
 def _scan_table(path, header) -> dict:
@@ -196,19 +206,23 @@ def _scan_table(path, header) -> dict:
     return table
 
 
-def read_table(path) -> dict:
+def read_table(path, *, labels: bool = True) -> dict:
     """Parse a CSV with a header row into typed column arrays.
 
-    ``group`` holds strings, every other column finite floats.
+    ``group`` holds strings, every other column finite floats.  With
+    ``labels=False`` the ``group`` column is still checked for empty labels
+    but left out of the table, which saves reading it as text.
     """
     header, skip = _read_header(path)
     try:
-        table = _parse_columns(path, header, skip)
+        table = _parse_columns(path, header, skip, labels)
     except ValueError:
         table = _scan_table(path, header)
 
     if not table or len(next(iter(table.values()))) == 0:
         raise InputError(f"{path}: no data rows")
+    if not labels:
+        table.pop("group", None)
     for name, values in table.items():
         if name != "group" and not np.all(np.isfinite(values)):
             bad = int(np.argmin(np.isfinite(values)))
@@ -300,10 +314,10 @@ def _write_outputs(args, evalues, weights, rejected, summary):
     return 0
 
 
-def _single_table(args):
+def _single_table(args, labels=False):
     if not args.input or len(args.input) != 1:
         raise InputError("this subcommand needs exactly one --input CSV")
-    return read_table(args.input[0]), args.input[0]
+    return read_table(args.input[0], labels=labels), args.input[0]
 
 
 def _cmd_threshold(args, kind):
@@ -354,7 +368,7 @@ def _cmd_ebh(args):
 
 
 def _cmd_groups(args):
-    table, path = _single_table(args)
+    table, path = _single_table(args, labels=True)
     p = _require(table, "pvalue", path)
     labels = _require(table, "group", path)
     part = GroupPartition.from_labels(labels)

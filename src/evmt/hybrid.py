@@ -97,9 +97,18 @@ rejection below p~_i and, when p_i > 1/2, removes i's own mirror from p~_i
 on; everywhere else the counting functions are those of the base mirror
 scan.  Each zeroed criterion is therefore a splice of two fixed arrays over
 the base grid, and its last passing grid point (T0_i for ``b_i``, the
-zeroed relaxed plateau for ``s_i``) is one vectorised lookup.  Both
-leave-one-out modes run in O(n log n); the fast one only skips the lookup
-for ``s_i``.
+zeroed relaxed plateau for ``s_i``) is one vectorised lookup from i's grid
+position.
+
+Cost.  Every leave-one-out quantity is read off one ordered view: the
+censored vector (p~_1, ..., p~_n), argsorted once.  Its ascending values and
+ranks give ``t_bh_loo``.  Its values below 1/2 are the mirror-count grid,
+p~_i = p_i a rejection score and p~_i = 1 - p_i a mirror score, so running
+totals over them give the grid's counts.  A hypothesis's grid position is
+the number of distinct censored values below its own, again a running total
+read back by rank.  Nothing is searched per hypothesis: both leave-one-out
+modes run in O(n log n) for the one sort and O(n) after it, and the fast
+one only skips the lookup for ``s_i``.
 """
 
 from __future__ import annotations
@@ -112,10 +121,10 @@ import numpy as np
 from .errors import ConfigurationError, InvariantError
 from .procedures import (
     ProcedureSpec,
-    _bc_scan,
     _last_at_or_after,
     _last_at_or_before,
     _MirrorScan,
+    _run_scan,
     as_pvalues,
     ebh_select,
     procedure_to_evalues,
@@ -196,19 +205,19 @@ def bc_evalues(pvals, alpha_bc: float) -> np.ndarray:
     return procedure_to_evalues(p, spec, solve_threshold(p, spec))
 
 
-def _bh_loo_vector(censored: np.ndarray, alpha: float) -> np.ndarray:
+def _bh_loo_vector(s: np.ndarray, ranks: np.ndarray, alpha: float) -> np.ndarray:
     """Step-up threshold of the censored vector with entry i zeroed, for all i.
 
+    ``s`` is the censored vector in ascending order and ``ranks[i]`` the
+    position of entry i in ``s``, both from the one ordered view that
+    :func:`compute_loo_thresholds` builds.  Equal entries may take their
+    ranks in any order: zeroing any one of them leaves the same values.
     Zeroing entry i shifts the sorted order: the modified order statistics
     are 0, s_1, ..., s_{r_i - 1}, s_{r_i + 1}, ..., s_n where r_i is the rank
     of the removed entry, so per-rank feasibility splits into a shifted
     prefix and an unshifted suffix that are precomputed once.
     """
-    n = censored.size
-    order = np.argsort(censored, kind="stable")
-    s = censored[order]
-    ranks = np.empty(n, dtype=np.intp)
-    ranks[order] = np.arange(n)
+    n = s.size
     thresh = np.arange(1, n + 1) * alpha / n
 
     shifted = np.empty(n, dtype=bool)
@@ -226,7 +235,10 @@ class LooThresholds:
 
     All mirror comparisons run on the stored mirror scores
     ``mirror = 1 - p`` (exact for p >= 0.5), so counts agree bit-for-bit
-    with the threshold scans that produced them.
+    with the threshold scans that produced them.  Everything here is read
+    off one ordered view, the censored vector ``min(p, 1 - p)`` sorted
+    once: the step-up thresholds, the mirror-count grid (the censored scores
+    below 1/2) with its counts, and each hypothesis's position in that grid.
     """
 
     pvals: np.ndarray
@@ -241,24 +253,39 @@ class LooThresholds:
     # base mirror scan: candidate grid, counts, both criteria and the
     # relaxed plateau that every leave-one-out lookup reads
     _scan: _MirrorScan
+    # grid position of each censored score, #{k : cands[k] < min(p_i, 1 - p_i)}
+    _pos: np.ndarray
 
 
 def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresholds:
     """All leave-one-out quantities needed by the adaptive weights."""
     p = as_pvalues(pvals)
+    n = p.size
     mirror = 1.0 - p
-    t_bh_loo = _bh_loo_vector(np.minimum(p, mirror), alpha_bh)
-    scan = _bc_scan(p, alpha_bc)
+    censored = np.minimum(p, mirror)
+    order = censored.argsort()
+    s = censored[order]
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[order] = np.arange(n)
+    t_bh_loo = _bh_loo_vector(s, ranks, alpha_bh)
+
+    # The mirror-count grid is the censored scores below 1/2: there p < 1/2
+    # is a rejection score and 1 - p < 1/2 (that is, p > 1/2) a mirror
+    # score, and every other score lies at or above 1/2.  A score's grid
+    # position is the number of distinct scores below it.
+    big = p > 0.5
+    below = s.searchsorted(0.5, side="left")
+    scan = _run_scan(p, s[:below], ~big[order[:below]], alpha_bc)
+    distinct = np.concatenate(([True], s[1:] != s[:-1]))
+    pos = (distinct.cumsum() - 1)[ranks]
 
     # exact censored thresholds: below the mirror point the instance is
     # unchanged, at or above it the relaxed criterion applies, and the
     # relaxed plateau, when it reaches the mirror point, dominates any
     # feasible candidate below it
-    t_bc_loo = np.full(p.size, scan.threshold if scan.feasible else np.nan)
-    big = p > 0.5
-    pos = np.searchsorted(scan.cands, mirror[big], side="left")
-    k = _last_at_or_after(scan.relaxed, pos)
-    k = np.where(k >= 0, k, _last_at_or_before(scan.feas, pos - 1))
+    t_bc_loo = np.full(n, scan.threshold if scan.feasible else np.nan)
+    k = _last_at_or_after(scan.relaxed, pos[big])
+    k = np.where(k >= 0, k, _last_at_or_before(scan.feas, pos[big] - 1))
     t_bc_loo[big] = np.where(k >= 0, scan.cands[k], np.nan)
 
     return LooThresholds(
@@ -272,6 +299,7 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
         d_count=int(scan.m_at_T) - 1 if scan.feasible else 0,
         t_bc_loo=t_bc_loo,
         _scan=scan,
+        _pos=pos,
     )
 
 
@@ -315,7 +343,7 @@ def _bh_weight(loo: LooThresholds, fast: bool) -> np.ndarray:
         return np.ones(n)
     a = loo.alpha_bc
     big = loo.pvals > 0.5
-    pos = np.searchsorted(cands, np.minimum(loo.pvals, loo.mirror), side="left")
+    pos = loo._pos
 
     def zeroed(below, above_small, above_big):
         k = np.where(big, _last_at_or_after(above_big, pos), _last_at_or_after(above_small, pos))

@@ -239,14 +239,54 @@ def _mirror_scan(u, v, alpha, t_max=None, inclusive=False) -> _MirrorScan:
     scores (count when ``v_i <= t``); the criterion is
     ``(1 + #{v <= t}) / max(1, #{u <= t}) <= alpha`` over the candidate grid
     built from both score arrays, capped at ``t_max``.
+
+    Each score array is sorted once; the two ascending runs are capped and
+    merged into one ordered view, and the grid, ``n_rej`` and ``n_mir`` are
+    running totals over it (:func:`_run_scan`).  Nothing is searched per
+    candidate.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    cands = np.unique(np.concatenate([u, v]))
+    return _sorted_scan(u, np.sort(u), np.sort(v), alpha, t_max, inclusive)
+
+
+def _bc_scan(p: np.ndarray, alpha: float) -> _MirrorScan:
+    """Mirror scan specialised to raw p-values on the domain (0, 0.5).
+
+    One sort serves both score runs: ``x -> 1 - x`` is decreasing and
+    rounding is monotone, so the mirror scores of the ascending p-values,
+    read backwards, are the ascending mirror scores bit for bit.
+    """
+    s = np.sort(p)
+    return _sorted_scan(p, s, (1.0 - s)[::-1], alpha, 0.5, False)
+
+
+def _sorted_scan(u, su, sv, alpha, t_max, inclusive) -> _MirrorScan:
+    """Mirror scan from the ascending rejection scores ``su`` and mirror
+    scores ``sv``: both are capped at ``t_max`` and merged into one run."""
     if t_max is not None:
-        cands = cands[cands <= t_max] if inclusive else cands[cands < t_max]
-    n_rej = np.searchsorted(np.sort(u), cands, side="right")
-    n_mir = np.searchsorted(np.sort(v), cands, side="right")
+        side = "right" if inclusive else "left"
+        su = su[: su.searchsorted(t_max, side=side)]
+        sv = sv[: sv.searchsorted(t_max, side=side)]
+    run = np.concatenate((su, sv))
+    # a stable argsort finds the two ascending runs and merges them (timsort)
+    order = run.argsort(kind="stable")
+    return _run_scan(u, run[order], order < su.size, alpha)
+
+
+def _run_scan(u, run, from_u, alpha) -> _MirrorScan:
+    """Mirror scan from one ascending run of every score inside the domain.
+
+    ``from_u`` marks the run's rejection scores; the rest are mirror
+    scores.  The candidate grid is the run's distinct values, and the counts
+    at a candidate are the running totals at its last copy in the run.
+    """
+    step = run[1:] != run[:-1]
+    first = np.concatenate(((run.size > 0,), step)).nonzero()[0]
+    last = np.concatenate((step, (run.size > 0,))).nonzero()[0]
+    cands = run[first]
+    n_rej = from_u.cumsum()[last]
+    n_mir = last + 1 - n_rej
     feas = (1.0 + n_mir) / np.maximum(n_rej, 1) <= alpha
     relaxed = n_mir / (n_rej + 1.0) <= alpha
     k = _last_at_or_after(feas, 0)
@@ -262,11 +302,6 @@ def _mirror_scan(u, v, alpha, t_max=None, inclusive=False) -> _MirrorScan:
         threshold, m_at, rejected_mask, feasible,
         cands, n_rej, n_mir, feas, relaxed, mstar, loo_count,
     )
-
-
-def _bc_scan(p: np.ndarray, alpha: float) -> _MirrorScan:
-    """Mirror scan specialised to raw p-values on the domain (0, 0.5)."""
-    return _mirror_scan(p, 1.0 - p, alpha, t_max=0.5, inclusive=False)
 
 
 def _stepup_scan(p: np.ndarray, alpha: float, scale: float) -> ThresholdResult:

@@ -259,6 +259,25 @@ def test_empty_group_label_gives_exit_2(tmp_path, capsys):
     assert "line 3" in err and "group" in err
 
 
+@pytest.mark.parametrize("command, cell", [("bh", ""), ("hybrid", "  "), ("ebh", "")])
+def test_empty_group_label_gives_exit_2_without_reading_labels(tmp_path, capsys, command, cell):
+    path = tmp_path / "g.csv"
+    write_csv(path, ["pvalue", "group", "evalue"], [(0.01, "a", 1), (0.02, cell, 2), (0.5, "a", 0)])
+    assert run_cli([command, "--input", path, "--out", tmp_path / "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "group" in err
+
+
+def test_only_groups_reads_labels(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("pvalue,group\n0.25, g1 \n0.001,g2\n")
+    assert list(read_table(path, labels=False)) == ["pvalue"]
+    with mock.patch.object(cli, "read_table", wraps=cli.read_table) as spy:
+        for command in ("bh", "hybrid", "groups"):
+            assert run_cli([command, "--input", path, "--out", tmp_path / "r.csv"]) == 0
+    assert [call.kwargs["labels"] for call in spy.call_args_list] == [False, False, True]
+
+
 def test_line_numbers_count_skipped_blank_lines(tmp_path, capsys):
     path = tmp_path / "p.csv"
     path.write_text("pvalue\n0.1\n\n0.2\nbad\n")
@@ -364,9 +383,9 @@ def _csv_files(draw):
     return eol.join(lines) + draw(st.sampled_from([eol, ""]))
 
 
-def _outcome(path):
+def _outcome(path, **kwargs):
     try:
-        return read_table(path)
+        return read_table(path, **kwargs)
     except InputError as exc:
         return str(exc)
 
@@ -390,6 +409,24 @@ def test_prop_columnar_parse_matches_row_scan(text):
         else:
             assert fast[name].dtype == slow[name].dtype
             assert fast[name].tobytes() == slow[name].tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_files())
+def test_prop_parse_without_labels_drops_only_the_group_column(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        full = _outcome(path)
+        fast = _outcome(path, labels=False)
+        with mock.patch.object(cli, "_parse_columns", side_effect=ValueError):
+            slow = _outcome(path, labels=False)
+    if isinstance(full, str):
+        assert fast == slow == full
+        return
+    assert list(fast) == list(slow) == [name for name in full if name != "group"]
+    for name in fast:
+        assert fast[name].tobytes() == slow[name].tobytes() == full[name].tobytes()
 
 
 _VALUE = st.one_of(
