@@ -206,12 +206,13 @@ def _scan_table(path, header) -> dict:
     return table
 
 
-def read_table(path, *, labels: bool = True) -> dict:
+def read_table(path, *, labels: bool = False) -> dict:
     """Parse a CSV with a header row into typed column arrays.
 
-    ``group`` holds strings, every other column finite floats.  With
-    ``labels=False`` the ``group`` column is still checked for empty labels
-    but left out of the table, which saves reading it as text.
+    Every column holds finite floats, except ``group``, which is read as
+    strings only with ``labels=True``.  Otherwise it is left out of the
+    table, though still checked for empty labels, which saves reading it as
+    text.
     """
     header, skip = _read_header(path)
     try:
@@ -314,10 +315,10 @@ def _write_outputs(args, evalues, weights, rejected, summary):
     return 0
 
 
-def _single_table(args, labels=False):
+def _single_table(args, **options):
     if not args.input or len(args.input) != 1:
         raise InputError("this subcommand needs exactly one --input CSV")
-    return read_table(args.input[0], labels=labels), args.input[0]
+    return read_table(args.input[0], **options), args.input[0]
 
 
 def _cmd_threshold(args, kind):
@@ -443,10 +444,9 @@ def _cmd_adaptive(args):
 
 def _read_stat_column(path) -> np.ndarray:
     table = read_table(path)
-    numeric = [c for c in table if c != "group"]
-    if len(numeric) != 1:
+    if len(table) != 1:
         raise InputError(f"{path}: expected a single statistic column, got {sorted(table)}")
-    return table[numeric[0]]
+    return next(iter(table.values()))
 
 
 def _cmd_knockoff(args):

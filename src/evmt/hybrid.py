@@ -100,15 +100,16 @@ the base grid, and its last passing grid point (T0_i for ``b_i``, the
 zeroed relaxed plateau for ``s_i``) is one vectorised lookup from i's grid
 position.
 
-Cost.  Every leave-one-out quantity is read off one ordered view: the
-censored vector (p~_1, ..., p~_n), argsorted once.  Its ascending values and
-ranks give ``t_bh_loo``.  Its values below 1/2 are the mirror-count grid,
-p~_i = p_i a rejection score and p~_i = 1 - p_i a mirror score, so running
-totals over them give the grid's counts.  A hypothesis's grid position is
-the number of distinct censored values below its own, again a running total
-read back by rank.  Nothing is searched per hypothesis: both leave-one-out
-modes run in O(n log n) for the one sort and O(n) after it, and the fast
-one only skips the lookup for ``s_i``.
+Cost.  The mirror-count grid and its counts come from the base scan of p,
+which sorts p once.  Every other leave-one-out quantity is read off one
+ordered view: the censored vector (p~_1, ..., p~_n), argsorted once.  Its
+ascending values and ranks give ``t_bh_loo``.  Its values below 1/2 are the
+grid's scores (p~_i = p_i a rejection score, p~_i = 1 - p_i a mirror
+score), so a hypothesis's grid position is the number of distinct censored
+values below its own, a running total read back by rank.  Nothing is
+searched per hypothesis: both leave-one-out modes run in O(n log n) for the
+two sorts and O(n) after them, and the fast one only skips the lookup for
+``s_i``.
 """
 
 from __future__ import annotations
@@ -121,10 +122,10 @@ import numpy as np
 from .errors import ConfigurationError, InvariantError
 from .procedures import (
     ProcedureSpec,
+    _bc_scan,
     _last_at_or_after,
     _last_at_or_before,
     _MirrorScan,
-    _run_scan,
     as_pvalues,
     ebh_select,
     procedure_to_evalues,
@@ -235,10 +236,11 @@ class LooThresholds:
 
     All mirror comparisons run on the stored mirror scores
     ``mirror = 1 - p`` (exact for p >= 0.5), so counts agree bit-for-bit
-    with the threshold scans that produced them.  Everything here is read
-    off one ordered view, the censored vector ``min(p, 1 - p)`` sorted
-    once: the step-up thresholds, the mirror-count grid (the censored scores
-    below 1/2) with its counts, and each hypothesis's position in that grid.
+    with the threshold scans that produced them.  Besides the base mirror
+    scan of p, everything here is read off one ordered view, the censored
+    vector ``min(p, 1 - p)`` sorted once: the step-up thresholds and each
+    hypothesis's position in the mirror-count grid, whose scores are the
+    censored ones below 1/2.
     """
 
     pvals: np.ndarray
@@ -274,8 +276,7 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
     # score, and every other score lies at or above 1/2.  A score's grid
     # position is the number of distinct scores below it.
     big = p > 0.5
-    below = s.searchsorted(0.5, side="left")
-    scan = _run_scan(p, s[:below], ~big[order[:below]], alpha_bc)
+    scan = _bc_scan(p, alpha_bc)
     distinct = np.concatenate(([True], s[1:] != s[:-1]))
     pos = (distinct.cumsum() - 1)[ranks]
 

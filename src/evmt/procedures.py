@@ -279,12 +279,12 @@ def _run_scan(u, run, from_u, alpha) -> _MirrorScan:
 
     ``from_u`` marks the run's rejection scores; the rest are mirror
     scores.  The candidate grid is the run's distinct values, and the counts
-    at a candidate are the running totals at its last copy in the run.
+    at a candidate are the running totals at its last copy in the run.  A
+    zero candidate is stored as +0.0, whichever sign its copies carry.
     """
     step = run[1:] != run[:-1]
-    first = np.concatenate(((run.size > 0,), step)).nonzero()[0]
     last = np.concatenate((step, (run.size > 0,))).nonzero()[0]
-    cands = run[first]
+    cands = run[last] + 0.0  # -0.0 + 0.0 is +0.0
     n_rej = from_u.cumsum()[last]
     n_mir = last + 1 - n_rej
     feas = (1.0 + n_mir) / np.maximum(n_rej, 1) <= alpha

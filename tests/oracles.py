@@ -8,6 +8,13 @@ with the package internals.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+
+# Scores that tie, sit on the domain's edges or next to 1/2, where 1 - p
+# rounds to 1/2; drawn often, with -0.0 among them.
+EDGE = st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.01, 0.3, 0.7, 0.99]
+)
 
 
 def brute_bh(p, alpha):

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -130,6 +131,18 @@ def test_threshold_commands_roundtrip(tmp_path):
         evalues = np.array([float(r["evalue"]) for r in rows])
         reselected = set(ebh_select(evalues, 0.1).tolist()) if evalues.any() else set()
         assert reselected == {i for i, r in enumerate(rows) if int(r["rejected"])}
+
+
+def test_bc_zero_threshold_is_positive_zero(tmp_path):
+    # "-0" parses to -0.0, which ties with 0.0; the reported threshold is +0.0
+    # whichever copy of the tie the scan keeps
+    path = tmp_path / "p.csv"
+    write_csv(path, ["pvalue"], [("-0",)] * 10 + [("0",)] + [("-0",)] * 9)
+    out = tmp_path / "bc.csv"
+    assert run_cli(["bc", "--input", path, "--alpha", 0.1, "--out", out]) == 0
+    summary = json.loads((tmp_path / "bc.json").read_text())
+    assert summary["feasible"] and summary["n_rejected"] == 20
+    assert summary["threshold"] == 0.0 and math.copysign(1.0, summary["threshold"]) == 1.0
 
 
 def test_fbc_and_adaptive_with_covariates(tmp_path):
@@ -271,11 +284,11 @@ def test_empty_group_label_gives_exit_2_without_reading_labels(tmp_path, capsys,
 def test_only_groups_reads_labels(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("pvalue,group\n0.25, g1 \n0.001,g2\n")
-    assert list(read_table(path, labels=False)) == ["pvalue"]
+    assert list(read_table(path)) == ["pvalue"]
     with mock.patch.object(cli, "read_table", wraps=cli.read_table) as spy:
         for command in ("bh", "hybrid", "groups"):
             assert run_cli([command, "--input", path, "--out", tmp_path / "r.csv"]) == 0
-    assert [call.kwargs["labels"] for call in spy.call_args_list] == [False, False, True]
+    assert [call.kwargs for call in spy.call_args_list] == [{}, {}, {"labels": True}]
 
 
 def test_line_numbers_count_skipped_blank_lines(tmp_path, capsys):
@@ -313,7 +326,7 @@ def test_regular_file_is_parsed_without_the_row_scan(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text('pvalue, group ,truth\r\n0.25," g#1 ",1\r\n\r\n1e-3,g2,0\r\n')
     with mock.patch.object(cli, "_scan_table", side_effect=AssertionError("row scan ran")):
-        table = read_table(path)
+        table = read_table(path, labels=True)
     assert list(table) == ["pvalue", "group", "truth"]
     assert table["pvalue"].tolist() == [0.25, 1e-3]
     assert table["group"].tolist() == ["g#1", "g2"]
@@ -396,9 +409,9 @@ def test_prop_columnar_parse_matches_row_scan(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         path.write_bytes(text.encode("utf-8"))
-        fast = _outcome(path)
+        fast = _outcome(path, labels=True)
         with mock.patch.object(cli, "_parse_columns", side_effect=ValueError):
-            slow = _outcome(path)
+            slow = _outcome(path, labels=True)
     if isinstance(slow, str) or isinstance(fast, str):
         assert fast == slow
         return
@@ -417,10 +430,10 @@ def test_prop_parse_without_labels_drops_only_the_group_column(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         path.write_bytes(text.encode("utf-8"))
-        full = _outcome(path)
-        fast = _outcome(path, labels=False)
+        full = _outcome(path, labels=True)
+        fast = _outcome(path)
         with mock.patch.object(cli, "_parse_columns", side_effect=ValueError):
-            slow = _outcome(path, labels=False)
+            slow = _outcome(path)
     if isinstance(full, str):
         assert fast == slow == full
         return

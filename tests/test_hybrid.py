@@ -16,9 +16,9 @@ from evmt.hybrid import (
     fast_adaptive_weights,
     run_hybrid,
 )
-from evmt.procedures import _bc_scan
 
 from oracles import (
+    EDGE,
     brute_bc_loo_threshold,
     brute_bc_threshold,
     brute_bc_zeroed_loo_threshold,
@@ -208,12 +208,7 @@ def test_bc_loo2_monotone_and_exact():
                     assert zeroed is not None and 1.0 - p[j] <= zeroed
 
 
-# Scores that tie, sit on the domain's edges or next to 1/2, where 1 - p
-# rounds to 1/2; drawn often, with -0.0 among them.
-_EDGE = st.sampled_from(
-    [0.0, -0.0, 0.5, 1.0, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.01, 0.3, 0.7, 0.99]
-)
-_EDGE_PVALUES = st.lists(_EDGE | st.floats(0.0, 1.0), min_size=1, max_size=25)
+_EDGE_PVALUES = st.lists(EDGE | st.floats(0.0, 1.0), min_size=1, max_size=25)
 
 
 @settings(max_examples=200, deadline=None)
@@ -229,13 +224,6 @@ def test_prop_loo_thresholds_equal_their_definitions(p, a_bh, a_bc):
         want = brute_bc_loo_threshold(p, a_bc, i)
         assert np.isnan(loo.t_bc_loo[i]) if want is None else loo.t_bc_loo[i] == want
     assert np.array_equal(loo._pos, np.searchsorted(loo._scan.cands, censored, side="left"))
-    # the grid read off the censored order is the one a plain scan of p builds
-    scan = _bc_scan(q, a_bc)
-    for field in ("cands", "n_rej", "n_mir", "feas", "relaxed", "rejected_mask"):
-        assert np.array_equal(getattr(loo._scan, field), getattr(scan, field)), field
-    assert (loo._scan.threshold, loo._scan.m_at_T, loo._scan.mstar, loo._scan.loo_count) == (
-        scan.threshold, scan.m_at_T, scan.mstar, scan.loo_count
-    )
 
 
 # ---------------------------------------------------------------------------

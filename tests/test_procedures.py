@@ -22,6 +22,7 @@ from evmt import (
 from evmt.procedures import _bc_scan, _group_fdp_power, _mirror_scan
 
 from oracles import (
+    EDGE,
     brute_bc_rejections,
     brute_bc_threshold,
     brute_bh,
@@ -145,13 +146,6 @@ def test_fbc_matches_brute_force_grid():
             assert set(res.rejected) == {i for i, x in enumerate(u) if x <= t_oracle}
 
 
-# Scores that tie, sit on the domain's edges or next to 1/2, where 1 - p
-# rounds to 1/2; drawn often, with -0.0 among them.
-_EDGE = st.sampled_from(
-    [0.0, -0.0, 0.5, 1.0, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.01, 0.3, 0.7, 0.99]
-)
-
-
 def _grid_by_definition(u, v, keep):
     """Distinct scores that ``keep`` admits, with #{u <= c} and #{v <= c}."""
     cands = sorted({x for x in list(u) + list(v) if keep(x)})
@@ -163,21 +157,22 @@ def _grid_by_definition(u, v, keep):
 
 
 @settings(max_examples=300, deadline=None)
-@given(p=st.lists(_EDGE | st.floats(0.0, 1.0), min_size=1, max_size=40), alpha=st.floats(0.05, 0.7))
+@given(p=st.lists(EDGE | st.floats(0.0, 1.0), min_size=1, max_size=40), alpha=st.floats(0.05, 0.7))
 def test_prop_bc_grid_equals_its_definition(p, alpha):
     scan = _bc_scan(np.array(p), alpha)
     cands, n_rej, n_mir = _grid_by_definition(p, [1.0 - x for x in p], lambda x: x < 0.5)
     assert scan.cands.tolist() == cands
     assert scan.n_rej.tolist() == n_rej
     assert scan.n_mir.tolist() == n_mir
+    assert not np.signbit(scan.cands).any()  # a zero candidate is +0.0
     t = brute_bc_threshold(p, alpha)
     assert (not scan.feasible) if t is None else scan.threshold == t
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    scores=st.lists(st.tuples(_EDGE, _EDGE), min_size=1, max_size=30),
-    t_max=_EDGE,
+    scores=st.lists(st.tuples(EDGE, EDGE), min_size=1, max_size=30),
+    t_max=EDGE,
     inclusive=st.booleans(),
 )
 def test_prop_mirror_grid_equals_its_definition(scores, t_max, inclusive):
@@ -189,6 +184,7 @@ def test_prop_mirror_grid_equals_its_definition(scores, t_max, inclusive):
     assert scan.cands.tolist() == cands
     assert scan.n_rej.tolist() == n_rej
     assert scan.n_mir.tolist() == n_mir
+    assert not np.signbit(scan.cands).any()  # a zero candidate is +0.0
 
 
 def test_bc_matches_brute_force_grid():

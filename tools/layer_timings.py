@@ -5,18 +5,17 @@ Times ``procedures._bc_scan``, ``hybrid.compute_loo_thresholds``,
 ``groups.run_grouped_ebh`` (adaptive scheme, L = 1000 equal groups) on one
 S1-like instance per n: the S1 generator with 5 % non-nulls, seed 3.  Each
 figure is the best of several calls, repeated until the layer has run for
-at least ``--budget`` seconds (at least three calls).
+at least ``BUDGET_S`` seconds (at least three calls).
 
 Run from the repository root, against the source tree under test::
 
-    PYTHONPATH=src python tools/layer_timings.py [--budget 1.0] [--max-exp 6]
+    PYTHONPATH=src python tools/layer_timings.py
 
 Prints one JSON object, ``{layer: {n: seconds}}``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import time
 
@@ -26,11 +25,13 @@ from evmt.procedures import _bc_scan
 from evmt.simulate import SimulationConfig, generate
 
 ALPHA = 0.1
+BUDGET_S = 1.0
+EXPONENTS = range(3, 7)  # n = 10^3 ... 10^6
 
 
-def best_of(fn, budget):
+def best_of(fn):
     best, spent, calls = float("inf"), 0.0, 0
-    while calls < 3 or spent < budget:
+    while calls < 3 or spent < BUDGET_S:
         start = time.perf_counter()
         fn()
         took = time.perf_counter() - start
@@ -39,10 +40,6 @@ def best_of(fn, budget):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--budget", type=float, default=1.0)
-    parser.add_argument("--max-exp", type=int, default=6)
-    args = parser.parse_args()
     a_base = ALPHA / (1.0 + ALPHA)
     fast = HybridConfig(alpha_ebh=ALPHA, weight_mode="fast")
     exact = HybridConfig(alpha_ebh=ALPHA, weight_mode="adaptive")
@@ -54,7 +51,7 @@ def main():
         "run_grouped_ebh_L1000": lambda p, part: run_grouped_ebh(p, part, ALPHA, "adaptive"),
     }
     out = {name: {} for name in layers}
-    for e in range(3, args.max_exp + 1):
+    for e in EXPONENTS:
         n = 10**e
         config = SimulationConfig(
             setting="S1", parameters={"n": n, "n_alt": n // 20, "mu": 0.4, "sigma": 1.0}, seed=3
@@ -62,7 +59,7 @@ def main():
         p = generate(config, 0).pvals
         part = GroupPartition.from_sizes([n // 1000] * 1000)
         for name, fn in layers.items():
-            out[name][f"1e{e}"] = round(best_of(lambda: fn(p, part), args.budget), 6)
+            out[name][f"1e{e}"] = round(best_of(lambda: fn(p, part)), 6)
     print(json.dumps(out, indent=1))
 
 
