@@ -6,12 +6,15 @@ column is treated as a covariate) or drive a simulation campaign.  Every
 data run writes a rejection CSV (``index, rejected, evalue, weight``, index
 1-based) plus a JSON summary next to it, and echoes the summary to stdout.
 
-Input is parsed column by column with numpy.  Group labels are read as
-text only by ``groups``; every command rejects an empty one.  Only a file
-numpy rejects is read again row by row with the csv module, which either
-accepts the irregular rows it tolerates (whitespace-only lines, rows of
-blank cells) or reports the offending line.  The rejection table is written
-in bounded chunks, with each distinct value formatted once.
+Input is parsed in one numpy pass over the file: every column as float64,
+except ``group``, whose labels are read as stripped text.  Only ``groups``
+keeps the labels; every command rejects an empty one.  Only a file numpy
+rejects is read again row by row with the csv module, which either accepts
+the irregular rows it tolerates (whitespace-only lines, rows of blank cells)
+or reports the offending line.  The rejection table is written in bounded
+chunks.  Each distinct value is formatted once; each chunk is assembled as a
+NUL-padded byte matrix, one row per line, whose padding one mask drops
+before a single write.
 
 Exit codes: 0 success, 2 input error (unreadable file, bad column), 3
 configuration error (bad level, wrong weight scheme for a subcommand).
@@ -132,38 +135,30 @@ def _read_header(path):
     return header, lines
 
 
-def _parse_columns(path, header, skip, labels) -> dict:
-    """Whole columns parsed by numpy; ``ValueError`` on any irregular row.
+def _parse_columns(path, header, skip) -> dict:
+    """Whole columns parsed by numpy in one pass; ``ValueError`` on any irregular row.
 
-    The ``group`` column is read as text only when ``labels`` is true;
-    otherwise it holds the length of each stripped label.
+    Every column is read as float64 except ``group``, whose cells are read as
+    stripped text.
     """
     g = header.index("group") if "group" in header else None
+    fields = [(f"f{k}", object if k == g else np.float64) for k in range(len(header))]
     with warnings.catch_warnings():
         # loadtxt warns about empty lines, which are skipped as blank rows,
         # and about files without rows, which the caller reports
         warnings.simplefilter("ignore", UserWarning)
-        # converting the group column to a text length keeps it in this call,
-        # so rows with a different field count fail
+        # the structured dtype fixes the field count, so rows with another count fail
         values = np.loadtxt(
-            path, skiprows=skip, ndmin=2,
-            converters=None if g is None else {g: len if labels else _stripped_len}, **_CSV
+            path, skiprows=skip, dtype=fields, ndmin=1,
+            converters=None if g is None else {g: str.strip}, **_CSV
         )
-        if values.shape[0] == 0 or values.shape[1] != len(header):
-            raise ValueError("no rows, or a field count that differs from the header")
-        table = {name: values[:, k] for k, name in enumerate(header)}
-        if g is not None and labels:
-            names = np.loadtxt(path, skiprows=skip, usecols=g, dtype=str, ndmin=1, **_CSV)
-            table["group"] = np.strings.strip(names)
-    if g is not None and np.any(table["group"] == ("" if labels else 0)):
-        # an empty label (text "" or stripped length 0), or a row of blank
-        # cells: the row scan tells them apart
+    if values.size == 0:
+        raise ValueError("no rows")
+    if g is not None and not all(values[f"f{g}"]):
+        # an empty label, or a row of blank cells: the row scan tells them apart
         raise ValueError("empty group cell")
-    return table
-
-
-def _stripped_len(cell: str) -> int:
-    return len(cell.strip())
+    # copies, so that no column keeps the whole record array alive
+    return {name: values[f"f{k}"].copy() for k, name in enumerate(header)}
 
 
 def _scan_table(path, header) -> dict:
@@ -209,14 +204,13 @@ def _scan_table(path, header) -> dict:
 def read_table(path, *, labels: bool = False) -> dict:
     """Parse a CSV with a header row into typed column arrays.
 
-    Every column holds finite floats, except ``group``, which is read as
-    strings only with ``labels=True``.  Otherwise it is left out of the
-    table, though still checked for empty labels, which saves reading it as
-    text.
+    Every column holds finite floats, except ``group``, which holds the
+    stripped labels as strings.  It is always checked for empty labels but
+    kept in the table only with ``labels=True``.
     """
     header, skip = _read_header(path)
     try:
-        table = _parse_columns(path, header, skip, labels)
+        table = _parse_columns(path, header, skip)
     except ValueError:
         table = _scan_table(path, header)
 
@@ -233,6 +227,9 @@ def read_table(path, *, labels: bool = False) -> dict:
     if "pvalue" in table and (np.min(table["pvalue"]) < 0 or np.max(table["pvalue"]) > 1):
         bad = int(np.argmax((table["pvalue"] < 0) | (table["pvalue"] > 1)))
         raise InputError(f"{path}: line {_data_line(path, bad)}: pvalue outside [0, 1]")
+    if "evalue" in table and np.min(table["evalue"]) < 0:
+        bad = int(np.argmax(table["evalue"] < 0))
+        raise InputError(f"{path}: line {_data_line(path, bad)}: evalue must be nonnegative")
     if "truth" in table and not np.all(np.isin(table["truth"], (0.0, 1.0))):
         bad = int(np.argmax(~np.isin(table["truth"], (0.0, 1.0))))
         raise InputError(f"{path}: line {_data_line(path, bad)}: truth must be 0 or 1")
@@ -278,34 +275,53 @@ def _metrics(summary, rejected, truth, partition=None):
         ]
 
 
-def _distinct_text(values):
-    """``:.10g`` text of each distinct value, and each entry's index into it.
+def _text_rows(values):
+    """``:.10g`` text of each distinct value as NUL-padded byte rows, and each entry's row.
 
     Values are told apart by their bits, so -0.0 and 0.0 keep their own text.
     """
     bits, at = np.unique(np.asarray(values, dtype=np.float64).view(np.uint64), return_inverse=True)
-    text = np.array([f"{v:.10g}" for v in bits.view(np.float64).tolist()], dtype=object)
-    return text, at
+    text = np.array([f"{v:.10g}" for v in bits.view(np.float64).tolist()], dtype=np.bytes_)
+    return text.view(np.uint8).reshape(text.size, text.itemsize), at
+
+
+def _index_digits(a, b):
+    """ASCII digits of the indices ``a + 1 .. b``, one NUL-padded row each."""
+    width = len(str(b))
+    digits = np.zeros((b - a, width), dtype=np.uint8)
+    for d in range(len(str(a + 1)), width + 1):
+        # the rows whose index has d digits are one contiguous run
+        lo, hi = max(a + 1, 10 ** (d - 1)), min(b, 10**d - 1)
+        run = np.arange(lo, hi + 1)
+        for k in range(d):
+            digits[lo - a - 1:hi - a, k] = run // 10 ** (d - 1 - k) % 10 + ord("0")
+    return digits
 
 
 def _write_outputs(args, evalues, weights, rejected, summary):
     out = Path(args.out) if args.out else Path("evmt_rejections.csv")
     mask = np.zeros(evalues.size, dtype=bool)
     mask[rejected] = True
-    e_text, e_at = _distinct_text(evalues)
-    w_text, w_at = _distinct_text(weights)
+    e_text, e_at = _text_rows(evalues)
+    w_text, w_at = _text_rows(weights)
     flags = mask.view(np.uint8)
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write("index,rejected,evalue,weight\n")
+    with open(out, "wb") as handle:
+        handle.write(b"index,rejected,evalue,weight\n")
         for a in range(0, evalues.size, _WRITE_ROWS):
             b = min(a + _WRITE_ROWS, evalues.size)
-            rows = zip(
-                range(a + 1, b + 1),
-                flags[a:b].tolist(),
-                e_text[e_at[a:b]].tolist(),
-                w_text[w_at[a:b]].tolist(),
-            )
-            handle.write("".join([f"{i},{r},{e},{w}\n" for i, r, e, w in rows]))
+            # one row per line: [index | ",r," | e | "," | w | "\n"], NUL-padded
+            digits = _index_digits(a, b)
+            d = digits.shape[1]
+            c = d + 3 + e_text.shape[1]  # the comma before the weight
+            lines = np.zeros((b - a, c + 2 + w_text.shape[1]), dtype=np.uint8)
+            lines[:, :d] = digits
+            lines[:, d:d + 3] = np.frombuffer(b",0,", dtype=np.uint8)
+            lines[:, d + 1] += flags[a:b]
+            lines[:, d + 3:c] = e_text[e_at[a:b]]
+            lines[:, c] = ord(",")
+            lines[:, c + 1:-1] = w_text[w_at[a:b]]
+            lines[:, -1] = ord("\n")
+            handle.write(lines[lines != 0].tobytes())
     summary["n"] = int(evalues.size)
     summary["n_rejected"] = int(mask.sum())
     summary["rejections_csv"] = str(out)
@@ -371,8 +387,8 @@ def _cmd_ebh(args):
 def _cmd_groups(args):
     table, path = _single_table(args, labels=True)
     p = _require(table, "pvalue", path)
-    labels = _require(table, "group", path)
-    part = GroupPartition.from_labels(labels)
+    part = GroupPartition.from_labels(_require(table, "group", path))
+    del table["group"]  # one string per row; the partition holds the codes
     scheme = _pick(_GROUP_SCHEMES, args.weights, "adaptive", "groups")
     report = run_grouped_ebh(p, part, args.alpha, scheme=scheme)
     summary = {

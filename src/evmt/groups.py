@@ -86,18 +86,26 @@ class GroupPartition:
         if np.any(counts == 0):
             raise ConfigurationError("every group must contain at least one hypothesis")
         object.__setattr__(self, "_sizes", counts)
-        # the members of group l, ascending, are order[starts[l]:starts[l + 1]]
-        order = np.argsort(labels, kind="stable")
+        # the members of group l, ascending, are order[starts[l]:starts[l + 1]];
+        # numpy's stable sort of codes that fit in 16 bits is a radix sort
+        order = np.argsort(labels.astype(np.min_scalar_type(self.n_groups - 1)), kind="stable")
         order.flags.writeable = False
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_starts", [0, *np.cumsum(counts).tolist()])
 
     @classmethod
     def from_labels(cls, labels: Sequence) -> "GroupPartition":
-        """Build a partition from arbitrary hashable labels (sorted order)."""
-        arr = np.asarray(labels)
-        names, codes = np.unique(arr, return_inverse=True)
-        return cls(labels=codes, n_groups=len(names), names=tuple(names.tolist()))
+        """Build a partition from arbitrary hashable labels.
+
+        Groups are numbered in the sorted order of their names, as
+        ``np.unique(labels, return_inverse=True)`` numbers them.  The labels
+        are factorised with a dict, so only the distinct names are sorted.
+        """
+        values = np.asarray(labels).tolist()
+        names = sorted(dict.fromkeys(values))
+        code = {name: l for l, name in enumerate(names)}
+        codes = np.fromiter(map(code.__getitem__, values), dtype=np.intp, count=len(values))
+        return cls(labels=codes, n_groups=len(names), names=tuple(names))
 
     @classmethod
     def from_sizes(cls, sizes: Sequence[int]) -> "GroupPartition":

@@ -291,6 +291,18 @@ def test_only_groups_reads_labels(tmp_path):
     assert [call.kwargs for call in spy.call_args_list] == [{}, {}, {"labels": True}]
 
 
+def test_negative_evalue_reports_line_number(tmp_path, capsys):
+    path = tmp_path / "e.csv"
+    write_csv(path, ["evalue"], [(1.0,), ("-0",), (-0.5,), (2.0,)])
+    assert run_cli(["ebh", "--input", path, "--out", tmp_path / "r.csv"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line 4: evalue must be nonnegative" in err
+    assert not (tmp_path / "r.csv").exists()
+    # -0 is not negative
+    write_csv(path, ["evalue"], [(1.0,), ("-0",), (2.0,)])
+    assert run_cli(["ebh", "--input", path, "--out", tmp_path / "r.csv"]) == 0
+
+
 def test_line_numbers_count_skipped_blank_lines(tmp_path, capsys):
     path = tmp_path / "p.csv"
     path.write_text("pvalue\n0.1\n\n0.2\nbad\n")
@@ -331,6 +343,22 @@ def test_regular_file_is_parsed_without_the_row_scan(tmp_path):
     assert table["pvalue"].tolist() == [0.25, 1e-3]
     assert table["group"].tolist() == ["g#1", "g2"]
     assert table["truth"].tolist() == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("labels", [True, False])
+def test_padded_quoted_and_non_ascii_labels_parse_without_the_row_scan(tmp_path, labels):
+    path = tmp_path / "g.csv"
+    path.write_text(
+        'pvalue,group\n0.25,  a b \n0.5," x, y "\n1e-3,\t\u00c9t\u00e9\xa0\n0.75,"a b"\n',
+        encoding="utf-8",
+    )
+    with mock.patch.object(cli, "_scan_table", side_effect=AssertionError("row scan ran")):
+        table = read_table(path, labels=labels)
+    assert table["pvalue"].tolist() == [0.25, 0.5, 1e-3, 0.75]
+    if labels:
+        assert table["group"].tolist() == ["a b", "x, y", "\u00c9t\u00e9", "a b"]
+    else:
+        assert list(table) == ["pvalue"]
 
 
 # --------------------------------------------------------------- properties
@@ -479,6 +507,21 @@ def test_writer_matches_line_loop_across_chunks():
     weights = np.where(rng.random(n) < 0.5, 1.0, 2.0 / 3.0)
     rejected = np.flatnonzero(rng.random(n) < 0.1)
     written = _write_table(evalues, weights, rejected)
+    assert written == rejection_table_lines(evalues, weights, rejected).encode("utf-8")
+
+
+@pytest.mark.parametrize("chunk", [7, 9, 10, 99, 100, 999, 1000])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(pool=st.lists(st.tuples(_VALUE, _VALUE), min_size=1, max_size=30))
+def test_writer_matches_line_loop_across_digit_counts(chunk, pool):
+    # 1001 rows cross the 9/10, 99/100 and 999/1000 index widths, inside a
+    # chunk or on its edge depending on the chunk size
+    rng = np.random.default_rng(chunk)
+    rows = np.array(pool)[rng.integers(0, len(pool), 1001)]
+    evalues, weights = rows[:, 0].copy(), rows[:, 1].copy()
+    rejected = np.flatnonzero(rng.random(1001) < 0.3)
+    with mock.patch.object(cli, "_WRITE_ROWS", chunk):
+        written = _write_table(evalues, weights, rejected)
     assert written == rejection_table_lines(evalues, weights, rejected).encode("utf-8")
 
 

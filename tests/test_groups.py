@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evmt import ConfigurationError, InputError, ProcedureSpec, fdp_power, solve_threshold
 from evmt.groups import (
@@ -46,6 +48,23 @@ def test_partition_from_labels():
     assert part.names == ("a", "b")
     assert part.sizes.tolist() == [3, 2]
     assert part.indices(0).tolist() == [1, 3, 4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.text(st.sampled_from("ab 1_\xa0\u00e9\u20ac\U0001d538"), min_size=1, max_size=4),
+                 min_size=1, max_size=40),
+        st.lists(st.integers(-3, 1000), min_size=1, max_size=40),
+    ),
+    st.booleans(),
+)
+def test_prop_from_labels_matches_np_unique(labels, as_objects):
+    names, codes = np.unique(labels, return_inverse=True)
+    # the CLI passes its labels as an object array
+    part = GroupPartition.from_labels(np.array(labels, dtype=object) if as_objects else labels)
+    assert part.names == tuple(names.tolist())
+    assert part.labels.tolist() == codes.tolist()
 
 
 def test_partition_rejects_empty_group():

@@ -1,11 +1,18 @@
-"""In-process timings of the sort-bound layers at n = 10^3 ... 10^6.
+"""In-process timings of the sort-bound layers and the CLI's I/O at n = 10^3 ... 10^6.
 
 Times ``procedures._bc_scan``, ``hybrid.compute_loo_thresholds``,
 ``hybrid._hybrid_evalues`` (fast and exact weights) and
 ``groups.run_grouped_ebh`` (adaptive scheme, L = 1000 equal groups) on one
-S1-like instance per n: the S1 generator with 5 % non-nulls, seed 3.  Each
-figure is the best of several calls, repeated until the layer has run for
-at least ``BUDGET_S`` seconds (at least three calls).
+S1-like instance per n: the S1 generator with 5 % non-nulls, seed 3.
+
+Times the CLI's I/O on a CSV built like the benchmark's ``cli-1m`` input
+(seed 941, n rows, labels ``g000`` ... ``g999``): ``cli.read_table`` without
+and with labels, ``GroupPartition.from_labels`` on the parsed labels, and
+``cli._write_outputs`` on the rejection tables of ``evmt bh`` and
+``evmt groups --weights adaptive``.
+
+Each figure is the best of several calls, repeated until the layer has run
+for at least ``BUDGET_S`` seconds (at least three calls).
 
 Run from the repository root, against the source tree under test::
 
@@ -16,17 +23,28 @@ Prints one JSON object, ``{layer: {n: seconds}}``.
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
+import numpy as np
+from scipy.special import ndtr
+
+from evmt import cli
 from evmt.groups import GroupPartition, run_grouped_ebh
 from evmt.hybrid import HybridConfig, _hybrid_evalues, compute_loo_thresholds
-from evmt.procedures import _bc_scan
+from evmt.procedures import ProcedureSpec, _bc_scan, procedure_to_evalues, solve_threshold
 from evmt.simulate import SimulationConfig, generate
 
 ALPHA = 0.1
 BUDGET_S = 1.0
 EXPONENTS = range(3, 7)  # n = 10^3 ... 10^6
+CSV_SEED = 941
+N_LABELS = 1000
 
 
 def best_of(fn):
@@ -39,7 +57,25 @@ def best_of(fn):
     return best
 
 
-def main():
+def write_cli_csv(path, n):
+    """n rows of ``pvalue,group,truth``, drawn as the benchmark's ``cli-1m`` input is."""
+    rng = np.random.default_rng([CSV_SEED, 1])
+    groups = rng.integers(0, N_LABELS, n)
+    share = rng.uniform(0.0, 0.1, N_LABELS)
+    truth = rng.random(n) < share[groups]
+    z = rng.normal(size=n)
+    z[truth] += rng.uniform(1.0, 5.0, int(truth.sum()))
+    tails = [f",g{g:03d},{t}" for t in (0, 1) for g in range(N_LABELS)]
+    rows = [repr(a) + tails[k] for a, k in zip(ndtr(-z).tolist(), (groups + N_LABELS * truth).tolist())]
+    path.write_text("pvalue,group,truth\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+
+def write_table(out, evalues, weights, rejected):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli._write_outputs(argparse.Namespace(out=str(out)), evalues, weights, rejected, {})
+
+
+def sort_layers(out):
     a_base = ALPHA / (1.0 + ALPHA)
     fast = HybridConfig(alpha_ebh=ALPHA, weight_mode="fast")
     exact = HybridConfig(alpha_ebh=ALPHA, weight_mode="adaptive")
@@ -50,7 +86,6 @@ def main():
         "_hybrid_evalues_exact": lambda p, part: _hybrid_evalues(p, exact),
         "run_grouped_ebh_L1000": lambda p, part: run_grouped_ebh(p, part, ALPHA, "adaptive"),
     }
-    out = {name: {} for name in layers}
     for e in EXPONENTS:
         n = 10**e
         config = SimulationConfig(
@@ -59,7 +94,37 @@ def main():
         p = generate(config, 0).pvals
         part = GroupPartition.from_sizes([n // 1000] * 1000)
         for name, fn in layers.items():
-            out[name][f"1e{e}"] = round(best_of(lambda: fn(p, part)), 6)
+            out.setdefault(name, {})[f"1e{e}"] = round(best_of(lambda: fn(p, part)), 6)
+
+
+def io_layers(out, tmp):
+    for e in EXPONENTS:
+        csv, table_out = tmp / f"cli_{e}.csv", tmp / "rejections.csv"
+        write_cli_csv(csv, 10**e)
+        table = cli.read_table(csv, labels=True)
+        p, labels = table["pvalue"], table["group"]
+        part = GroupPartition.from_labels(labels)
+        bh = ProcedureSpec(kind="bh", alpha=ALPHA)
+        res = solve_threshold(p, bh)
+        bh_table = (procedure_to_evalues(p, bh, res), np.ones(p.size), res.rejected)
+        report = run_grouped_ebh(p, part, ALPHA, scheme="adaptive")
+        groups_table = (report.evalues, report.weights, report.rejected)
+        layers = {
+            "read_table": lambda: cli.read_table(csv),
+            "read_table_labels": lambda: cli.read_table(csv, labels=True),
+            "from_labels": lambda: GroupPartition.from_labels(labels),
+            "_write_outputs_bh": lambda: write_table(table_out, *bh_table),
+            "_write_outputs_groups": lambda: write_table(table_out, *groups_table),
+        }
+        for name, fn in layers.items():
+            out.setdefault(name, {})[f"1e{e}"] = round(best_of(fn), 6)
+
+
+def main():
+    out = {}
+    sort_layers(out)
+    with tempfile.TemporaryDirectory() as tmp:
+        io_layers(out, Path(tmp))
     print(json.dumps(out, indent=1))
 
 
