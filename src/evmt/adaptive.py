@@ -415,7 +415,7 @@ def structure_pipeline(
         p, part, curves, thresholds, mode, alpha=alpha_fbc, covars=covars, models=models
     )
     evalues = group_evalues(p, part, thresholds, weights)
-    rejected = ebh_select(evalues, alpha_ebh) if evalues.any() else np.empty(0, dtype=np.intp)
+    rejected = ebh_select(evalues, alpha_ebh)
     return {
         "partition": part,
         "curves": curves,

@@ -51,7 +51,7 @@ from .simulate import SimulationConfig, run_campaign
 _SPECIAL_COLUMNS = ("pvalue", "group", "truth", "evalue")
 
 _GROUP_SCHEMES = {"unit": "unit", "size": "size", "adaptive": "adaptive"}
-_HYBRID_MODES = {"averaged": "averaged", "adaptive": "adaptive", "fast": "fast"}
+_HYBRID_MODES = {"averaged": "averaged", "adaptive": "adaptive", "fast": "adaptive"}
 _ADAPTIVE_MODES = {"unit": "unit", "cheap": "cheap", "full": "full"}
 
 _DEFAULT_METHODS = {
@@ -80,8 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float, default=None,
                         help="target FDR level (default 0.05)")
     parser.add_argument("--weights", default=None,
-                        help="unit|size|adaptive (groups), averaged|adaptive|fast "
-                             "(hybrid), unit|cheap|full (adaptive)")
+                        help="unit|size|adaptive (groups), averaged|adaptive "
+                             "(hybrid; fast is an alias of adaptive), "
+                             "unit|cheap|full (adaptive)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, metavar="PATH")
     parser.add_argument("--reps", type=int, default=None)
@@ -378,7 +379,7 @@ def _cmd_fbc(args):
 def _cmd_ebh(args):
     table, path = _single_table(args)
     e = as_evalues(_require(table, "evalue", path))
-    rejected = ebh_select(e, args.alpha) if e.any() else np.empty(0, dtype=int)
+    rejected = ebh_select(e, args.alpha)
     summary = {"command": "ebh", "alpha": args.alpha}
     _metrics(summary, rejected, table.get("truth"))
     return _write_outputs(args, e, np.ones(e.size), rejected, summary)
@@ -415,7 +416,7 @@ def _cmd_hybrid(args):
     mode = _pick(_HYBRID_MODES, args.weights, "adaptive", "hybrid")
     config = HybridConfig(alpha_ebh=args.alpha, weight_mode=mode)
     evalues, w_bh, w_bc = _hybrid_evalues(p, config)
-    rejected = ebh_select(evalues, args.alpha) if evalues.any() else np.empty(0, dtype=int)
+    rejected = ebh_select(evalues, args.alpha)
     summary = {
         "command": "hybrid",
         "alpha": args.alpha,
@@ -474,7 +475,7 @@ def _cmd_knockoff(args):
         raise InputError("the two statistic files must have the same number of rows")
     alpha_ko = args.alpha / 2.0
     evalues = _combined_evalues(w_a, w_b, alpha_ko, 0.5, 0.5)
-    rejected = ebh_select(evalues, args.alpha) if evalues.any() else np.empty(0, dtype=int)
+    rejected = ebh_select(evalues, args.alpha)
     summary = {
         "command": "knockoff-combine",
         "alpha": args.alpha,

@@ -295,7 +295,7 @@ def run_grouped_ebh(
     thresholds, counts = _scan_groups(p, part, alpha)
     weights = _weights(p, part, thresholds, scheme, counts)
     evalues = group_evalues(p, part, thresholds, weights)
-    rejected = ebh_select(evalues, alpha) if evalues.any() else np.empty(0, dtype=np.intp)
+    rejected = ebh_select(evalues, alpha)
     per_group = [res.rejected for res in thresholds]
 
     fdp = power = group_fdp = group_power = None

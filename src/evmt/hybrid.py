@@ -85,13 +85,6 @@ rejection among k at ``alpha_b = alpha / (1 + alpha)`` has e-value at least
 ``k / (1 + alpha)``; the rest may lose their weight to the leave-one-out
 bounds.
 
-The ``fast`` mode replaces t_bc_loo2(j, i) by t_bc_loo[j] in ``s_i``, that
-is, it counts the mirrors at or below the base relaxed plateau m* instead
-of the plateau with p_i zeroed, and is otherwise identical.  That count can
-depend on p_i, so the fast weights carry no finite-sample guarantee; they
-agree with the exact ones whenever zeroing one p-value does not move the
-relaxed plateau past another mirror point.
-
 The pairwise counts are never materialised.  Zeroing p_i adds one
 rejection below p~_i and, when p_i > 1/2, removes i's own mirror from p~_i
 on; everywhere else the counting functions are those of the base mirror
@@ -107,9 +100,8 @@ ascending values and ranks give ``t_bh_loo``.  Its values below 1/2 are the
 grid's scores (p~_i = p_i a rejection score, p~_i = 1 - p_i a mirror
 score), so a hypothesis's grid position is the number of distinct censored
 values below its own, a running total read back by rank.  Nothing is
-searched per hypothesis: both leave-one-out modes run in O(n log n) for the
-two sorts and O(n) after them, and the fast one only skips the lookup for
-``s_i``.
+searched per hypothesis: the adaptive weights run in O(n log n) for the
+two sorts and O(n) after them.
 """
 
 from __future__ import annotations
@@ -143,23 +135,28 @@ __all__ = [
     "run_hybrid",
 ]
 
-_MODES = {"averaged": "averaged", "adaptive": "adaptive", "fast": "fast", "fast_adaptive": "fast"}
+# ``fast`` and ``fast_adaptive`` are older names of the adaptive weights
+_MODES = {
+    "averaged": "averaged",
+    "adaptive": "adaptive",
+    "fast": "adaptive",
+    "fast_adaptive": "adaptive",
+}
 
 
 @dataclass(frozen=True)
 class HybridConfig:
     """Levels and weight mode for the blended procedure.
 
-    ``weight_mode`` is ``averaged`` (constant 0.5/0.5), ``adaptive``
+    ``weight_mode`` is ``averaged`` (constant 0.5/0.5) or ``adaptive``
     (leave-one-out weights in {0, 1} that keep the null e-value budget, see
-    the module docstring) or ``fast`` (the same weights with an approximate
-    mirror count and no finite-sample guarantee).  Both leave-one-out modes
-    run in O(n log n).
+    the module docstring; O(n log n)).  ``fast`` and ``fast_adaptive`` are
+    accepted as aliases of ``adaptive``.
 
     When not given explicitly, the base-procedure levels default to
     ``alpha_ebh / 2`` in ``averaged`` mode, where a weight of 0.5 then
     carries a base rejection exactly, and to ``alpha_ebh / (1 + alpha_ebh)``
-    in the adaptive modes, where the members of a base rejection set that
+    in ``adaptive`` mode, where the members of a base rejection set that
     keep weight 1 stay rejected if they make up at least a fraction
     ``1 / (1 + alpha_ebh)`` of it.  FDR control does not depend on these
     levels.
@@ -240,7 +237,9 @@ class LooThresholds:
     scan of p, everything here is read off one ordered view, the censored
     vector ``min(p, 1 - p)`` sorted once: the step-up thresholds and each
     hypothesis's position in the mirror-count grid, whose scores are the
-    censored ones below 1/2.
+    censored ones below 1/2.  The censored mirror-count thresholds
+    ``t_bc_loo`` of the module docstring are not stored: the weights read
+    their zeroed counterparts off ``_scan`` at ``_pos``.
     """
 
     pvals: np.ndarray
@@ -251,7 +250,6 @@ class LooThresholds:
     t_bc: Optional[float]
     t_bc_feasible: bool
     d_count: int  # #{p_j >= 1 - T_bc}, 0 when infeasible
-    t_bc_loo: np.ndarray  # nan marks an infeasible censored threshold
     # base mirror scan: candidate grid, counts, both criteria and the
     # relaxed plateau that every leave-one-out lookup reads
     _scan: _MirrorScan
@@ -275,19 +273,9 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
     # is a rejection score and 1 - p < 1/2 (that is, p > 1/2) a mirror
     # score, and every other score lies at or above 1/2.  A score's grid
     # position is the number of distinct scores below it.
-    big = p > 0.5
     scan = _bc_scan(p, alpha_bc)
     distinct = np.concatenate(([True], s[1:] != s[:-1]))
     pos = (distinct.cumsum() - 1)[ranks]
-
-    # exact censored thresholds: below the mirror point the instance is
-    # unchanged, at or above it the relaxed criterion applies, and the
-    # relaxed plateau, when it reaches the mirror point, dominates any
-    # feasible candidate below it
-    t_bc_loo = np.full(n, scan.threshold if scan.feasible else np.nan)
-    k = _last_at_or_after(scan.relaxed, pos[big])
-    k = np.where(k >= 0, k, _last_at_or_before(scan.feas, pos[big] - 1))
-    t_bc_loo[big] = np.where(k >= 0, scan.cands[k], np.nan)
 
     return LooThresholds(
         pvals=p,
@@ -298,7 +286,6 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
         t_bc=scan.threshold,
         t_bc_feasible=scan.feasible,
         d_count=int(scan.m_at_T) - 1 if scan.feasible else 0,
-        t_bc_loo=t_bc_loo,
         _scan=scan,
         _pos=pos,
     )
@@ -320,7 +307,7 @@ def _bc_weight(loo: LooThresholds) -> np.ndarray:
     return _phi(1.0 + d_i, n * float(loo.t_bh_loo.max()))
 
 
-def _bh_weight(loo: LooThresholds, fast: bool) -> np.ndarray:
+def _bh_weight(loo: LooThresholds) -> np.ndarray:
     """w_bh_i = 1 - phi_{n t_bh_loo[i]}(c_i) with c_i = max(s_i, b_i), for all i.
 
     Zeroing p_i adds one rejection below p~_i and, when p_i > 1/2, removes
@@ -332,7 +319,7 @@ def _bh_weight(loo: LooThresholds, fast: bool) -> np.ndarray:
       criterion when p_i < 1/2 and the relaxed A / (R + 1) when p_i > 1/2.
     * the zeroed relaxed plateau (for s_i): A / (R + 2) below p~_i; from
       p~_i on, A / (R + 1) when p_i < 1/2 and (A - 1) / (R + 2) when
-      p_i > 1/2.  The fast mode takes the base plateau instead.
+      p_i > 1/2.
 
     Either count is ``n_mir[k_i]`` less i's own mirror when it lies at or
     below ``cands[k_i]``.
@@ -355,12 +342,9 @@ def _bh_weight(loo: LooThresholds, fast: bool) -> np.ndarray:
 
     k0 = zeroed((1.0 + n_mir) / (n_rej + 1.0) <= a, scan.feas, scan.relaxed)
     b = np.where(k0 >= 0, 1.0 + count(k0), 0.0)
-    if fast:
-        k = _last_at_or_after(scan.relaxed, 0)
-    else:
-        k = zeroed(n_mir / (n_rej + 2.0) <= a, scan.relaxed, (n_mir - 1.0) / (n_rej + 2.0) <= a)
-        if scan.mstar is not None and np.any((k < 0) | (cands[k] < scan.mstar)):
-            raise InvariantError("zeroing must not shrink the relaxed plateau")
+    k = zeroed(n_mir / (n_rej + 2.0) <= a, scan.relaxed, (n_mir - 1.0) / (n_rej + 2.0) <= a)
+    if scan.mstar is not None and np.any((k < 0) | (cands[k] < scan.mstar)):
+        raise InvariantError("zeroing must not shrink the relaxed plateau")
     c = np.maximum(count(k), b)
     return 1.0 - _phi(c, n * loo.t_bh_loo)
 
@@ -370,19 +354,11 @@ def adaptive_weights(pvals, loo: LooThresholds):
     p = as_pvalues(pvals)
     if p.size != loo.pvals.size:
         raise ConfigurationError("loo thresholds were computed for a different input")
-    return _bh_weight(loo, fast=False), _bc_weight(loo)
+    return _bh_weight(loo), _bc_weight(loo)
 
 
-def fast_adaptive_weights(pvals, loo: LooThresholds):
-    """As :func:`adaptive_weights` with t_bc_loo2(j, i) replaced by t_bc_loo[j].
-
-    Runs in O(n log n), as the exact weights do, but unlike them carries no
-    finite-sample guarantee on the null e-value budget.
-    """
-    p = as_pvalues(pvals)
-    if p.size != loo.pvals.size:
-        raise ConfigurationError("loo thresholds were computed for a different input")
-    return _bh_weight(loo, fast=True), _bc_weight(loo)
+# older name of the adaptive weights
+fast_adaptive_weights = adaptive_weights
 
 
 def _hybrid_evalues(pvals, config: HybridConfig):
@@ -401,7 +377,7 @@ def _hybrid_evalues(pvals, config: HybridConfig):
         if scan.feasible:
             e_bc[scan.rejected_mask] = p.size / scan.m_at_T
         # a weight multiplying a zero e-value never matters; report it as 0
-        w_bh = np.where(e_bh > 0, _bh_weight(loo, fast=config.weight_mode == "fast"), 0.0)
+        w_bh = np.where(e_bh > 0, _bh_weight(loo), 0.0)
         w_bc = _bc_weight(loo)
     return w_bh * e_bh + w_bc * e_bc, w_bh, w_bc
 

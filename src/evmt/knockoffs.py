@@ -97,8 +97,6 @@ def combine_and_select(
     if alpha_ko is None:
         alpha_ko = alpha_ebh / 2.0
     e = _combined_evalues(wa, wb, alpha_ko, w1, w2)
-    if not e.any():
-        return np.empty(0, dtype=np.intp)
     return ebh_select(e, alpha_ebh)
 
 

@@ -285,7 +285,7 @@ _METHODS = {
     "eBH_2": (False, lambda inst, a: _run_grouped(inst, a, "size")),
     "eBH_Ada": (False, None),  # grouped or hybrid, resolved per instance
     "eBH_Ave": (False, lambda inst, a: _run_hybrid_mode(inst, a, "averaged")),
-    "fast_eBH_Ada": (False, lambda inst, a: _run_hybrid_mode(inst, a, "fast")),
+    "fast_eBH_Ada": (False, lambda inst, a: _run_hybrid_mode(inst, a, "adaptive")),  # the hybrid eBH_Ada
     "eBH_FBC": (True, lambda inst, a, rng: _run_struct(inst, a, rng, "cheap")),
     "eBH_FBC_unit": (True, lambda inst, a, rng: _run_struct(inst, a, rng, "unit")),
     "KO_1": (False, lambda inst, a: _run_knockoff(inst, a, "a")),

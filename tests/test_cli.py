@@ -99,6 +99,19 @@ def test_unparseable_value_reports_line_number(tmp_path, capsys):
 def test_bad_alpha_gives_exit_3(tmp_path, toy_csv, capsys):
     assert run_cli(["bh", "--input", toy_csv, "--alpha", 1.5]) == 3
     assert "alpha" in capsys.readouterr().err
+    # also where nothing would be rejected: all-null p-values, zero e-values
+    null = tmp_path / "null.csv"
+    write_csv(null, ["pvalue", "group", "evalue"], [(0.9, "a", 0), (0.8, "b", 0), (0.7, "a", 0)])
+    stats = tmp_path / "w.csv"
+    write_csv(stats, ["w"], [(-1.0,), (-2.0,), (0.5,)])
+    out = tmp_path / "res.csv"
+    for cmd in ("bh", "storey", "bc", "fbc", "ebh", "groups", "hybrid", "adaptive", "knockoff-combine"):
+        inputs = ["--input", stats, "--input", stats] if cmd == "knockoff-combine" else ["--input", null]
+        for alpha in (-0.1, 0.0, 1.0, 1.5):
+            code = run_cli([cmd, *inputs, "--alpha", alpha, "--seed", 1, "--out", out])
+            assert (cmd, alpha, code) == (cmd, alpha, 3)
+            assert "alpha" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_bad_weights_gives_exit_3(tmp_path, toy_csv, capsys):
@@ -184,7 +197,7 @@ def test_hybrid_command(tmp_path):
     assert run_cli(["hybrid", "--input", path, "--alpha", 0.05,
                     "--weights", "fast", "--out", out]) == 0
     summary = json.loads((tmp_path / "hy.json").read_text())
-    assert summary["weight_mode"] == "fast"
+    assert summary["weight_mode"] == "adaptive"
     assert summary["n_rejected"] > 0
 
 

@@ -265,6 +265,14 @@ def test_all_ones_empty_report():
     assert all(not t.feasible for t in rep.thresholds)
 
 
+def test_bad_alpha_raises_when_nothing_is_rejected():
+    p = np.ones(30)
+    part = GroupPartition.from_sizes([10, 20])
+    for alpha in (0.0, 1.5):
+        with pytest.raises(ConfigurationError):
+            run_grouped_ebh(p, part, alpha, scheme="adaptive")
+
+
 def test_report_metrics_on_toy():
     p, part, truth = toy_instance()
     rep = run_grouped_ebh(p, part, 0.05, scheme="adaptive", truth=truth)

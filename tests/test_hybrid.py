@@ -89,17 +89,6 @@ def brute_adaptive_weights(p, alpha_bh, alpha_bc):
     return np.array(w_bh), np.array(w_bc)
 
 
-def s1_like(rng, n=300, n_alt=15, mu=0.5):
-    x = rng.normal(size=n)
-    x[:n_alt] += mu * np.log(n)
-    from scipy.stats import norm
-
-    p = 1.0 - norm.cdf(x)
-    truth = np.zeros(n, dtype=int)
-    truth[:n_alt] = 1
-    return p, truth
-
-
 # ---------------------------------------------------------------------------
 # config
 
@@ -109,8 +98,11 @@ def test_config_defaults():
     assert ave.alpha_bh == ave.alpha_bc == pytest.approx(0.025)
     ada = HybridConfig(alpha_ebh=0.05, weight_mode="adaptive")
     assert ada.alpha_bh == ada.alpha_bc == pytest.approx(0.05 / 1.05)
-    fast = HybridConfig(alpha_ebh=0.05, weight_mode="fast")
-    assert fast.alpha_bh == pytest.approx(0.05 / 1.05)
+    for alias in ("fast", "fast_adaptive"):
+        cfg = HybridConfig(alpha_ebh=0.05, weight_mode=alias)
+        assert cfg.weight_mode == "adaptive"
+        assert cfg.alpha_bh == pytest.approx(0.05 / 1.05)
+    assert fast_adaptive_weights is adaptive_weights
     with pytest.raises(ConfigurationError):
         HybridConfig(alpha_ebh=1.2)
     with pytest.raises(ConfigurationError):
@@ -176,18 +168,14 @@ def test_bh_loo_vector_matches_brute_force():
 
 
 def test_bc_loo_vector_matches_brute_force():
+    # D* = #{j : p_j >= 1 - t_bc_loo[j]} is the mirror count at the relaxed
+    # plateau of the scan the leave-one-out thresholds hold
     rng = np.random.default_rng(5)
     for _ in range(120):
         p = random_pvalues(rng, int(rng.integers(2, 35)))
         alpha = float(rng.uniform(0.05, 0.6))
         loo = compute_loo_thresholds(p, alpha, alpha)
-        for j in range(p.size):
-            want = brute_bc_loo_threshold(list(p), alpha, j)
-            got = loo.t_bc_loo[j]
-            if want is None:
-                assert np.isnan(got)
-            else:
-                assert got == pytest.approx(want)
+        assert loo._scan.loo_count == brute_loo_mirror_count(list(p), alpha)
 
 
 def test_bc_loo2_monotone_and_exact():
@@ -221,8 +209,6 @@ def test_prop_loo_thresholds_equal_their_definitions(p, a_bh, a_bc):
         zeroed = censored.copy()
         zeroed[i] = 0.0
         assert loo.t_bh_loo[i] == brute_bh_plateau(zeroed, a_bh)
-        want = brute_bc_loo_threshold(p, a_bc, i)
-        assert np.isnan(loo.t_bc_loo[i]) if want is None else loo.t_bc_loo[i] == want
     assert np.array_equal(loo._pos, np.searchsorted(loo._scan.cands, censored, side="left"))
 
 
@@ -279,22 +265,6 @@ def test_prop_exact_weights_match_exhaustive_recomputation(p, a_bh, a_bc):
     assert np.array_equal(w_bc, want_bc)
 
 
-def test_fast_and_exact_bh_weights_can_differ():
-    # the fast count reads the base relaxed plateau, not the zeroed one; on
-    # some instances that changes a BH weight, and the exact one is right
-    rng = np.random.default_rng(43)
-    for _ in range(4000):
-        p = random_pvalues(rng, int(rng.integers(4, 14)))
-        a_bh, a_bc = float(rng.uniform(0.005, 0.1)), float(rng.uniform(0.2, 0.7))
-        loo = compute_loo_thresholds(p, a_bh, a_bc)
-        exact, fast = adaptive_weights(p, loo)[0], fast_adaptive_weights(p, loo)[0]
-        if not np.array_equal(exact, fast):
-            break
-    else:
-        pytest.fail("fast and exact BH weights agreed on every instance")
-    assert np.array_equal(exact, brute_adaptive_weights(list(p), a_bh, a_bc)[0])
-
-
 def test_mirror_bound_is_supremum_of_loo_mirror_count():
     # c_i = max(s_i, b_i) must dominate D* for every value of p_i (the BH
     # weight may not look at p_i), and is attained at p_i = 0 or p_i -> 1
@@ -322,8 +292,8 @@ def test_weights_are_exclusive_on_shared_rejections():
         a = float(rng.uniform(0.05, 0.5))
         loo = compute_loo_thresholds(p, a, a)
         both = (bh_evalues(p, a) > 0) & (bc_evalues(p, a) > 0)
-        for w_bh, w_bc in (adaptive_weights(p, loo), fast_adaptive_weights(p, loo)):
-            assert np.all(w_bh[both] + w_bc[both] <= 1.0)
+        w_bh, w_bc = adaptive_weights(p, loo)
+        assert np.all(w_bh[both] + w_bc[both] <= 1.0)
 
 
 def test_invariant_checks_survive_optimisation():
@@ -341,10 +311,9 @@ def test_bh_weight_is_zero_without_bh_evalue():
     rng = np.random.default_rng(47)
     for _ in range(50):
         p = random_pvalues(rng, int(rng.integers(2, 60)))
-        for mode in ("adaptive", "fast"):
-            cfg = HybridConfig(alpha_ebh=0.1, weight_mode=mode)
-            _, w_bh, _ = _hybrid_evalues(p, cfg)
-            assert np.all(w_bh[bh_evalues(p, cfg.alpha_bh) == 0.0] == 0.0)
+        cfg = HybridConfig(alpha_ebh=0.1, weight_mode="adaptive")
+        _, w_bh, _ = _hybrid_evalues(p, cfg)
+        assert np.all(w_bh[bh_evalues(p, cfg.alpha_bh) == 0.0] == 0.0)
 
 
 def test_weights_lie_in_unit_interval():
@@ -353,30 +322,9 @@ def test_weights_lie_in_unit_interval():
         p = random_pvalues(rng, int(rng.integers(2, 40)))
         a = float(rng.uniform(0.02, 0.5))
         loo = compute_loo_thresholds(p, a, a)
-        for w_bh, w_bc in (adaptive_weights(p, loo), fast_adaptive_weights(p, loo)):
-            assert np.all(w_bh >= 0.0) and np.all(w_bh <= 1.0)
-            assert np.all(w_bc >= 0.0) and np.all(w_bc <= 1.0)
-
-
-def test_fast_equals_adaptive_without_large_pvalues():
-    # with every p-value below 0.5 the zeroed and plain censored thresholds
-    # produce identical (empty) mirror counts
-    rng = np.random.default_rng(17)
-    p = rng.uniform(0.0, 0.49, size=30)
-    loo = compute_loo_thresholds(p, 0.1, 0.1)
-    assert np.allclose(adaptive_weights(p, loo)[0], fast_adaptive_weights(p, loo)[0])
-
-
-def test_fast_mostly_agrees_on_sparse_strong_signals():
-    rng = np.random.default_rng(19)
-    agree = 0
-    reps = 60
-    for _ in range(reps):
-        p, _ = s1_like(rng)
-        ada = run_hybrid(p, HybridConfig(alpha_ebh=0.05, weight_mode="adaptive"))
-        fast = run_hybrid(p, HybridConfig(alpha_ebh=0.05, weight_mode="fast"))
-        agree += set(ada.tolist()) == set(fast.tolist())
-    assert agree / reps >= 0.95
+        w_bh, w_bc = adaptive_weights(p, loo)
+        assert np.all(w_bh >= 0.0) and np.all(w_bh <= 1.0)
+        assert np.all(w_bc >= 0.0) and np.all(w_bc <= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +333,7 @@ def test_fast_mostly_agrees_on_sparse_strong_signals():
 
 def test_all_ones_rejects_nothing_every_mode():
     p = np.ones(20)
-    for mode in ("averaged", "adaptive", "fast"):
+    for mode in ("averaged", "adaptive"):
         assert run_hybrid(p, HybridConfig(alpha_ebh=0.05, weight_mode=mode)).size == 0
 
 
@@ -397,7 +345,7 @@ def test_degenerate_inputs_are_total():
         np.repeat([0.01, 0.5, 0.99], 6),
     ]
     for p in inputs:
-        for mode in ("averaged", "adaptive", "fast"):
+        for mode in ("averaged", "adaptive"):
             run_hybrid(p, HybridConfig(alpha_ebh=0.1, weight_mode=mode))
 
 
@@ -433,44 +381,35 @@ def test_adaptive_sits_between_base_procedures_on_dense_signals():
 def test_null_evalue_budget_holds():
     rng = np.random.default_rng(29)
     n, reps = 30, 1500
-    sums = {"adaptive": [], "fast": []}
+    sums = []
+    cfg = HybridConfig(alpha_ebh=0.1, weight_mode="adaptive")
     for _ in range(reps):
         p = rng.uniform(size=n)
-        for mode in sums:
-            cfg = HybridConfig(alpha_ebh=0.1, weight_mode=mode)
-            e_bh = bh_evalues(p, cfg.alpha_bh)
-            e_bc = bc_evalues(p, cfg.alpha_bc)
-            loo = compute_loo_thresholds(p, cfg.alpha_bh, cfg.alpha_bc)
-            if mode == "adaptive":
-                w_bh, w_bc = adaptive_weights(p, loo)
-            else:
-                w_bh, w_bc = fast_adaptive_weights(p, loo)
-            sums[mode].append((w_bh * e_bh + w_bc * e_bc).sum())
-    for mode, vals in sums.items():
-        vals = np.asarray(vals)
-        se = vals.std(ddof=1) / np.sqrt(reps)
-        assert vals.mean() <= n + 3 * se, mode
+        e_bh = bh_evalues(p, cfg.alpha_bh)
+        e_bc = bc_evalues(p, cfg.alpha_bc)
+        w_bh, w_bc = adaptive_weights(p, compute_loo_thresholds(p, cfg.alpha_bh, cfg.alpha_bc))
+        sums.append((w_bh * e_bh + w_bc * e_bc).sum())
+    sums = np.asarray(sums)
+    se = sums.std(ddof=1) / np.sqrt(reps)
+    assert sums.mean() <= n + 3 * se
 
 
 def test_null_evalue_budget_holds_with_signals_present():
     # sum over the null hypotheses only, with non-nulls in the mix
     rng = np.random.default_rng(31)
     n, n_alt, reps = 30, 8, 1500
-    sums = {"adaptive": [], "fast": []}
+    sums = []
+    cfg = HybridConfig(alpha_ebh=0.1, weight_mode="adaptive")
     for _ in range(reps):
         p = rng.uniform(size=n)
         p[:n_alt] = rng.beta(0.25, 10.0, size=n_alt)
-        cfg = HybridConfig(alpha_ebh=0.1, weight_mode="adaptive")
         e_bh = bh_evalues(p, cfg.alpha_bh)
         e_bc = bc_evalues(p, cfg.alpha_bc)
-        loo = compute_loo_thresholds(p, cfg.alpha_bh, cfg.alpha_bc)
-        for mode, weights in (("adaptive", adaptive_weights), ("fast", fast_adaptive_weights)):
-            w_bh, w_bc = weights(p, loo)
-            sums[mode].append((w_bh * e_bh + w_bc * e_bc)[n_alt:].sum())
-    for mode, vals in sums.items():
-        vals = np.asarray(vals)
-        se = vals.std(ddof=1) / np.sqrt(reps)
-        assert vals.mean() <= n + 3 * se, mode
+        w_bh, w_bc = adaptive_weights(p, compute_loo_thresholds(p, cfg.alpha_bh, cfg.alpha_bc))
+        sums.append((w_bh * e_bh + w_bc * e_bc)[n_alt:].sum())
+    sums = np.asarray(sums)
+    se = sums.std(ddof=1) / np.sqrt(reps)
+    assert sums.mean() <= n + 3 * se
 
 
 def test_blend_reads_bc_evalues_off_the_loo_scan():
@@ -479,8 +418,7 @@ def test_blend_reads_bc_evalues_off_the_loo_scan():
     instances += [random_pvalues(rng) for _ in range(60)]
     instances += [np.round(random_pvalues(rng), 2) for _ in range(20)]
     for p in instances:
-        for mode in ("adaptive", "fast"):
-            cfg = HybridConfig(alpha_ebh=float(rng.uniform(0.05, 0.3)), weight_mode=mode)
-            e, w_bh, w_bc = _hybrid_evalues(p, cfg)
-            blend = w_bh * bh_evalues(p, cfg.alpha_bh) + w_bc * bc_evalues(p, cfg.alpha_bc)
-            assert e.tobytes() == blend.tobytes()
+        cfg = HybridConfig(alpha_ebh=float(rng.uniform(0.05, 0.3)), weight_mode="adaptive")
+        e, w_bh, w_bc = _hybrid_evalues(p, cfg)
+        blend = w_bh * bh_evalues(p, cfg.alpha_bh) + w_bc * bc_evalues(p, cfg.alpha_bc)
+        assert e.tobytes() == blend.tobytes()

@@ -1,7 +1,7 @@
 """In-process timings of the sort-bound layers and the CLI's I/O at n = 10^3 ... 10^6.
 
 Times ``procedures._bc_scan``, ``hybrid.compute_loo_thresholds``,
-``hybrid._hybrid_evalues`` (fast and exact weights) and
+``hybrid._hybrid_evalues`` (adaptive weights) and
 ``groups.run_grouped_ebh`` (adaptive scheme, L = 1000 equal groups) on one
 S1-like instance per n: the S1 generator with 5 % non-nulls, seed 3.
 
@@ -77,12 +77,10 @@ def write_table(out, evalues, weights, rejected):
 
 def sort_layers(out):
     a_base = ALPHA / (1.0 + ALPHA)
-    fast = HybridConfig(alpha_ebh=ALPHA, weight_mode="fast")
     exact = HybridConfig(alpha_ebh=ALPHA, weight_mode="adaptive")
     layers = {
         "_bc_scan": lambda p, part: _bc_scan(p, a_base),
         "compute_loo_thresholds": lambda p, part: compute_loo_thresholds(p, a_base, a_base),
-        "_hybrid_evalues_fast": lambda p, part: _hybrid_evalues(p, fast),
         "_hybrid_evalues_exact": lambda p, part: _hybrid_evalues(p, exact),
         "run_grouped_ebh_L1000": lambda p, part: run_grouped_ebh(p, part, ALPHA, "adaptive"),
     }
