@@ -19,7 +19,6 @@ from .groups import (
     assemble_weights,
     group_evalues,
     groupwise_bc_thresholds,
-    loo_group_threshold,
     run_grouped_ebh,
 )
 from .hybrid import (

@@ -16,6 +16,13 @@ hypotheses are split into folds and every fold's curves are fitted on the
 complementary folds.  Per-fold thresholds are converted to e-values,
 weighted, and passed to the e-value step-up selector.
 
+The folds go through the per-group path of :mod:`evmt.groups`:
+``groups._scan_groups`` runs ``procedures._fbc_scan`` (the fbc scan with
+its domain cap just below min_i phi_i(0.5)) once per fold, which gives the
+thresholds and the leave-one-out counts together, and
+``groups._loo_weights`` turns those counts into weights, as for groups.
+:func:`structure_pipeline` therefore scans each fold once.
+
 Weight modes: ``unit`` (all ones), ``cheap`` (leave-one-out counts at the
 realised data, the recommended default) and ``full`` (additionally takes a
 supremum over replacements of p_i, refitting the complement curves at every
@@ -34,8 +41,8 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .errors import ConfigurationError, InputError
-from .groups import GroupPartition, group_evalues
-from .procedures import ThresholdResult, _mirror_scan, as_pvalues, ebh_select
+from .groups import GroupPartition, _loo_weights, _scan_groups, group_evalues
+from .procedures import _fbc_scan, as_pvalues, ebh_select
 
 __all__ = [
     "RejectionCurves",
@@ -279,13 +286,9 @@ def cross_fit(
     return curves
 
 
-def _group_scan(p, curves, alpha):
-    """Mirror scan of one fold from its own p-values and rejection curves,
-    and the fold's mirror scores phi_i(1 - p_i)."""
-    u = curves.at(p)
-    v = curves.at(1.0 - p)
-    t_up = (1.0 - 1e-9) * float(curves.at(0.5).min())
-    return _mirror_scan(u, v, alpha, t_max=t_up, inclusive=True), v
+def _fold_scans(p, part: GroupPartition, curves: RejectionCurves, alpha):
+    """:func:`groups._scan_groups` with each fold's fbc scan at level ``alpha``."""
+    return _scan_groups(part, lambda idx: _fbc_scan(p[idx], curves[idx], alpha))
 
 
 def fbc_group_threshold(pvals, part: GroupPartition, curves: RejectionCurves, alpha_fbc: float):
@@ -295,14 +298,17 @@ def fbc_group_threshold(pvals, part: GroupPartition, curves: RejectionCurves, al
     :class:`ThresholdResult` per fold with global indices.
     """
     p = as_pvalues(pvals)
-    results = []
-    for g in range(part.n_groups):
-        idx = part.indices(g)
-        scan, _ = _group_scan(p[idx], curves[idx], alpha_fbc)
-        results.append(
-            ThresholdResult(scan.threshold, scan.m_at_T, idx[scan.rejected_mask], scan.feasible)
-        )
-    return results
+    return _fold_scans(p, part, curves, alpha_fbc)[0]
+
+
+def _weight_mode(mode: str, alpha) -> str:
+    """Lower-case and check a weight mode; ``cheap`` and ``full`` need ``alpha``."""
+    mode = mode.lower()
+    if mode not in ("unit", "cheap", "full"):
+        raise ConfigurationError(f"unknown weight mode {mode!r}")
+    if mode != "unit" and alpha is None:
+        raise ConfigurationError("cheap/full weights need the threshold level alpha")
+    return mode
 
 
 def structure_weights(
@@ -323,33 +329,22 @@ def structure_weights(
     from ``models``) at every grid value.
     """
     p = as_pvalues(pvals)
-    mode = mode.lower()
+    mode = _weight_mode(mode, alpha)
     if mode == "unit":
         return np.ones(p.size)
-    if mode not in ("cheap", "full"):
-        raise ConfigurationError(f"unknown weight mode {mode!r}")
-    if alpha is None:
-        raise ConfigurationError("cheap/full weights need the threshold level alpha")
+    counts = _fold_scans(p, part, curves, alpha)[1]
+    return _cross_weights(p, part, curves, thresholds, counts, mode, alpha, covars, models)
 
-    n = p.size
+
+def _cross_weights(p, part, curves, thresholds, counts, mode, alpha, covars, models):
+    """``cheap`` or ``full`` weights from the folds' leave-one-out ``counts``."""
     G = part.n_groups
-    w = np.ones(n)
-    counts = np.zeros(G)
-    exceed = np.zeros(n, dtype=bool)
-    for g in range(G):
-        idx = part.indices(g)
-        scan, v = _group_scan(p[idx], curves[idx], alpha)
-        counts[g] = scan.loo_count
-        res = thresholds[g]
-        if res.feasible:
-            exceed[idx] = v <= res.threshold
-
     if mode == "cheap" or G == 1:
         cross = counts.sum() - counts
     else:
         if models is None:
             raise ConfigurationError("full weights need the per-fold models")
-        x = _as_covars(covars, n)
+        x = _as_covars(covars, p.size)
         folds = []
         for h in range(G):
             hidx = part.indices(h)
@@ -359,13 +354,7 @@ def structure_weights(
             _sup_cross_counts(p, part.indices(g), folds[:g] + folds[g + 1:], alpha)
             for g in range(G)
         ]
-
-    for g in range(G):
-        idx = part.indices(g)
-        n_exc = int(np.count_nonzero(exceed[idx]))
-        b = 1.0 + n_exc - exceed[idx]
-        w[idx] = (n / part.sizes[g]) * b / (b + cross[g])
-    return w
+    return _loo_weights(curves.at(1.0 - p), part, thresholds, cross)
 
 
 def _sup_cross_counts(p, idx, others, alpha):
@@ -385,7 +374,7 @@ def _sup_cross_counts(p, idx, others, alpha):
             total = 0
             for p_h, x_h, comp, x_comp, model in others:
                 refit = fit_lfdr_em(pm[comp], x_comp, init=(model.beta_pi, model.beta_kappa))
-                total += _group_scan(p_h, refit.curves(x_h), alpha)[0].loo_count
+                total += _fbc_scan(p_h, refit.curves(x_h), alpha).loo_count
             sup[local] = max(sup[local], total)
         pm[i] = p[i]
     return sup
@@ -403,6 +392,7 @@ def structure_pipeline(
     p = as_pvalues(pvals)
     if not (0.0 < alpha_ebh < 1.0):
         raise ConfigurationError(f"alpha_ebh must lie in (0, 1), got {alpha_ebh}")
+    mode = _weight_mode(mode, alpha_ebh)
     if rng is None:
         rng = np.random.default_rng(0)
     labels = np.empty(p.size, dtype=np.intp)
@@ -410,10 +400,11 @@ def structure_pipeline(
     part = GroupPartition(labels=labels, n_groups=n_groups)
     curves, models = cross_fit(p, covars, part, return_models=True)
     alpha_fbc = alpha_ebh / (1.0 + alpha_ebh)
-    thresholds = fbc_group_threshold(p, part, curves, alpha_fbc)
-    weights = structure_weights(
-        p, part, curves, thresholds, mode, alpha=alpha_fbc, covars=covars, models=models
-    )
+    thresholds, counts = _fold_scans(p, part, curves, alpha_fbc)
+    if mode == "unit":
+        weights = np.ones(p.size)
+    else:
+        weights = _cross_weights(p, part, curves, thresholds, counts, mode, alpha_fbc, covars, models)
     evalues = group_evalues(p, part, thresholds, weights)
     rejected = ebh_select(evalues, alpha_ebh)
     return {

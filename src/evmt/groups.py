@@ -28,6 +28,15 @@ censoring one large p-value to its mirror relaxes the group's count
 criterion from (1 + A) / max(R, 1) to A / (R + 1) at thresholds past the
 mirror point, so #{j : p_j >= 1 - T_{l,j}} equals the number of p-values at
 or above 1 minus the largest candidate satisfying the relaxed criterion.
+
+Shared per-group path
+---------------------
+The cross-fitted folds of :mod:`evmt.adaptive` are groups of the same
+construction, with the flexible mirror-count scan in place of BC.  Both
+modules use one path: ``_scan_groups`` runs a given mirror scan once per
+group and returns the thresholds together with the leave-one-out counts,
+and ``_loo_weights`` computes ``(n / n_l) * B_i / (B_i + cross_l)`` from
+the mirror scores and the other groups' counts ``cross_l``.
 """
 
 from __future__ import annotations
@@ -51,7 +60,6 @@ __all__ = [
     "GroupPartition",
     "GroupReport",
     "groupwise_bc_thresholds",
-    "loo_group_threshold",
     "assemble_weights",
     "group_evalues",
     "run_grouped_ebh",
@@ -134,22 +142,50 @@ def _check_partition(p: np.ndarray, part: GroupPartition) -> None:
         )
 
 
-def _scan_groups(p: np.ndarray, part: GroupPartition, alpha: float):
+def _scan_groups(part: GroupPartition, scan_group):
     """One mirror scan per group: the thresholds and the leave-one-out counts.
 
-    Returns a list of :class:`ThresholdResult` with global indices and an
-    array of the groups' relaxed-plateau counts ``loo_count``.
+    ``scan_group(idx)`` runs the group's mirror scan (a ``_MirrorScan``)
+    from the group's ascending member indices ``idx``.  Returns a list of
+    :class:`ThresholdResult` with global indices and an array of the
+    groups' relaxed-plateau counts ``loo_count``.
     """
     results = []
     counts = np.zeros(part.n_groups)
     for l in range(part.n_groups):
         idx = part.indices(l)
-        scan = _bc_scan(p[idx], alpha)
+        scan = scan_group(idx)
         results.append(
             ThresholdResult(scan.threshold, scan.m_at_T, idx[scan.rejected_mask], scan.feasible)
         )
         counts[l] = scan.loo_count
     return results, counts
+
+
+def _bc_groups(p: np.ndarray, part: GroupPartition, alpha: float):
+    """:func:`_scan_groups` with each group's BC scan at level ``alpha``."""
+    return _scan_groups(part, lambda idx: _bc_scan(p[idx], alpha))
+
+
+def _loo_weights(mirror: np.ndarray, part: GroupPartition, thresholds, cross) -> np.ndarray:
+    """Leave-one-out weights ``(n / n_l) * b_i / (b_i + cross[l])``.
+
+    ``b_i = 1 + #{j != i in group l : mirror_j <= T_l}`` (1 when group l is
+    infeasible) counts on the stored mirror scores, as the threshold scans
+    did.  ``cross[l]`` is the other groups' leave-one-out count: a number,
+    or one number per member of group l.
+    """
+    n = mirror.size
+    w = np.empty(n)
+    for l in range(part.n_groups):
+        idx = part.indices(l)
+        res = thresholds[l]
+        b = np.ones(idx.size)
+        if res.feasible:
+            exceed = mirror[idx] <= res.threshold
+            b += np.count_nonzero(exceed) - exceed
+        w[idx] = (n / part.sizes[l]) * b / (b + cross[l])
+    return w
 
 
 def groupwise_bc_thresholds(pvals, part: GroupPartition, alpha: float):
@@ -160,24 +196,7 @@ def groupwise_bc_thresholds(pvals, part: GroupPartition, alpha: float):
     """
     p = as_pvalues(pvals)
     _check_partition(p, part)
-    return _scan_groups(p, part, alpha)[0]
-
-
-def loo_group_threshold(pvals, part: GroupPartition, alpha: float, i: int):
-    """Group threshold recomputed with p_i censored to min(p_i, 1 - p_i).
-
-    Returns the threshold value, or None when the modified group has no
-    feasible threshold.
-    """
-    p = as_pvalues(pvals)
-    _check_partition(p, part)
-    if not 0 <= i < p.size:
-        raise InputError(f"hypothesis index {i} out of range for n={p.size}")
-    idx = part.indices(int(part.labels[i]))
-    sub = p[idx].copy()
-    local = int(np.nonzero(idx == i)[0][0])
-    sub[local] = min(sub[local], 1.0 - sub[local])
-    return _bc_scan(sub, alpha).threshold
+    return _bc_groups(p, part, alpha)[0]
 
 
 def assemble_weights(
@@ -199,7 +218,7 @@ def assemble_weights(
             raise ConfigurationError("adaptive weights need the threshold level alpha")
         # the censored thresholds T_{l,j} can be feasible even when the
         # group's base threshold is not, so the count is taken unconditionally
-        counts = _scan_groups(p, part, alpha)[1]
+        counts = _bc_groups(p, part, alpha)[1]
     return _weights(p, part, thresholds, scheme, counts)
 
 
@@ -213,27 +232,14 @@ def _scheme(scheme: str) -> str:
 def _weights(p, part: GroupPartition, thresholds, scheme: str, counts) -> np.ndarray:
     """Weights of a resolved scheme; ``counts`` holds the groups' leave-one-out
     counts (adaptive scheme only)."""
-    n = p.size
-    L = part.n_groups
-    w = np.ones(n)
     if scheme == "unit":
-        return w
+        return np.ones(p.size)
     if scheme == "size_adjusted":
-        for l in range(L):
-            w[part.indices(l)] = n / (L * part.sizes[l])
+        w = np.empty(p.size)
+        for l in range(part.n_groups):
+            w[part.indices(l)] = p.size / (part.n_groups * part.sizes[l])
         return w
-
-    total = counts.sum()
-    for l in range(L):
-        idx = part.indices(l)
-        res = thresholds[l]
-        b = np.ones(idx.size)
-        if res.feasible:
-            # mirror-score comparison, matching the threshold scan's counts
-            exceed = (1.0 - p[idx]) <= res.threshold
-            b += np.count_nonzero(exceed) - exceed
-        w[idx] = (n / part.sizes[l]) * b / (b + (total - counts[l]))
-    return w
+    return _loo_weights(1.0 - p, part, thresholds, counts.sum() - counts)
 
 
 @dataclass(frozen=True)
@@ -292,7 +298,7 @@ def run_grouped_ebh(
     p = as_pvalues(pvals)
     _check_partition(p, part)
     scheme = _scheme(scheme)
-    thresholds, counts = _scan_groups(p, part, alpha)
+    thresholds, counts = _bc_groups(p, part, alpha)
     weights = _weights(p, part, thresholds, scheme, counts)
     evalues = group_evalues(p, part, thresholds, weights)
     rejected = ebh_select(evalues, alpha)

@@ -247,11 +247,9 @@ class LooThresholds:
     alpha_bh: float
     alpha_bc: float
     t_bh_loo: np.ndarray
-    t_bc: Optional[float]
-    t_bc_feasible: bool
-    d_count: int  # #{p_j >= 1 - T_bc}, 0 when infeasible
-    # base mirror scan: candidate grid, counts, both criteria and the
-    # relaxed plateau that every leave-one-out lookup reads
+    # base mirror scan: T_bc with its mirror count, the candidate grid,
+    # counts, both criteria and the relaxed plateau that every
+    # leave-one-out lookup reads
     _scan: _MirrorScan
     # grid position of each censored score, #{k : cands[k] < min(p_i, 1 - p_i)}
     _pos: np.ndarray
@@ -283,9 +281,6 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
         alpha_bh=alpha_bh,
         alpha_bc=alpha_bc,
         t_bh_loo=t_bh_loo,
-        t_bc=scan.threshold,
-        t_bc_feasible=scan.feasible,
-        d_count=int(scan.m_at_T) - 1 if scan.feasible else 0,
         _scan=scan,
         _pos=pos,
     )
@@ -301,10 +296,12 @@ def _phi(x, scale):
 
 
 def _bc_weight(loo: LooThresholds) -> np.ndarray:
+    """w_bc_i = phi_{n M}(1 + d_i), for all i."""
     n = loo.pvals.size
-    exceed = (loo.mirror <= loo.t_bc) if loo.t_bc_feasible else np.zeros(n, dtype=bool)
-    d_i = loo.d_count - exceed
-    return _phi(1.0 + d_i, n * float(loo.t_bh_loo.max()))
+    scan = loo._scan
+    # 1 + d_i: the base mirror count m(T_bc) less i's own mirror (1 when infeasible)
+    x = scan.m_at_T - (loo.mirror <= scan.threshold) if scan.feasible else np.ones(n)
+    return _phi(x, n * float(loo.t_bh_loo.max()))
 
 
 def _bh_weight(loo: LooThresholds) -> np.ndarray:

@@ -101,17 +101,14 @@ class ProcedureSpec:
         Per-hypothesis monotone rejection curves (``fbc`` only).  Either an
         object with an ``at(p)`` method mapping a length-n array of
         probabilities to the n curve values ``phi_i(p_i)``, or a sequence of
-        n scalar callables.
-    t_upper : float, optional
-        Upper end of the ``fbc`` threshold domain.  Must be strictly below
-        ``min_i phi_i(0.5)``; defaults to just below that bound.
+        n scalar callables.  The threshold domain ends just below
+        ``min_i phi_i(0.5)``.
     """
 
     kind: str
     alpha: float
     storey_lambda: float = 0.5
     rejection_functions: Optional[object] = None
-    t_upper: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -162,8 +159,8 @@ def _phi_len(funcs) -> Optional[int]:
     return None
 
 
-def _validate_fbc(funcs, n: int, t_upper: Optional[float]) -> float:
-    """Spot-check monotonicity and resolve the domain cap for fbc curves."""
+def _validate_fbc(funcs, n: int) -> None:
+    """Spot-check the length and monotonicity of fbc curves."""
     m = _phi_len(funcs)
     if m is not None and m != n:
         raise ConfigurationError(
@@ -177,15 +174,6 @@ def _validate_fbc(funcs, n: int, t_upper: Optional[float]) -> float:
         if prev is not None and np.any(vals < prev):
             raise ConfigurationError("rejection functions must be monotone increasing")
         prev = vals
-    phi_half = _phi_at(funcs, np.full(n, 0.5))
-    bound = float(phi_half.min())
-    if t_upper is None:
-        return (1.0 - 1e-9) * bound
-    if not (t_upper < bound):
-        raise ConfigurationError(
-            f"t_upper={t_upper} must be below min phi_i(0.5)={bound}"
-        )
-    return float(t_upper)
 
 
 @dataclass(frozen=True)
@@ -259,6 +247,16 @@ def _bc_scan(p: np.ndarray, alpha: float) -> _MirrorScan:
     """
     s = np.sort(p)
     return _sorted_scan(p, s, (1.0 - s)[::-1], alpha, 0.5, False)
+
+
+def _fbc_scan(p: np.ndarray, funcs, alpha: float) -> _MirrorScan:
+    """Mirror scan of the fbc procedure: rejection scores ``phi_i(p_i)``,
+    mirror scores ``phi_i(1 - p_i)``, and the domain capped just below
+    ``min_i phi_i(0.5)``."""
+    u = _phi_at(funcs, p)
+    v = _phi_at(funcs, 1.0 - p)
+    t_up = (1.0 - 1e-9) * float(_phi_at(funcs, np.full(p.size, 0.5)).min())
+    return _mirror_scan(u, v, alpha, t_max=t_up, inclusive=True)
 
 
 def _sorted_scan(u, su, sv, alpha, t_max, inclusive) -> _MirrorScan:
@@ -361,10 +359,8 @@ def solve_threshold(pvals, spec: ProcedureSpec) -> ThresholdResult:
     if spec.kind == "bc":
         scan = _bc_scan(p, spec.alpha)
     else:  # fbc
-        t_up = _validate_fbc(spec.rejection_functions, n, spec.t_upper)
-        u = _phi_at(spec.rejection_functions, p)
-        v = _phi_at(spec.rejection_functions, 1.0 - p)
-        scan = _mirror_scan(u, v, spec.alpha, t_max=t_up, inclusive=True)
+        _validate_fbc(spec.rejection_functions, n)
+        scan = _fbc_scan(p, spec.rejection_functions, spec.alpha)
     rejected = np.nonzero(scan.rejected_mask)[0]
     return ThresholdResult(scan.threshold, scan.m_at_T, rejected, scan.feasible)
 

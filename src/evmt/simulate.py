@@ -4,7 +4,9 @@ Every replicate draws from its own counter-based substream
 (``Philox`` keyed by ``(seed, replicate)``), so campaigns are reproducible
 and insensitive to execution order; methods that need extra randomness
 (e.g. the cross-fitting fold split) get a further substream keyed by the
-method's registry index.
+method's registry index.  Methods that share a runner needing no
+randomness (``BC`` and ``BC_Com``; ``eBH_Ada`` and ``fast_eBH_Ada`` on an
+instance without groups) share one run of it per replicate.
 
 Settings
 --------
@@ -263,6 +265,14 @@ def _run_hybrid_mode(instance, alpha, mode):
     return run_hybrid(instance.pvals, HybridConfig(alpha_ebh=alpha, weight_mode=mode))
 
 
+def _run_grouped_adaptive(instance, alpha):
+    return _run_grouped(instance, alpha, "adaptive")
+
+
+def _run_hybrid_adaptive(instance, alpha):
+    return _run_hybrid_mode(instance, alpha, "adaptive")
+
+
 def _run_struct(instance, alpha, rng, mode):
     covars = _need(instance, "covars", "eBH_FBC")
     return run_structure_adaptive(instance.pvals, covars, alpha, mode=mode, rng=rng)
@@ -283,9 +293,9 @@ _METHODS = {
     "BC_Sep": (False, _run_bc_sep),
     "eBH_1": (False, lambda inst, a: _run_grouped(inst, a, "unit")),
     "eBH_2": (False, lambda inst, a: _run_grouped(inst, a, "size")),
-    "eBH_Ada": (False, None),  # grouped or hybrid, resolved per instance
+    "eBH_Ada": (False, _run_hybrid_adaptive),  # see _GROUPED_RUNNERS
     "eBH_Ave": (False, lambda inst, a: _run_hybrid_mode(inst, a, "averaged")),
-    "fast_eBH_Ada": (False, lambda inst, a: _run_hybrid_mode(inst, a, "adaptive")),  # the hybrid eBH_Ada
+    "fast_eBH_Ada": (False, _run_hybrid_adaptive),
     "eBH_FBC": (True, lambda inst, a, rng: _run_struct(inst, a, rng, "cheap")),
     "eBH_FBC_unit": (True, lambda inst, a, rng: _run_struct(inst, a, rng, "unit")),
     "KO_1": (False, lambda inst, a: _run_knockoff(inst, a, "a")),
@@ -293,32 +303,31 @@ _METHODS = {
     "KO_Hybrid": (False, lambda inst, a: combine_and_select(inst.stats_a, inst.stats_b, a)),
 }
 
+# on an instance with groups, eBH_Ada is the grouped procedure
+_GROUPED_RUNNERS = {"eBH_Ada": _run_grouped_adaptive}
+
 _METHOD_INDEX = {name: i for i, name in enumerate(_METHODS)}
-
-
-def _run_method(name, instance, alpha, seed, replicate):
-    try:
-        needs_rng, runner = _METHODS[name]
-    except KeyError:
-        raise ConfigurationError(f"unknown method {name!r}") from None
-    if name == "eBH_Ada":
-        if instance.partition is not None:
-            return _run_grouped(instance, alpha, "adaptive")
-        return _run_hybrid_mode(instance, alpha, "adaptive")
-    if needs_rng:
-        rng = _replicate_rng(seed, replicate, lane=1 + _METHOD_INDEX[name])
-        return runner(instance, alpha, rng)
-    return runner(instance, alpha)
 
 
 def _replicate_metrics(config: SimulationConfig, replicate: int, methods) -> dict:
     instance = generate(config, replicate)
+    alpha = config.target_alpha
+    part = instance.partition
+    done = {}  # runner -> rejections, for the runners that need no random stream
     out = {}
     for name in methods:
-        rejected = _run_method(name, instance, config.target_alpha, config.seed, replicate)
+        needs_rng, runner = _METHODS[name]
+        if part is not None:
+            runner = _GROUPED_RUNNERS.get(name, runner)
+        if needs_rng:
+            rng = _replicate_rng(config.seed, replicate, lane=1 + _METHOD_INDEX[name])
+            rejected = runner(instance, alpha, rng)
+        elif runner in done:
+            rejected = done[runner]
+        else:
+            rejected = done[runner] = runner(instance, alpha)
         fdp, power = fdp_power(rejected, instance.truth)
         record = {"fdp": fdp, "power": power}
-        part = instance.partition
         if part is not None:
             gf, gp = _group_fdp_power(rejected, instance.truth, part.labels, part.n_groups)
             record["group_fdp"] = gf.tolist()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import norm
 
@@ -16,6 +18,7 @@ from evmt.adaptive import (
     structure_pipeline,
     structure_weights,
 )
+from evmt import procedures
 from evmt.groups import GroupPartition
 from evmt.procedures import _mirror_scan
 
@@ -179,6 +182,22 @@ def test_fbc_with_identical_curves_matches_plain_bc_rejections():
         [res] = fbc_group_threshold(p, part, curves, alpha)
         bc = solve_threshold(p, ProcedureSpec(kind="bc", alpha=alpha))
         assert set(res.rejected.tolist()) == set(bc.rejected.tolist())
+
+
+def test_fbc_group_threshold_on_one_group_equals_solve_threshold():
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        n = int(rng.integers(2, 50))
+        p = rng.uniform(size=n)
+        p[: n // 3] *= float(rng.choice([1e-3, 0.05, 1.0]))
+        curves = RejectionCurves(rng.uniform(0.2, 0.9, n), rng.uniform(0.1, 0.9, n))
+        part = GroupPartition(labels=np.zeros(n, dtype=int), n_groups=1)
+        alpha = float(rng.uniform(0.05, 0.6))
+        [res] = fbc_group_threshold(p, part, curves, alpha)
+        want = solve_threshold(p, ProcedureSpec(kind="fbc", alpha=alpha, rejection_functions=curves))
+        assert res.threshold == want.threshold
+        assert res.m_at_T == want.m_at_T
+        assert np.array_equal(res.rejected, want.rejected)
 
 
 def test_fbc_all_ones_is_infeasible():
@@ -388,3 +407,44 @@ def test_null_evalue_budget_for_unit_and_cheap():
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / np.sqrt(reps)
         assert vals.mean() <= n + 3 * se, mode
+
+
+@pytest.mark.parametrize("G", [2, 3])
+def test_pipeline_scans_each_fold_once(monkeypatch, G):
+    # every mirror scan ends in procedures._run_scan
+    calls = []
+    original = procedures._run_scan
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(procedures, "_run_scan", counted)
+    rng = np.random.default_rng(67)
+    p, x, _ = struct_instance(rng, n=120)
+    structure_pipeline(p, x, 0.1, mode="cheap", n_groups=G, rng=np.random.default_rng(3))
+    assert len(calls) == G
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.integers(12, 80),
+    G=st.integers(2, 3),
+    d=st.integers(0, 1),
+    shrink=st.sampled_from([1.0, 0.05, 1e-3]),
+    alpha=st.floats(0.05, 0.5),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_prop_pipeline_weights_equal_structure_weights(n, G, d, shrink, alpha, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(size=n)
+    p[: n // 4] *= shrink
+    x = rng.normal(size=(n, d)) if d else None
+    for mode in ("unit", "cheap"):
+        pipe = structure_pipeline(p, x, alpha, mode=mode, n_groups=G, rng=np.random.default_rng(seed))
+        part, curves, thr = pipe["partition"], pipe["curves"], pipe["thresholds"]
+        w = structure_weights(p, part, curves, thr, mode, alpha=pipe["alpha_fbc"])
+        assert np.array_equal(w.view(np.int64), pipe["weights"].view(np.int64)), mode
+        for a, b in zip(thr, fbc_group_threshold(p, part, curves, pipe["alpha_fbc"])):
+            assert (a.threshold, a.m_at_T, a.feasible) == (b.threshold, b.m_at_T, b.feasible)
+            assert np.array_equal(a.rejected, b.rejected)

@@ -9,7 +9,6 @@ from evmt.groups import (
     assemble_weights,
     group_evalues,
     groupwise_bc_thresholds,
-    loo_group_threshold,
     run_grouped_ebh,
 )
 from evmt.procedures import _bc_scan
@@ -123,32 +122,9 @@ def test_loo_identity_for_small_pvalue():
     part = GroupPartition.from_sizes([3])
     base = groupwise_bc_thresholds(p, part, 0.5)[0].threshold
     # censoring a p-value below 0.5 changes nothing
-    assert loo_group_threshold(p, part, 0.5, 1) == base
+    assert brute_bc_loo_threshold(list(p), 0.5, 1) == pytest.approx(base)
     # censoring a rejected p-value (p_i <= T) leaves the threshold alone
-    assert loo_group_threshold(p, part, 0.5, 2) == base
-
-
-def test_loo_index_out_of_range():
-    part = GroupPartition.from_sizes([3])
-    with pytest.raises(InputError):
-        loo_group_threshold([0.1, 0.2, 0.3], part, 0.2, 5)
-
-
-def test_loo_matches_brute_force_recomputation():
-    p = np.array([0.9, 0.01, 0.02])
-    part = GroupPartition.from_sizes([3])
-    t = loo_group_threshold(p, part, 0.5, 0)
-    assert t == pytest.approx(brute_bc_loo_threshold(list(p), 0.5, 0)) == 0.1
-
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        q = random_pvalues(rng, int(rng.integers(3, 40)))
-        whole = GroupPartition.from_sizes([q.size])
-        alpha = float(rng.uniform(0.1, 0.6))
-        i = int(rng.integers(q.size))
-        got = loo_group_threshold(q, whole, alpha, i)
-        want = brute_bc_loo_threshold(list(q), alpha, i)
-        assert (got is None and want is None) or got == pytest.approx(want)
+    assert brute_bc_loo_threshold(list(p), 0.5, 2) == pytest.approx(base)
 
 
 def test_loo_exceed_count_equals_per_index_brute_force():

@@ -116,16 +116,6 @@ def test_fbc_rejects_non_monotone_curves():
         solve_threshold([0.1, 0.5, 0.9], spec)
 
 
-def test_fbc_t_upper_bound_enforced():
-    funcs = [lfdr_curve(0.5, 0.5)] * 3
-    bound = funcs[0](0.5)
-    spec = ProcedureSpec(
-        kind="fbc", alpha=0.05, rejection_functions=funcs, t_upper=bound + 0.01
-    )
-    with pytest.raises(ConfigurationError):
-        solve_threshold([0.1, 0.5, 0.9], spec)
-
-
 def test_fbc_matches_brute_force_grid():
     rng = np.random.default_rng(7)
     for _ in range(50):

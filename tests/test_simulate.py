@@ -201,3 +201,40 @@ def test_thread_count_is_capped_at_cpu_count(monkeypatch):
         assert _worker_count() == want
     monkeypatch.delenv("EVMT_THREADS")
     assert _worker_count() == 1
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_runner_runs_once_per_replicate(monkeypatch):
+    # eBH_Ada and fast_eBH_Ada run the same adaptive hybrid on S1: one
+    # adaptive and one averaged blend per replicate
+    from evmt import cli, hybrid
+
+    monkeypatch.delenv("EVMT_THREADS", raising=False)
+    calls = _count_calls(monkeypatch, hybrid, "_hybrid_evalues")
+    cfg = SimulationConfig(setting="S1", replications=10, seed=5)
+    report = run_campaign(cfg, cli._DEFAULT_METHODS["scores"])
+    assert len(calls) == 20
+    assert report.methods["eBH_Ada"] == report.methods["fast_eBH_Ada"]
+
+
+def test_grouped_eBH_Ada_stays_apart_from_the_hybrid(monkeypatch):
+    # with groups, eBH_Ada is the grouped procedure and fast_eBH_Ada the hybrid
+    from evmt import hybrid, simulate
+
+    monkeypatch.delenv("EVMT_THREADS", raising=False)
+    blends = _count_calls(monkeypatch, hybrid, "_hybrid_evalues")
+    grouped = _count_calls(monkeypatch, simulate, "run_grouped_ebh")
+    cfg = SimulationConfig(setting="E1", replications=4, seed=3)
+    run_campaign(cfg, ["eBH_Ada", "fast_eBH_Ada", "BC", "BC_Com"])
+    assert len(blends) == 4 and len(grouped) == 4

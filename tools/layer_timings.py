@@ -5,6 +5,10 @@ Times ``procedures._bc_scan``, ``hybrid.compute_loo_thresholds``,
 ``groups.run_grouped_ebh`` (adaptive scheme, L = 1000 equal groups) on one
 S1-like instance per n: the S1 generator with 5 % non-nulls, seed 3.
 
+Times ``adaptive.structure_pipeline`` (cheap weights, two folds: the
+cross-fit, one fbc scan per fold and the weights) on one STRUCT instance
+per n = 10^3 ... 10^5, seed 3.
+
 Times the CLI's I/O on a CSV built like the benchmark's ``cli-1m`` input
 (seed 941, n rows, labels ``g000`` ... ``g999``): ``cli.read_table`` without
 and with labels, ``GroupPartition.from_labels`` on the parsed labels, and
@@ -35,6 +39,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from evmt import cli
+from evmt.adaptive import structure_pipeline
 from evmt.groups import GroupPartition, run_grouped_ebh
 from evmt.hybrid import HybridConfig, _hybrid_evalues, compute_loo_thresholds
 from evmt.procedures import ProcedureSpec, _bc_scan, procedure_to_evalues, solve_threshold
@@ -43,6 +48,7 @@ from evmt.simulate import SimulationConfig, generate
 ALPHA = 0.1
 BUDGET_S = 1.0
 EXPONENTS = range(3, 7)  # n = 10^3 ... 10^6
+STRUCT_EXPONENTS = range(3, 6)  # n = 10^3 ... 10^5
 CSV_SEED = 941
 N_LABELS = 1000
 
@@ -95,6 +101,15 @@ def sort_layers(out):
             out.setdefault(name, {})[f"1e{e}"] = round(best_of(lambda: fn(p, part)), 6)
 
 
+def adaptive_layers(out):
+    for e in STRUCT_EXPONENTS:
+        inst = generate(SimulationConfig(setting="STRUCT", parameters={"n": 10**e}, seed=3), 0)
+        seconds = best_of(lambda: structure_pipeline(
+            inst.pvals, inst.covars, ALPHA, mode="cheap", rng=np.random.default_rng(0)
+        ))
+        out.setdefault("structure_pipeline_cheap", {})[f"1e{e}"] = round(seconds, 6)
+
+
 def io_layers(out, tmp):
     for e in EXPONENTS:
         csv, table_out = tmp / f"cli_{e}.csv", tmp / "rejections.csv"
@@ -121,6 +136,7 @@ def io_layers(out, tmp):
 def main():
     out = {}
     sort_layers(out)
+    adaptive_layers(out)
     with tempfile.TemporaryDirectory() as tmp:
         io_layers(out, Path(tmp))
     print(json.dumps(out, indent=1))
