@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import ConfigurationError, InputError
 from .groups import GroupPartition, _loo_weights, _scan_groups, group_evalues
@@ -96,10 +95,14 @@ class LfdrModel:
     n_iter: int = 0
 
     def pi(self, covars) -> np.ndarray:
+        from scipy.special import expit
+
         z = _design(covars, self.beta_pi.size - 1)
         return np.clip(expit(z @ self.beta_pi), self.eps1, 1.0 - self.eps2)
 
     def kappa(self, covars) -> np.ndarray:
+        from scipy.special import expit
+
         z = _design(covars, self.beta_kappa.size - 1)
         return expit(z @ self.beta_kappa)
 
@@ -131,6 +134,8 @@ def _design(covars, d: int) -> np.ndarray:
 
 def pseudo_loglik(beta_pi, beta_kappa, pvals, covars=None) -> float:
     """Mixture log-likelihood sum_i log(pi_i + (1 - pi_i)(1 - kappa_i) p_i^(-kappa_i))."""
+    from scipy.special import expit
+
     p = np.maximum(as_pvalues(pvals), P_FLOOR)
     x = _as_covars(covars, p.size)
     z = np.hstack([np.ones((p.size, 1)), x])
@@ -143,8 +148,12 @@ def pseudo_loglik(beta_pi, beta_kappa, pvals, covars=None) -> float:
 def _minimize(*args, **kwargs):
     """``scipy.optimize.minimize``, imported on first use.
 
-    The import takes about a second, which commands that fit no model
-    should not pay.
+    This is evmt's one rule for scipy: a function that needs it imports it
+    in its own body, once per call.  An objective that L-BFGS-B evaluates
+    many times uses the name its enclosing call imported, as in
+    :func:`_ascend`.  Imported at module level, ``scipy.special`` would take
+    most of a fresh ``import evmt``, which the commands that fit no model
+    and draw no z-scores never need.
     """
     from scipy.optimize import minimize
 
@@ -157,6 +166,8 @@ def _ascend(z, ell, beta_pi, beta_kappa):
     Returns ``(beta_pi, beta_kappa, loglik, success, nit)``; when the
     optimiser ends below its start, the start is returned instead.
     """
+    from scipy.special import expit
+
     d1 = beta_pi.size
 
     def negobj(theta):
@@ -230,6 +241,8 @@ def fit_lfdr_em(
     if init is not None:
         starts = [(np.asarray(init[0], dtype=float), np.asarray(init[1], dtype=float))]
     else:
+        from scipy.special import logit
+
         starts = []
         for pi0, kappa0 in ((0.9, 0.5), (0.99, 0.01)):
             a0 = np.zeros(d + 1)

@@ -7,14 +7,17 @@ data run writes a rejection CSV (``index, rejected, evalue, weight``, index
 1-based) plus a JSON summary next to it, and echoes the summary to stdout.
 
 Input is parsed in one numpy pass over the file: every column as float64,
-except ``group``, whose labels are read as stripped text.  Only ``groups``
-keeps the labels; every command rejects an empty one.  Only a file numpy
-rejects is read again row by row with the csv module, which either accepts
-the irregular rows it tolerates (whitespace-only lines, rows of blank cells)
-or reports the offending line.  The rejection table is written in bounded
-chunks.  Each distinct value is formatted once; each chunk is assembled as a
-NUL-padded byte matrix, one row per line, whose padding one mask drops
-before a single write.
+except ``group``.  Only ``groups`` keeps the labels, read as stripped text;
+the other commands read a short fixed-width prefix of each label, with no
+Python call per row, which is enough to see that no label is empty.  Every
+command rejects an empty label.  Only a file numpy rejects, or one with a
+blank label prefix, is read again row by row with the csv module, which
+either accepts the irregular rows it tolerates (whitespace-only lines, rows
+of blank cells, labels padded past the prefix) or reports the offending
+line.  The rejection table is written in bounded chunks.  Each distinct
+value is formatted once; each chunk is assembled as a NUL-padded byte
+matrix, one row per line, whose padding one mask drops before a single
+write.
 
 Exit codes: 0 success, 2 input error (unreadable file, bad column), 3
 configuration error (bad level, wrong weight scheme for a subcommand).
@@ -96,6 +99,10 @@ _CSV = dict(delimiter=",", comments=None, quotechar='"', encoding="utf-8")
 # text held in memory.
 _WRITE_ROWS = 1 << 16
 
+# Characters of each ``group`` cell kept by the parse of a command that drops
+# the labels: enough to see past the padding of ordinary labels.
+_LABEL_PREFIX = 8
+
 
 def _is_blank(row) -> bool:
     return not row or all(not cell.strip() for cell in row)
@@ -136,14 +143,18 @@ def _read_header(path):
     return header, lines
 
 
-def _parse_columns(path, header, skip) -> dict:
+def _parse_columns(path, header, skip, labels) -> dict:
     """Whole columns parsed by numpy in one pass; ``ValueError`` on any irregular row.
 
-    Every column is read as float64 except ``group``, whose cells are read as
-    stripped text.
+    Every column is read as float64 except ``group``.  With ``labels`` its
+    cells are read as stripped text.  Without, only the first
+    ``_LABEL_PREFIX`` characters of each cell are kept, unstripped, with no
+    per-row Python call: a label whose prefix is not blank is not empty, and
+    a blank prefix sends the file to the row scan.
     """
     g = header.index("group") if "group" in header else None
-    fields = [(f"f{k}", object if k == g else np.float64) for k in range(len(header))]
+    text = object if labels else f"U{_LABEL_PREFIX}"
+    fields = [(f"f{k}", text if k == g else np.float64) for k in range(len(header))]
     with warnings.catch_warnings():
         # loadtxt warns about empty lines, which are skipped as blank rows,
         # and about files without rows, which the caller reports
@@ -151,13 +162,17 @@ def _parse_columns(path, header, skip) -> dict:
         # the structured dtype fixes the field count, so rows with another count fail
         values = np.loadtxt(
             path, skiprows=skip, dtype=fields, ndmin=1,
-            converters=None if g is None else {g: str.strip}, **_CSV
+            converters={g: str.strip} if labels and g is not None else None, **_CSV
         )
     if values.size == 0:
         raise ValueError("no rows")
-    if g is not None and not all(values[f"f{g}"]):
-        # an empty label, or a row of blank cells: the row scan tells them apart
-        raise ValueError("empty group cell")
+    if g is not None:
+        cells = values[f"f{g}"]
+        blank = not all(cells) if labels else np.any((cells == "") | np.strings.isspace(cells))
+        if blank:
+            # an empty label, a row of blank cells, or a label padded past the
+            # prefix: the row scan tells them apart
+            raise ValueError("blank group cell")
     # copies, so that no column keeps the whole record array alive
     return {name: values[f"f{k}"].copy() for k, name in enumerate(header)}
 
@@ -211,7 +226,7 @@ def read_table(path, *, labels: bool = False) -> dict:
     """
     header, skip = _read_header(path)
     try:
-        table = _parse_columns(path, header, skip)
+        table = _parse_columns(path, header, skip, labels)
     except ValueError:
         table = _scan_table(path, header)
 

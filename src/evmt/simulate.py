@@ -25,12 +25,10 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .adaptive import run_structure_adaptive
 from .errors import ConfigurationError, InputError
@@ -194,6 +192,8 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
         )
 
     if setting in ("S1", "S2"):
+        from scipy.special import ndtr
+
         n, na = int(params["n"]), int(params["n_alt"])
         x = rng.normal(size=n)
         x[:na] = rng.normal(params["mu"] * np.log(n), params["sigma"], size=na)
@@ -202,6 +202,8 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
         return SimInstance(pvals=1.0 - ndtr(x), truth=truth)
 
     if setting == "STRUCT":
+        from scipy.special import ndtr
+
         n = int(params["n"])
         x = rng.normal(size=n)
         pi = 1.0 / (1.0 + np.exp(-(params["a0"] + params["a1"] * x)))
@@ -421,6 +423,8 @@ def run_campaign(config: SimulationConfig, methods) -> MetricsReport:
     workers = _worker_count()
     reps = range(config.replications)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_replicate_metrics, *zip(*[(config, r, methods) for r in reps])))
     else:

@@ -18,11 +18,17 @@ and with labels, ``GroupPartition.from_labels`` on the parsed labels, and
 Each figure is the best of several calls, repeated until the layer has run
 for at least ``BUDGET_S`` seconds (at least three calls).
 
+The ``cold_start`` row is the fixed cost every ``evmt`` process pays: the
+median wall time of ``COLD_RUNS`` fresh interpreters running
+``import evmt``, started with ``subprocess``, next to the same for
+``import numpy``, the floor under it.
+
 Run from the repository root, against the source tree under test::
 
     PYTHONPATH=src python tools/layer_timings.py
 
-Prints one JSON object, ``{layer: {n: seconds}}``.
+Prints one JSON object, ``{layer: {n: seconds}}``; ``cold_start`` is keyed
+by the statement run instead of n.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ import argparse
 import contextlib
 import io
 import json
+import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -51,6 +60,7 @@ EXPONENTS = range(3, 7)  # n = 10^3 ... 10^6
 STRUCT_EXPONENTS = range(3, 6)  # n = 10^3 ... 10^5
 CSV_SEED = 941
 N_LABELS = 1000
+COLD_RUNS = 7
 
 
 def best_of(fn):
@@ -61,6 +71,17 @@ def best_of(fn):
         took = time.perf_counter() - start
         best, spent, calls = min(best, took), spent + took, calls + 1
     return best
+
+
+def cold_start(out):
+    """Median wall seconds of fresh interpreters running each import."""
+    for statement in ("import numpy", "import evmt"):
+        runs = []
+        for _ in range(COLD_RUNS):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", statement], check=True)
+            runs.append(time.perf_counter() - start)
+        out.setdefault("cold_start", {})[statement] = round(statistics.median(runs), 6)
 
 
 def write_cli_csv(path, n):
@@ -135,6 +156,7 @@ def io_layers(out, tmp):
 
 def main():
     out = {}
+    cold_start(out)
     sort_layers(out)
     adaptive_layers(out)
     with tempfile.TemporaryDirectory() as tmp:
