@@ -43,6 +43,7 @@ from .knockoffs import _combined_evalues
 from .procedures import (
     ProcedureSpec,
     _group_fdp_power,
+    _Memo,
     as_evalues,
     ebh_select,
     fdp_power,
@@ -173,8 +174,12 @@ def _parse_columns(path, header, skip, labels) -> dict:
             # an empty label, a row of blank cells, or a label padded past the
             # prefix: the row scan tells them apart
             raise ValueError("blank group cell")
-    # copies, so that no column keeps the whole record array alive
-    return {name: values[f"f{k}"].copy() for k, name in enumerate(header)}
+    # copies, so that no column keeps the whole record array alive; a label
+    # prefix stays a view, as read_table drops it right away
+    return {
+        name: values[f"f{k}"] if k == g and not labels else values[f"f{k}"].copy()
+        for k, name in enumerate(header)
+    }
 
 
 def _scan_table(path, header) -> dict:
@@ -443,12 +448,19 @@ def _cmd_hybrid(args):
     return _write_outputs(args, evalues, w_bh + w_bc, rejected, summary)
 
 
+def _check_seed(seed):
+    """The ``--seed`` option, which numpy's generators need non-negative."""
+    if seed is not None and seed < 0:
+        raise ConfigurationError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _cmd_adaptive(args):
     table, path = _single_table(args)
     p = _require(table, "pvalue", path)
     covars = _covariates(table)
     mode = _pick(_ADAPTIVE_MODES, args.weights, "cheap", "adaptive")
-    seed = args.seed
+    seed = _check_seed(args.seed)
     if seed is None:
         seed = secrets.randbits(31)
         print(f"seed = {seed}")
@@ -489,7 +501,7 @@ def _cmd_knockoff(args):
     if w_a.size != w_b.size:
         raise InputError("the two statistic files must have the same number of rows")
     alpha_ko = args.alpha / 2.0
-    evalues = _combined_evalues(w_a, w_b, alpha_ko, 0.5, 0.5)
+    evalues = _combined_evalues(_Memo(w_a), _Memo(w_b), alpha_ko, 0.5, 0.5)
     rejected = ebh_select(evalues, args.alpha)
     summary = {
         "command": "knockoff-combine",
@@ -520,7 +532,7 @@ def _cmd_simulate(args):
     if args.reps is not None:
         overrides["replications"] = args.reps
     if args.seed is not None:
-        overrides["seed"] = args.seed
+        overrides["seed"] = _check_seed(args.seed)
     elif "seed" not in overrides:
         seed = secrets.randbits(31)
         print(f"seed = {seed}")

@@ -36,7 +36,9 @@ construction, with the flexible mirror-count scan in place of BC.  Both
 modules use one path: ``_scan_groups`` runs a given mirror scan once per
 group and returns the thresholds together with the leave-one-out counts,
 and ``_loo_weights`` computes ``(n / n_l) * B_i / (B_i + cross_l)`` from
-the mirror scores and the other groups' counts ``cross_l``.
+the mirror scores and the other groups' counts ``cross_l``.  The BC group
+scans at a level are one stage of a ``procedures._Memo`` of p and the
+partition, so every grouped method of a campaign replicate reads them.
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ from .errors import ConfigurationError, InputError
 from .procedures import (
     ThresholdResult,
     _bc_scan,
+    _ebh_select,
     _group_fdp_power,
+    _Memo,
     as_pvalues,
-    ebh_select,
     fdp_power,
 )
 
@@ -162,9 +165,22 @@ def _scan_groups(part: GroupPartition, scan_group):
     return results, counts
 
 
-def _bc_groups(p: np.ndarray, part: GroupPartition, alpha: float):
-    """:func:`_scan_groups` with each group's BC scan at level ``alpha``."""
-    return _scan_groups(part, lambda idx: _bc_scan(p[idx], alpha))
+def _bc_groups(memo: _Memo, alpha: float):
+    """:func:`_scan_groups` with each group's BC scan at level ``alpha``, on
+    the memo of validated p-values and their partition.
+
+    Thresholds and counts are small, so a memo keeps them per level: every
+    grouped method of a campaign replicate reads one scan per group.
+    """
+    p = memo.data
+    return _scan_groups(memo.part, lambda idx: _bc_scan(p[idx], alpha))
+
+
+def _grouped_memo(pvals, part: GroupPartition) -> _Memo:
+    """Memo of validated p-values and the partition, checked against them."""
+    p = as_pvalues(pvals)
+    _check_partition(p, part)
+    return _Memo(p, part)
 
 
 def _loo_weights(mirror: np.ndarray, part: GroupPartition, thresholds, cross) -> np.ndarray:
@@ -194,9 +210,7 @@ def groupwise_bc_thresholds(pvals, part: GroupPartition, alpha: float):
     Returns a list of :class:`ThresholdResult`, one per group, whose
     ``rejected`` fields hold global hypothesis indices.
     """
-    p = as_pvalues(pvals)
-    _check_partition(p, part)
-    return _bc_groups(p, part, alpha)[0]
+    return _grouped_memo(pvals, part)(_bc_groups, alpha)[0]
 
 
 def assemble_weights(
@@ -209,8 +223,7 @@ def assemble_weights(
     ``size``) or ``adaptive``; the adaptive scheme additionally needs the
     level ``alpha`` the thresholds were computed at.
     """
-    p = as_pvalues(pvals)
-    _check_partition(p, part)
+    memo = _grouped_memo(pvals, part)
     scheme = _scheme(scheme)
     counts = None
     if scheme == "adaptive":
@@ -218,8 +231,8 @@ def assemble_weights(
             raise ConfigurationError("adaptive weights need the threshold level alpha")
         # the censored thresholds T_{l,j} can be feasible even when the
         # group's base threshold is not, so the count is taken unconditionally
-        counts = _bc_groups(p, part, alpha)[1]
-    return _weights(p, part, thresholds, scheme, counts)
+        counts = memo(_bc_groups, alpha)[1]
+    return _weights(memo.data, part, thresholds, scheme, counts)
 
 
 def _scheme(scheme: str) -> str:
@@ -263,11 +276,16 @@ def group_evalues(pvals, part: GroupPartition, thresholds, weights) -> np.ndarra
     """Weighted per-group e-values, zero outside each group's rejections."""
     p = as_pvalues(pvals)
     _check_partition(p, part)
-    e = np.zeros(p.size)
+    return _group_evalues(p.size, part, thresholds, np.asarray(weights))
+
+
+def _group_evalues(n: int, part: GroupPartition, thresholds, weights: np.ndarray) -> np.ndarray:
+    """:func:`group_evalues` for ``n`` hypotheses."""
+    e = np.zeros(n)
     for l in range(part.n_groups):
         res = thresholds[l]
         if res.feasible:
-            e[res.rejected] = part.sizes[l] * np.asarray(weights)[res.rejected] / res.m_at_T
+            e[res.rejected] = part.sizes[l] * weights[res.rejected] / res.m_at_T
     return e
 
 
@@ -295,13 +313,18 @@ def run_grouped_ebh(
         Non-null indicators; when given, overall and per-group FDP/power are
         included in the report.
     """
-    p = as_pvalues(pvals)
-    _check_partition(p, part)
+    return _grouped(_grouped_memo(pvals, part), alpha, scheme, truth)
+
+
+def _grouped(memo: _Memo, alpha: float, scheme: str, truth=None) -> GroupReport:
+    """:func:`run_grouped_ebh` on the memo of validated p-values and their
+    partition."""
+    p, part = memo.data, memo.part
     scheme = _scheme(scheme)
-    thresholds, counts = _bc_groups(p, part, alpha)
+    thresholds, counts = memo(_bc_groups, alpha)
     weights = _weights(p, part, thresholds, scheme, counts)
-    evalues = group_evalues(p, part, thresholds, weights)
-    rejected = ebh_select(evalues, alpha)
+    evalues = _group_evalues(p.size, part, thresholds, weights)
+    rejected = _ebh_select(evalues, alpha)
     per_group = [res.rejected for res in thresholds]
 
     fdp = power = group_fdp = group_power = None

@@ -94,7 +94,9 @@ zeroed relaxed plateau for ``s_i``) is one vectorised lookup from i's grid
 position.
 
 Cost.  The mirror-count grid and its counts come from the base scan of p,
-which sorts p once.  Every other leave-one-out quantity is read off one
+which sorts p once; the sorted p and the grid are level-free stages of a
+``procedures._Memo``, which the BH e-values and, in a campaign replicate,
+the other methods on p read too.  Every other leave-one-out quantity is read off one
 ordered view: the censored vector (p~_1, ..., p~_n), argsorted once.  Its
 ascending values and ranks give ``t_bh_loo``.  Its values below 1/2 are the
 grid's scores (p~_i = p_i a rejection score, p~_i = 1 - p_i a mirror
@@ -115,13 +117,14 @@ from .errors import ConfigurationError, InvariantError
 from .procedures import (
     ProcedureSpec,
     _bc_scan,
+    _ebh_select,
     _last_at_or_after,
     _last_at_or_before,
+    _Memo,
     _MirrorScan,
+    _solve,
+    _to_evalues,
     as_pvalues,
-    ebh_select,
-    procedure_to_evalues,
-    solve_threshold,
 )
 
 __all__ = [
@@ -191,16 +194,18 @@ class HybridConfig:
 
 def bh_evalues(pvals, alpha_bh: float) -> np.ndarray:
     """Step-up e-values, ``1{p_i <= T_bh} / T_bh`` (zeros when infeasible)."""
-    p = as_pvalues(pvals)
-    spec = ProcedureSpec(kind="bh", alpha=alpha_bh)
-    return procedure_to_evalues(p, spec, solve_threshold(p, spec))
+    return _base_evalues(_Memo(as_pvalues(pvals)), "bh", alpha_bh)
 
 
 def bc_evalues(pvals, alpha_bc: float) -> np.ndarray:
     """Mirror-count e-values, ``n 1{p_i <= T_bc} / (1 + #{p_j >= 1 - T_bc})``."""
-    p = as_pvalues(pvals)
-    spec = ProcedureSpec(kind="bc", alpha=alpha_bc)
-    return procedure_to_evalues(p, spec, solve_threshold(p, spec))
+    return _base_evalues(_Memo(as_pvalues(pvals)), "bc", alpha_bc)
+
+
+def _base_evalues(memo: _Memo, kind: str, alpha: float) -> np.ndarray:
+    """E-values of the base procedure ``kind`` at ``alpha``, on the memo of
+    validated p-values."""
+    return _to_evalues(memo.data.size, _solve(memo, ProcedureSpec(kind=kind, alpha=alpha)))
 
 
 def _bh_loo_vector(s: np.ndarray, ranks: np.ndarray, alpha: float) -> np.ndarray:
@@ -257,8 +262,17 @@ class LooThresholds:
 
 def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresholds:
     """All leave-one-out quantities needed by the adaptive weights."""
-    p = as_pvalues(pvals)
+    return _loo_thresholds(_Memo(as_pvalues(pvals)), alpha_bh, alpha_bc)
+
+
+def _loo_thresholds(memo: _Memo, alpha_bh: float, alpha_bc: float) -> LooThresholds:
+    """:func:`compute_loo_thresholds` on the memo of validated p-values; the
+    mirror scan reads the memo's level-free grid."""
+    p = memo.data
     n = p.size
+    # the mirror scan first, so that the transient arrays of a first build
+    # of its grid do not add to the n-length arrays below
+    scan = _bc_scan(memo, alpha_bc)
     mirror = 1.0 - p
     censored = np.minimum(p, mirror)
     order = censored.argsort()
@@ -271,7 +285,6 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
     # is a rejection score and 1 - p < 1/2 (that is, p > 1/2) a mirror
     # score, and every other score lies at or above 1/2.  A score's grid
     # position is the number of distinct scores below it.
-    scan = _bc_scan(p, alpha_bc)
     distinct = np.concatenate(([True], s[1:] != s[:-1]))
     pos = (distinct.cumsum() - 1)[ranks]
 
@@ -322,7 +335,7 @@ def _bh_weight(loo: LooThresholds) -> np.ndarray:
     below ``cands[k_i]``.
     """
     scan = loo._scan
-    cands, n_rej, n_mir = scan.cands, scan.n_rej, scan.n_mir
+    cands, n_rej, n_mir = scan.grid.cands, scan.grid.n_rej, scan.grid.n_mir
     n = loo.pvals.size
     if cands.size == 0:
         return np.ones(n)
@@ -360,19 +373,24 @@ fast_adaptive_weights = adaptive_weights
 
 def _hybrid_evalues(pvals, config: HybridConfig):
     """Blended e-values plus the weight pair actually used."""
-    p = as_pvalues(pvals)
-    e_bh = bh_evalues(p, config.alpha_bh)
+    return _blend(_Memo(as_pvalues(pvals)), config)
+
+
+def _blend(memo: _Memo, config: HybridConfig):
+    """:func:`_hybrid_evalues` on the memo of validated p-values."""
+    n = memo.data.size
+    e_bh = _base_evalues(memo, "bh", config.alpha_bh)
     if config.weight_mode == "averaged":
-        e_bc = bc_evalues(p, config.alpha_bc)
-        w_bh = np.full(p.size, 0.5)
-        w_bc = np.full(p.size, 0.5)
+        e_bc = _base_evalues(memo, "bc", config.alpha_bc)
+        w_bh = np.full(n, 0.5)
+        w_bc = np.full(n, 0.5)
     else:
-        loo = compute_loo_thresholds(p, config.alpha_bh, config.alpha_bc)
+        loo = _loo_thresholds(memo, config.alpha_bh, config.alpha_bc)
         # bc_evalues from the mirror scan the leave-one-out thresholds hold
         scan = loo._scan
-        e_bc = np.zeros(p.size)
+        e_bc = np.zeros(n)
         if scan.feasible:
-            e_bc[scan.rejected_mask] = p.size / scan.m_at_T
+            e_bc[scan.rejected_mask] = n / scan.m_at_T
         # a weight multiplying a zero e-value never matters; report it as 0
         w_bh = np.where(e_bh > 0, _bh_weight(loo), 0.0)
         w_bc = _bc_weight(loo)
@@ -384,5 +402,9 @@ def run_hybrid(pvals, config: HybridConfig) -> np.ndarray:
 
     Returns the sorted 0-based indices of rejected hypotheses.
     """
-    evalues, _, _ = _hybrid_evalues(pvals, config)
-    return ebh_select(evalues, config.alpha_ebh)
+    return _run_hybrid(_Memo(as_pvalues(pvals)), config)
+
+
+def _run_hybrid(memo: _Memo, config: HybridConfig) -> np.ndarray:
+    """:func:`run_hybrid` on the memo of validated p-values."""
+    return _ebh_select(_blend(memo, config)[0], config.alpha_ebh)

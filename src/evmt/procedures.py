@@ -176,24 +176,75 @@ def _validate_fbc(funcs, n: int) -> None:
         prev = vals
 
 
+class _Memo:
+    """Stages of one validated data set, each built once, on first use.
+
+    ``memo(stage, *key)`` returns ``stage(memo, *key)`` and keeps it under
+    ``(stage, *key)``.  Most stages are level-free, a function of the data
+    alone: the sorted p-values, a mirror scan's candidate grid with its
+    counts, the sign counts of knockoff statistics.  A procedure reads its
+    level criterion off them, so methods that run on the same data at
+    different levels share one build.  The rest are small results keyed by
+    stage and level (per-group thresholds and counts, rejection index
+    sets); no n-length array that depends on the level is kept.
+
+    ``data`` is the validated vector (p-values or signed statistics) and
+    ``part`` its group partition, if any.  Public functions wrap their
+    validated input in a fresh memo, so each method has one code path; a
+    campaign replicate keeps its memos until the replicate ends (see
+    :mod:`evmt.simulate`).
+    """
+
+    __slots__ = ("data", "part", "_built")
+
+    def __init__(self, data, part=None):
+        self.data = data
+        self.part = part
+        self._built = {}
+
+    @classmethod
+    def of(cls, x) -> "_Memo":
+        """``x`` itself when it is a memo, else a fresh memo of the array ``x``."""
+        return x if isinstance(x, cls) else cls(np.asarray(x, dtype=np.float64))
+
+    def __call__(self, stage, *key):
+        k = (stage, *key)
+        if k not in self._built:
+            self._built[k] = stage(self, *key)
+        return self._built[k]
+
+
+def _sorted(memo: _Memo) -> np.ndarray:
+    """Level-free stage: the data in ascending order."""
+    return np.sort(memo.data)
+
+
+@dataclass(frozen=True)
+class _MirrorGrid:
+    """Level-free stage of a mirror-count scan: the candidate grid with its
+    counting functions ``n_rej[k] = #{u <= cands[k]}`` and ``n_mir[k] =
+    #{v <= cands[k]}``."""
+
+    cands: np.ndarray
+    n_rej: np.ndarray
+    n_mir: np.ndarray
+
+
 @dataclass(frozen=True)
 class _MirrorScan:
     """Internal result of one mirror-count threshold scan.
 
-    Keeps the candidate grid with its counting functions, ``n_rej[k] =
-    #{u <= cands[k]}`` and ``n_mir[k] = #{v <= cands[k]}``, and both
-    criteria over it: ``feas`` is the count criterion
-    ``(1 + A) / max(R, 1) <= alpha`` and ``relaxed`` the criterion
-    ``A / (R + 1) <= alpha`` that holds after one mirror move.
+    Keeps the level-free ``grid`` and both criteria over it at the scan's
+    level: ``feas`` is the count criterion ``(1 + A) / max(R, 1) <= alpha``
+    and ``relaxed`` the criterion ``A / (R + 1) <= alpha`` that holds after
+    one mirror move.
     """
 
     threshold: Optional[float]
     m_at_T: float
     rejected_mask: np.ndarray
     feasible: bool
-    cands: np.ndarray
-    n_rej: np.ndarray
-    n_mir: np.ndarray
+    grid: _MirrorGrid
     feas: np.ndarray
     relaxed: np.ndarray
     # The relaxed plateau: the largest candidate where ``relaxed`` holds, the
@@ -213,10 +264,15 @@ def _last_at_or_before(mask: np.ndarray, pos) -> np.ndarray:
     return np.concatenate(([-1], run))[np.asarray(pos) + 1]
 
 
+def _last_true(mask: np.ndarray) -> int:
+    """Last index j with mask[j] (-1 when none)."""
+    hits = np.flatnonzero(mask)
+    return int(hits[-1]) if hits.size else -1
+
+
 def _last_at_or_after(mask: np.ndarray, pos) -> np.ndarray:
     """Last index j >= pos with mask[j], elementwise over pos (-1 where none)."""
-    hits = np.flatnonzero(mask)
-    last = hits[-1] if hits.size else -1
+    last = _last_true(mask)
     return np.where(last >= np.asarray(pos), last, -1)
 
 
@@ -230,23 +286,33 @@ def _mirror_scan(u, v, alpha, t_max=None, inclusive=False) -> _MirrorScan:
 
     Each score array is sorted once; the two ascending runs are capped and
     merged into one ordered view, and the grid, ``n_rej`` and ``n_mir`` are
-    running totals over it (:func:`_run_scan`).  Nothing is searched per
+    running totals over it (:func:`_sorted_grid`).  Nothing is searched per
     candidate.
     """
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    return _sorted_scan(u, np.sort(u), np.sort(v), alpha, t_max, inclusive)
+    return _run_scan(u, _sorted_grid(np.sort(u), np.sort(v), t_max, inclusive), alpha)
 
 
-def _bc_scan(p: np.ndarray, alpha: float) -> _MirrorScan:
-    """Mirror scan specialised to raw p-values on the domain (0, 0.5).
+def _bc_grid(memo: _Memo) -> _MirrorGrid:
+    """Level-free stage of the BC scan: the mirror grid of raw p-values on
+    the domain (0, 0.5).
 
     One sort serves both score runs: ``x -> 1 - x`` is decreasing and
     rounding is monotone, so the mirror scores of the ascending p-values,
     read backwards, are the ascending mirror scores bit for bit.
     """
-    s = np.sort(p)
-    return _sorted_scan(p, s, (1.0 - s)[::-1], alpha, 0.5, False)
+    s = memo(_sorted)
+    return _sorted_grid(s, (1.0 - s)[::-1], 0.5, False)
+
+
+def _bc_scan(p, alpha: float) -> _MirrorScan:
+    """BC scan at level ``alpha``, read off the memo's level-free grid.
+
+    ``p`` is a :class:`_Memo` of the p-values, or the p-values themselves.
+    """
+    memo = _Memo.of(p)
+    return _run_scan(memo.data, memo(_bc_grid), alpha)
 
 
 def _fbc_scan(p: np.ndarray, funcs, alpha: float) -> _MirrorScan:
@@ -259,9 +325,14 @@ def _fbc_scan(p: np.ndarray, funcs, alpha: float) -> _MirrorScan:
     return _mirror_scan(u, v, alpha, t_max=t_up, inclusive=True)
 
 
-def _sorted_scan(u, su, sv, alpha, t_max, inclusive) -> _MirrorScan:
-    """Mirror scan from the ascending rejection scores ``su`` and mirror
-    scores ``sv``: both are capped at ``t_max`` and merged into one run."""
+def _sorted_grid(su, sv, t_max, inclusive) -> _MirrorGrid:
+    """Mirror grid from the ascending rejection scores ``su`` and mirror
+    scores ``sv``: both are capped at ``t_max`` and merged into one run.
+
+    The candidate grid is the run's distinct values, and the counts at a
+    candidate are the running totals at its last copy in the run.  A zero
+    candidate is stored as +0.0, whichever sign its copies carry.
+    """
     if t_max is not None:
         side = "right" if inclusive else "left"
         su = su[: su.searchsorted(t_max, side=side)]
@@ -269,55 +340,51 @@ def _sorted_scan(u, su, sv, alpha, t_max, inclusive) -> _MirrorScan:
     run = np.concatenate((su, sv))
     # a stable argsort finds the two ascending runs and merges them (timsort)
     order = run.argsort(kind="stable")
-    return _run_scan(u, run[order], order < su.size, alpha)
-
-
-def _run_scan(u, run, from_u, alpha) -> _MirrorScan:
-    """Mirror scan from one ascending run of every score inside the domain.
-
-    ``from_u`` marks the run's rejection scores; the rest are mirror
-    scores.  The candidate grid is the run's distinct values, and the counts
-    at a candidate are the running totals at its last copy in the run.  A
-    zero candidate is stored as +0.0, whichever sign its copies carry.
-    """
+    run = run[order]
     step = run[1:] != run[:-1]
     last = np.concatenate((step, (run.size > 0,))).nonzero()[0]
     cands = run[last] + 0.0  # -0.0 + 0.0 is +0.0
-    n_rej = from_u.cumsum()[last]
-    n_mir = last + 1 - n_rej
+    n_rej = (order < su.size).cumsum()[last]
+    return _MirrorGrid(cands, n_rej, last + 1 - n_rej)
+
+
+def _run_scan(u, grid: _MirrorGrid, alpha) -> _MirrorScan:
+    """Level criterion of a mirror scan: both criteria over ``grid`` at
+    ``alpha``, the threshold and the relaxed plateau.  ``u`` holds the
+    rejection scores of every hypothesis."""
+    cands, n_rej, n_mir = grid.cands, grid.n_rej, grid.n_mir
     feas = (1.0 + n_mir) / np.maximum(n_rej, 1) <= alpha
     relaxed = n_mir / (n_rej + 1.0) <= alpha
-    k = _last_at_or_after(feas, 0)
+    k = _last_true(feas)
     if k >= 0:
         threshold, m_at, feasible = float(cands[k]), 1.0 + float(n_mir[k]), True
         rejected_mask = u <= threshold
     else:
         threshold, m_at, feasible = None, 0.0, False
         rejected_mask = np.zeros(u.size, dtype=bool)
-    k = _last_at_or_after(relaxed, 0)
+    k = _last_true(relaxed)
     mstar, loo_count = (float(cands[k]), int(n_mir[k])) if k >= 0 else (None, 0)
     return _MirrorScan(
-        threshold, m_at, rejected_mask, feasible,
-        cands, n_rej, n_mir, feas, relaxed, mstar, loo_count,
+        threshold, m_at, rejected_mask, feasible, grid, feas, relaxed, mstar, loo_count,
     )
 
 
-def _stepup_scan(p: np.ndarray, alpha: float, scale: float) -> ThresholdResult:
-    """Step-up scan for m(t) = scale * t with rejection rule p_i <= t.
+def _stepup_scan(memo: _Memo, alpha: float, scale: float) -> ThresholdResult:
+    """Step-up scan for m(t) = scale * t with rejection rule p_i <= t,
+    read off the memo's sorted p-values.
 
     The reported threshold is the supremum of the feasible plateau,
     ``k_hat * alpha / scale``, so that ``m(T) = k_hat * alpha`` exactly and
     the e-value conversion reproduces the rejection set.
     """
-    n = p.size
-    s = np.sort(p)
-    ks = np.arange(1, n + 1)
+    s = memo(_sorted)
+    ks = np.arange(1, s.size + 1)
     ok = s <= ks * alpha / scale
     if not ok.any():
         return ThresholdResult(None, 0.0, np.empty(0, dtype=np.intp), False)
     khat = int(np.nonzero(ok)[0][-1]) + 1
     threshold = khat * alpha / scale
-    rejected = np.nonzero(p <= threshold)[0]
+    rejected = np.nonzero(memo.data <= threshold)[0]
     return ThresholdResult(float(threshold), float(khat * alpha), rejected, True)
 
 
@@ -328,8 +395,13 @@ def storey_pi0(pvals, storey_lambda: float) -> float:
         raise ConfigurationError(
             f"storey_lambda must lie in [0, 1), got {storey_lambda}"
         )
-    n = p.size
-    r_lam = int(np.count_nonzero(p <= storey_lambda))
+    return _storey_pi0(_Memo(p), storey_lambda)
+
+
+def _storey_pi0(memo: _Memo, storey_lambda: float) -> float:
+    """:func:`storey_pi0` on the memo's p-values."""
+    n = memo.data.size
+    r_lam = int(np.count_nonzero(memo.data <= storey_lambda))
     return (1.0 + n - r_lam) / ((1.0 - storey_lambda) * n)
 
 
@@ -349,15 +421,19 @@ def solve_threshold(pvals, spec: ProcedureSpec) -> ThresholdResult:
         Feasibility flag, threshold, false-rejection estimate at the
         threshold and the rejected index set.
     """
-    p = as_pvalues(pvals)
+    return _solve(_Memo(as_pvalues(pvals)), spec)
+
+
+def _solve(memo: _Memo, spec: ProcedureSpec) -> ThresholdResult:
+    """:func:`solve_threshold` on the memo of validated p-values."""
+    p = memo.data
     n = p.size
     if spec.kind == "bh":
-        return _stepup_scan(p, spec.alpha, float(n))
+        return _stepup_scan(memo, spec.alpha, float(n))
     if spec.kind == "storey":
-        pi0 = storey_pi0(p, spec.storey_lambda)
-        return _stepup_scan(p, spec.alpha, n * pi0)
+        return _stepup_scan(memo, spec.alpha, n * _storey_pi0(memo, spec.storey_lambda))
     if spec.kind == "bc":
-        scan = _bc_scan(p, spec.alpha)
+        scan = _bc_scan(memo, spec.alpha)
     else:  # fbc
         _validate_fbc(spec.rejection_functions, n)
         scan = _fbc_scan(p, spec.rejection_functions, spec.alpha)
@@ -371,13 +447,17 @@ def procedure_to_evalues(pvals, spec: ProcedureSpec, result: ThresholdResult) ->
     Rejected hypotheses receive ``n / m(T)``; everything else (and every
     hypothesis when the threshold search was infeasible) receives 0.
     """
-    p = as_pvalues(pvals)
-    e = np.zeros(p.size)
+    return _to_evalues(as_pvalues(pvals).size, result)
+
+
+def _to_evalues(n: int, result: ThresholdResult) -> np.ndarray:
+    """:func:`procedure_to_evalues` for ``n`` hypotheses."""
+    e = np.zeros(n)
     if not result.feasible:
         return e
     if not result.m_at_T > 0.0:
         raise InvariantError("feasible threshold with zero false-rejection estimate")
-    e[result.rejected] = p.size / result.m_at_T
+    e[result.rejected] = n / result.m_at_T
     return e
 
 
@@ -393,7 +473,12 @@ def ebh_select(evalues, alpha: float) -> np.ndarray:
     ndarray of int
         Sorted 0-based indices of rejected hypotheses.
     """
-    e = as_evalues(evalues)
+    return _ebh_select(as_evalues(evalues), alpha)
+
+
+def _ebh_select(e: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`ebh_select` on e-values built by the package, which need no
+    validation."""
     _check_alpha(alpha)
     n = e.size
     es = np.sort(e)[::-1]

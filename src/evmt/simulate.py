@@ -4,9 +4,17 @@ Every replicate draws from its own counter-based substream
 (``Philox`` keyed by ``(seed, replicate)``), so campaigns are reproducible
 and insensitive to execution order; methods that need extra randomness
 (e.g. the cross-fitting fold split) get a further substream keyed by the
-method's registry index.  Methods that share a runner needing no
-randomness (``BC`` and ``BC_Com``; ``eBH_Ada`` and ``fast_eBH_Ada`` on an
-instance without groups) share one run of it per replicate.
+method's registry index.
+
+The methods of one replicate share one memo (``procedures._Memo``).  It
+validates the p-values and the partition once, and holds the level-free
+scans every method reads its level criterion off: the sorted p-values and
+the BC grid for BH, Storey, BC and both hybrid blends, the per-group scans
+for the grouped methods, the sign counts of each knockoff family for
+``KO_1``, ``KO_2`` and ``KO_Hybrid``.  Methods that share a runner needing
+no randomness (``BC`` and ``BC_Com``; ``eBH_Ada`` and ``fast_eBH_Ada`` on
+an instance without groups) share one run of it.  The memo goes with the
+replicate.
 
 Settings
 --------
@@ -32,10 +40,10 @@ import numpy as np
 
 from .adaptive import run_structure_adaptive
 from .errors import ConfigurationError, InputError
-from .groups import GroupPartition, groupwise_bc_thresholds, run_grouped_ebh
-from .hybrid import HybridConfig, run_hybrid
-from .knockoffs import combine_and_select, knockoff_threshold
-from .procedures import ProcedureSpec, _group_fdp_power, fdp_power, solve_threshold
+from .groups import GroupPartition, _bc_groups, _check_partition, _grouped
+from .hybrid import HybridConfig, _run_hybrid
+from .knockoffs import _combine_and_select, _knockoff_threshold, as_stats
+from .procedures import ProcedureSpec, _group_fdp_power, _Memo, _solve, as_pvalues, fdp_power
 
 __all__ = [
     "SimulationConfig",
@@ -104,6 +112,8 @@ class SimulationConfig:
         object.__setattr__(self, "setting", setting)
         if self.replications < 1:
             raise ConfigurationError("replications must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
         params = default_parameters(setting)
         params.update(self.parameters)
         object.__setattr__(self, "parameters", params)
@@ -136,11 +146,15 @@ class SimulationConfig:
                 if key == "setting":
                     fields["setting"] = value
                 elif key in ("replications", "reps"):
-                    fields["replications"] = int(value)
+                    fields["replications"] = _config_number(int, path, lineno, key, value)
                 elif key == "seed":
-                    fields["seed"] = int(value)
+                    fields["seed"] = _config_number(int, path, lineno, key, value)
+                    if fields["seed"] < 0:
+                        raise ConfigurationError(
+                            f"{path}:{lineno}: seed must be a non-negative integer, got {value}"
+                        )
                 elif key in ("alpha", "target_alpha"):
-                    fields["target_alpha"] = float(value)
+                    fields["target_alpha"] = _config_number(float, path, lineno, key, value)
                 else:
                     try:
                         params[key] = json.loads(value)
@@ -149,6 +163,15 @@ class SimulationConfig:
         if "setting" not in fields:
             raise InputError(f"{path}: missing required key 'setting'")
         return cls(parameters=params, **fields)
+
+
+def _config_number(kind, path, lineno, key, value):
+    """``kind(value)`` for a config file entry; a line-numbered InputError if it fails."""
+    try:
+        return kind(value)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise InputError(f"{path}:{lineno}: {key} must be {what}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -248,61 +271,89 @@ def _need(instance, attr, method):
     return value
 
 
-def _run_bc(instance, alpha):
-    return solve_threshold(instance.pvals, ProcedureSpec(kind="bc", alpha=alpha)).rejected
+# Stages of the replicate memo, a _Memo whose data is the SimInstance: the
+# memos of its data vectors, validated by the first method that reads them.
+
+def _pvals(rep):
+    """Memo of the validated p-values, with the partition when there is one."""
+    p = as_pvalues(rep.data.pvals)
+    part = rep.data.partition
+    if part is not None:
+        _check_partition(p, part)
+    return _Memo(p, part)
 
 
-def _run_bc_sep(instance, alpha):
-    part = _need(instance, "partition", "BC_Sep")
-    thresholds = groupwise_bc_thresholds(instance.pvals, part, alpha)
+def _stats(rep, which):
+    """Memo of one knockoff family's validated statistics."""
+    return _Memo(as_stats(getattr(rep.data, f"stats_{which}")))
+
+
+def _grouped_pvals(rep, method):
+    _need(rep.data, "partition", method)
+    return rep(_pvals)
+
+
+def _run_threshold(rep, alpha, kind):
+    return _solve(rep(_pvals), ProcedureSpec(kind=kind, alpha=alpha)).rejected
+
+
+def _run_bc(rep, alpha):
+    return _run_threshold(rep, alpha, "bc")
+
+
+def _run_bc_sep(rep, alpha):
+    thresholds = _grouped_pvals(rep, "BC_Sep")(_bc_groups, alpha)[0]
     return np.sort(np.concatenate([res.rejected for res in thresholds]))
 
 
-def _run_grouped(instance, alpha, scheme):
-    part = _need(instance, "partition", f"grouped scheme {scheme}")
-    return run_grouped_ebh(instance.pvals, part, alpha, scheme=scheme).rejected
+def _run_grouped(rep, alpha, scheme):
+    return _grouped(_grouped_pvals(rep, f"grouped scheme {scheme}"), alpha, scheme).rejected
 
 
-def _run_hybrid_mode(instance, alpha, mode):
-    return run_hybrid(instance.pvals, HybridConfig(alpha_ebh=alpha, weight_mode=mode))
+def _run_hybrid_mode(rep, alpha, mode):
+    return _run_hybrid(rep(_pvals), HybridConfig(alpha_ebh=alpha, weight_mode=mode))
 
 
-def _run_grouped_adaptive(instance, alpha):
-    return _run_grouped(instance, alpha, "adaptive")
+def _run_grouped_adaptive(rep, alpha):
+    return _run_grouped(rep, alpha, "adaptive")
 
 
-def _run_hybrid_adaptive(instance, alpha):
-    return _run_hybrid_mode(instance, alpha, "adaptive")
+def _run_hybrid_adaptive(rep, alpha):
+    return _run_hybrid_mode(rep, alpha, "adaptive")
 
 
-def _run_struct(instance, alpha, rng, mode):
-    covars = _need(instance, "covars", "eBH_FBC")
-    return run_structure_adaptive(instance.pvals, covars, alpha, mode=mode, rng=rng)
+def _run_struct(rep, alpha, rng, mode):
+    covars = _need(rep.data, "covars", "eBH_FBC")
+    return run_structure_adaptive(rep.data.pvals, covars, alpha, mode=mode, rng=rng)
 
 
-def _run_knockoff(instance, alpha, which):
-    stats = _need(instance, f"stats_{which}", f"KO_{which}")
-    return knockoff_threshold(stats, alpha).rejected
+def _run_knockoff(rep, alpha, which):
+    _need(rep.data, f"stats_{which}", f"KO_{which}")
+    return _knockoff_threshold(rep(_stats, which), alpha).rejected
+
+
+def _run_knockoff_hybrid(rep, alpha):
+    return _combine_and_select(rep(_stats, "a"), rep(_stats, "b"), alpha, 0.5, 0.5, None)
 
 
 # name -> (needs_rng, runner); the registry order fixes each method's
 # substream index, so adding methods must append, not reorder
 _METHODS = {
-    "BH": (False, lambda inst, a: solve_threshold(inst.pvals, ProcedureSpec(kind="bh", alpha=a)).rejected),
-    "ST": (False, lambda inst, a: solve_threshold(inst.pvals, ProcedureSpec(kind="storey", alpha=a)).rejected),
+    "BH": (False, lambda rep, a: _run_threshold(rep, a, "bh")),
+    "ST": (False, lambda rep, a: _run_threshold(rep, a, "storey")),
     "BC": (False, _run_bc),
     "BC_Com": (False, _run_bc),
     "BC_Sep": (False, _run_bc_sep),
-    "eBH_1": (False, lambda inst, a: _run_grouped(inst, a, "unit")),
-    "eBH_2": (False, lambda inst, a: _run_grouped(inst, a, "size")),
+    "eBH_1": (False, lambda rep, a: _run_grouped(rep, a, "unit")),
+    "eBH_2": (False, lambda rep, a: _run_grouped(rep, a, "size")),
     "eBH_Ada": (False, _run_hybrid_adaptive),  # see _GROUPED_RUNNERS
-    "eBH_Ave": (False, lambda inst, a: _run_hybrid_mode(inst, a, "averaged")),
+    "eBH_Ave": (False, lambda rep, a: _run_hybrid_mode(rep, a, "averaged")),
     "fast_eBH_Ada": (False, _run_hybrid_adaptive),
-    "eBH_FBC": (True, lambda inst, a, rng: _run_struct(inst, a, rng, "cheap")),
-    "eBH_FBC_unit": (True, lambda inst, a, rng: _run_struct(inst, a, rng, "unit")),
-    "KO_1": (False, lambda inst, a: _run_knockoff(inst, a, "a")),
-    "KO_2": (False, lambda inst, a: _run_knockoff(inst, a, "b")),
-    "KO_Hybrid": (False, lambda inst, a: combine_and_select(inst.stats_a, inst.stats_b, a)),
+    "eBH_FBC": (True, lambda rep, a, rng: _run_struct(rep, a, rng, "cheap")),
+    "eBH_FBC_unit": (True, lambda rep, a, rng: _run_struct(rep, a, rng, "unit")),
+    "KO_1": (False, lambda rep, a: _run_knockoff(rep, a, "a")),
+    "KO_2": (False, lambda rep, a: _run_knockoff(rep, a, "b")),
+    "KO_Hybrid": (False, _run_knockoff_hybrid),
 }
 
 # on an instance with groups, eBH_Ada is the grouped procedure
@@ -311,23 +362,34 @@ _GROUPED_RUNNERS = {"eBH_Ada": _run_grouped_adaptive}
 _METHOD_INDEX = {name: i for i, name in enumerate(_METHODS)}
 
 
-def _replicate_metrics(config: SimulationConfig, replicate: int, methods) -> dict:
-    instance = generate(config, replicate)
-    alpha = config.target_alpha
+def _run_methods(instance: SimInstance, alpha: float, methods, seed: int, replicate: int) -> dict:
+    """Rejections of each method on one replicate, ``{name: sorted indices}``.
+
+    The replicate memo holds the memos of the validated data, and the
+    rejections of each runner that needs no random stream, keyed by runner
+    and level.
+    """
+    rep = _Memo(instance)
     part = instance.partition
-    done = {}  # runner -> rejections, for the runners that need no random stream
     out = {}
     for name in methods:
         needs_rng, runner = _METHODS[name]
         if part is not None:
             runner = _GROUPED_RUNNERS.get(name, runner)
         if needs_rng:
-            rng = _replicate_rng(config.seed, replicate, lane=1 + _METHOD_INDEX[name])
-            rejected = runner(instance, alpha, rng)
-        elif runner in done:
-            rejected = done[runner]
+            rng = _replicate_rng(seed, replicate, lane=1 + _METHOD_INDEX[name])
+            out[name] = runner(rep, alpha, rng)
         else:
-            rejected = done[runner] = runner(instance, alpha)
+            out[name] = rep(runner, alpha)
+    return out
+
+
+def _replicate_metrics(config: SimulationConfig, replicate: int, methods) -> dict:
+    instance = generate(config, replicate)
+    part = instance.partition
+    rejections = _run_methods(instance, config.target_alpha, methods, config.seed, replicate)
+    out = {}
+    for name, rejected in rejections.items():
         fdp, power = fdp_power(rejected, instance.truth)
         record = {"fdp": fdp, "power": power}
         if part is not None:

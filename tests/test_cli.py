@@ -259,6 +259,35 @@ def test_simulate_unknown_setting_exit_3(capsys):
     assert "setting" in capsys.readouterr().err
 
 
+def test_simulate_negative_seed_exit_3(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert run_cli(["simulate", "--setting", "S1", "--reps", 1, "--seed", -1, "--out", out]) == 3
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_adaptive_negative_seed_exit_3(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["pvalue", "x"], [(0.01, 0.5), (0.6, -1.0), (0.3, 0.2)])
+    assert run_cli(["adaptive", "--input", path, "--seed", -5, "--out", tmp_path / "r.csv"]) == 3
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_simulate_negative_seed_in_config_file_exit_3(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("setting = ALLNULL\nreps = 2\nseed = -3\n")
+    assert run_cli(["simulate", "--input", cfg, "--out", tmp_path / "m.csv"]) == 3
+    assert f"{cfg}:3: seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+def test_simulate_bad_reps_in_config_file_exit_2(tmp_path, capsys, value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"setting = ALLNULL\n# comment\nreps = {value}\n")
+    assert run_cli(["simulate", "--input", cfg, "--out", tmp_path / "m.csv"]) == 2
+    assert f"{cfg}:3: reps" in capsys.readouterr().err
+
+
 def test_read_table_rejects_out_of_range_pvalue(tmp_path):
     path = tmp_path / "p.csv"
     write_csv(path, ["pvalue"], [(0.5,), (1.5,)])

@@ -209,7 +209,7 @@ def test_prop_loo_thresholds_equal_their_definitions(p, a_bh, a_bc):
         zeroed = censored.copy()
         zeroed[i] = 0.0
         assert loo.t_bh_loo[i] == brute_bh_plateau(zeroed, a_bh)
-    assert np.array_equal(loo._pos, np.searchsorted(loo._scan.cands, censored, side="left"))
+    assert np.array_equal(loo._pos, np.searchsorted(loo._scan.grid.cands, censored, side="left"))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def test_invariant_checks_survive_optimisation():
     loo = compute_loo_thresholds(p, 0.4, 0.4)
     assert loo._scan.mstar is not None
     # a base plateau beyond the grid: every zeroed plateau seems to shrink it
-    grown = replace(loo, _scan=replace(loo._scan, mstar=float(loo._scan.cands[-1]) + 1.0))
+    grown = replace(loo, _scan=replace(loo._scan, mstar=float(loo._scan.grid.cands[-1]) + 1.0))
     with pytest.raises(InvariantError):
         adaptive_weights(p, grown)
 

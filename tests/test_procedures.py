@@ -151,10 +151,10 @@ def _grid_by_definition(u, v, keep):
 def test_prop_bc_grid_equals_its_definition(p, alpha):
     scan = _bc_scan(np.array(p), alpha)
     cands, n_rej, n_mir = _grid_by_definition(p, [1.0 - x for x in p], lambda x: x < 0.5)
-    assert scan.cands.tolist() == cands
-    assert scan.n_rej.tolist() == n_rej
-    assert scan.n_mir.tolist() == n_mir
-    assert not np.signbit(scan.cands).any()  # a zero candidate is +0.0
+    assert scan.grid.cands.tolist() == cands
+    assert scan.grid.n_rej.tolist() == n_rej
+    assert scan.grid.n_mir.tolist() == n_mir
+    assert not np.signbit(scan.grid.cands).any()  # a zero candidate is +0.0
     t = brute_bc_threshold(p, alpha)
     assert (not scan.feasible) if t is None else scan.threshold == t
 
@@ -171,10 +171,10 @@ def test_prop_mirror_grid_equals_its_definition(scores, t_max, inclusive):
     scan = _mirror_scan(np.array(u), np.array(v), 0.5, t_max=t_max, inclusive=inclusive)
     keep = (lambda x: x <= t_max) if inclusive else (lambda x: x < t_max)
     cands, n_rej, n_mir = _grid_by_definition(u, v, keep)
-    assert scan.cands.tolist() == cands
-    assert scan.n_rej.tolist() == n_rej
-    assert scan.n_mir.tolist() == n_mir
-    assert not np.signbit(scan.cands).any()  # a zero candidate is +0.0
+    assert scan.grid.cands.tolist() == cands
+    assert scan.grid.n_rej.tolist() == n_rej
+    assert scan.grid.n_mir.tolist() == n_mir
+    assert not np.signbit(scan.grid.cands).any()  # a zero candidate is +0.0
 
 
 def test_bc_matches_brute_force_grid():
@@ -200,6 +200,26 @@ def test_storey_pi0_direct_counts():
     # lambda = 0 with no zero p-values: (1 + n) / n
     assert storey_pi0([0.3, 0.7, 0.9], 0.0) == pytest.approx(4.0 / 3.0)
     assert storey_pi0([0.0, 0.9], 0.5) == pytest.approx(2.0)
+    # p-values equal to lambda count as at or below it
+    assert storey_pi0([0.5, 0.5, 0.7], 0.5) == pytest.approx(2.0 / 1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.lists(EDGE | st.floats(0.0, 1.0), min_size=1, max_size=40),
+    alpha=st.floats(0.02, 0.7),
+    pick=st.integers(0, 39),
+)
+def test_prop_storey_with_ties_at_lambda_matches_brute_force(p, alpha, pick):
+    lam = p[pick % len(p)]
+    if lam >= 1.0:
+        lam = 0.5
+    n = len(p)
+    assert storey_pi0(p, lam) == (1.0 + n - sum(1 for x in p if x <= lam)) / ((1.0 - lam) * n)
+    res = solve_threshold(p, ProcedureSpec(kind="storey", alpha=alpha, storey_lambda=lam))
+    khat, expected = brute_storey(p, alpha, lam)
+    assert set(res.rejected.tolist()) == expected
+    assert res.feasible == (khat > 0)
 
 
 def test_storey_pi0_rejects_lambda_one():

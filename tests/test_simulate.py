@@ -1,11 +1,31 @@
+import json
 import os
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evmt import ConfigurationError, ProcedureSpec, solve_threshold
+from evmt import (
+    ConfigurationError,
+    GroupPartition,
+    HybridConfig,
+    ProcedureSpec,
+    combine_and_select,
+    fdp_power,
+    groupwise_bc_thresholds,
+    knockoff_threshold,
+    run_grouped_ebh,
+    run_hybrid,
+    solve_threshold,
+)
+from evmt import groups, hybrid, knockoffs, procedures, simulate
 from evmt.simulate import (
     MetricsReport,
+    SimInstance,
     SimulationConfig,
     _worker_count,
     default_parameters,
@@ -13,6 +33,9 @@ from evmt.simulate import (
     run_campaign,
     toy_two_group,
 )
+
+SCORES = ["BH", "ST", "BC", "eBH_Ave", "eBH_Ada", "fast_eBH_Ada"]
+GROUPED = ["BC_Com", "BC_Sep", "eBH_1", "eBH_2", "eBH_Ada"]
 
 
 def test_builtin_parameter_tables():
@@ -167,6 +190,26 @@ def test_config_file_parsing(tmp_path):
         SimulationConfig.from_file(bad)
 
 
+@pytest.mark.parametrize("key", ["reps", "replications", "seed"])
+@pytest.mark.parametrize("value", ["abc", "2.5"])
+def test_config_file_bad_integer_names_its_line(tmp_path, key, value):
+    from evmt import InputError
+
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_text(f"setting = S1\n\n{key} = {value}\n")
+    with pytest.raises(InputError, match=rf"campaign.cfg:3: {key} must be an integer, got '{value}'"):
+        SimulationConfig.from_file(cfg)
+
+
+def test_negative_seed_is_a_configuration_error(tmp_path):
+    with pytest.raises(ConfigurationError, match="seed"):
+        SimulationConfig(setting="S1", seed=-1)
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_text("setting = S1\nseed = -2\n")
+    with pytest.raises(ConfigurationError, match="campaign.cfg:2: seed"):
+        SimulationConfig.from_file(cfg)
+
+
 def test_toy_two_group_story():
     from evmt.groups import run_grouped_ebh
 
@@ -215,26 +258,182 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_each_runner_runs_once_per_replicate(monkeypatch):
-    # eBH_Ada and fast_eBH_Ada run the same adaptive hybrid on S1: one
-    # adaptive and one averaged blend per replicate
-    from evmt import cli, hybrid
+def _count_stage_builds(monkeypatch, stages):
+    """Wrap each ``(module, name)`` stage in every namespace that holds it.
 
+    Each build records ``(stage, key, data)``; the same wrapper replaces the
+    stage everywhere, so a memo keys it the same way in every module.
+    """
+    builds = []
+    for module, name in stages:
+        original = getattr(module, name)
+
+        def counted(memo, *key, _name=name, _original=original):
+            builds.append((_name, key, memo.data.tobytes()))
+            return _original(memo, *key)
+
+        for ns in (procedures, groups, hybrid, knockoffs, simulate):
+            if getattr(ns, name, None) is original:
+                monkeypatch.setattr(ns, name, counted)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "setting, methods, per_replicate",
+    [
+        ("S1", SCORES, {"_sorted": 1, "_bc_grid": 1}),
+        # BC_Com scans all of p, the grouped methods each group's share
+        ("E1", GROUPED + ["eBH_Ave", "fast_eBH_Ada"], {"_sorted": 3, "_bc_grid": 3, "_bc_groups": 1}),
+        ("KNOCK_SYNTH", ["KO_1", "KO_2", "KO_Hybrid"], {"_sign_counts": 2}),
+    ],
+)
+def test_each_level_free_stage_runs_once_per_replicate(monkeypatch, setting, methods, per_replicate):
     monkeypatch.delenv("EVMT_THREADS", raising=False)
-    calls = _count_calls(monkeypatch, hybrid, "_hybrid_evalues")
-    cfg = SimulationConfig(setting="S1", replications=10, seed=5)
-    report = run_campaign(cfg, cli._DEFAULT_METHODS["scores"])
-    assert len(calls) == 20
-    assert report.methods["eBH_Ada"] == report.methods["fast_eBH_Ada"]
+    builds = _count_stage_builds(monkeypatch, [
+        (procedures, "_sorted"), (procedures, "_bc_grid"),
+        (groups, "_bc_groups"), (knockoffs, "_sign_counts"),
+    ])
+    reps = 6
+    run_campaign(SimulationConfig(setting=setting, replications=reps, seed=5), methods)
+    # no stage is built twice on the same data and key
+    assert len(builds) == len(set(builds))
+    counts = {name: sum(b[0] == name for b in builds) for name in per_replicate}
+    assert counts == {name: reps * k for name, k in per_replicate.items()}
+    assert len(builds) == reps * sum(per_replicate.values())
 
 
 def test_grouped_eBH_Ada_stays_apart_from_the_hybrid(monkeypatch):
     # with groups, eBH_Ada is the grouped procedure and fast_eBH_Ada the hybrid
-    from evmt import hybrid, simulate
-
     monkeypatch.delenv("EVMT_THREADS", raising=False)
-    blends = _count_calls(monkeypatch, hybrid, "_hybrid_evalues")
-    grouped = _count_calls(monkeypatch, simulate, "run_grouped_ebh")
+    blends = _count_calls(monkeypatch, hybrid, "_blend")
+    grouped = _count_calls(monkeypatch, simulate, "_grouped")
     cfg = SimulationConfig(setting="E1", replications=4, seed=3)
     run_campaign(cfg, ["eBH_Ada", "fast_eBH_Ada", "BC", "BC_Com"])
     assert len(blends) == 4 and len(grouped) == 4
+
+
+def test_shared_runners_run_once_per_replicate(monkeypatch):
+    # without groups, eBH_Ada and fast_eBH_Ada share one adaptive blend, and
+    # BC and BC_Com one scan; eBH_Ave makes the second blend
+    from evmt import cli
+
+    monkeypatch.delenv("EVMT_THREADS", raising=False)
+    blends = _count_calls(monkeypatch, hybrid, "_blend")
+    mirror = _count_calls(monkeypatch, procedures, "_run_scan")
+    stepup = _count_calls(monkeypatch, procedures, "_stepup_scan")
+    cfg = SimulationConfig(setting="S1", replications=5, seed=5)
+    report = run_campaign(cfg, cli._DEFAULT_METHODS["scores"] + ["BC_Com"])
+    assert len(blends) == 10
+    # BC (BC_Com) and the BC level of each blend; BH, ST and the BH level of each blend
+    assert len(mirror) == 5 * 3 and len(stepup) == 5 * 4
+    assert report.methods["eBH_Ada"] == report.methods["fast_eBH_Ada"]
+    assert report.methods["BC"] == report.methods["BC_Com"]
+
+
+# Campaign reports of the commit before the replicate memo, one plan per
+# setting; each method set covers every runner the setting can take.
+_REPORT_METHODS = {
+    "scores": ["BH", "ST", "BC", "BC_Com", "eBH_Ave", "eBH_Ada", "fast_eBH_Ada"],
+    "grouped": ["BC_Com", "BC_Sep", "eBH_1", "eBH_2", "eBH_Ada", "eBH_Ave", "fast_eBH_Ada", "BC", "BH", "ST"],
+}
+_REPORT_PLAN = {
+    "S1": (dict(replications=8, seed=11), _REPORT_METHODS["scores"]),
+    "S2": (dict(replications=4, seed=12), _REPORT_METHODS["scores"]),
+    "E1": (dict(replications=8, seed=13), _REPORT_METHODS["grouped"]),
+    "KNOCK_SYNTH": (dict(replications=20, seed=14), ["KO_1", "KO_2", "KO_Hybrid"]),
+    "STRUCT": (dict(parameters={"n": 300}, replications=2, seed=15), ["BH", "eBH_FBC", "eBH_FBC_unit"]),
+    "ALLNULL": (
+        dict(parameters={"n": 90, "group_sizes": [30, 60], "d": 1}, replications=12, seed=16),
+        _REPORT_METHODS["grouped"] + ["eBH_FBC"],
+    ),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("setting", list(_REPORT_PLAN))
+def test_campaign_reports_are_unchanged(monkeypatch, setting, threads):
+    expected = json.loads((Path(__file__).parent / "data" / "campaign_reports.json").read_text())
+    monkeypatch.setenv("EVMT_THREADS", threads)
+    kwargs, methods = _REPORT_PLAN[setting]
+    report = run_campaign(SimulationConfig(setting=setting, **kwargs), methods)
+    # JSON keeps every float exactly (shortest round-trip repr)
+    assert json.loads(json.dumps(report.methods)) == expected[setting]
+
+
+_PROP_PVALUE = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 0.001, 0.01, 0.02, 0.25, 0.75, 0.99]),
+    st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def _instances(draw):
+    """A small instance with p-values, 1 to 4 groups and two statistic families."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["null", "drawn", "signal"]))
+    if kind == "null":
+        p = rng.uniform(size=n)
+    elif kind == "drawn":
+        # ties and exact 0, 0.5 and 1 come from the sampled values
+        p = np.array(draw(st.lists(_PROP_PVALUE, min_size=n, max_size=n)))
+    else:
+        p = rng.uniform(size=n)
+        p[: n // 2] = np.round(rng.beta(0.1, 20.0, size=n // 2), 3)
+    n_groups = draw(st.integers(1, min(4, n)))
+    labels = rng.permutation(np.concatenate([np.arange(n_groups), rng.integers(0, n_groups, n - n_groups)]))
+
+    def stats():
+        w = np.round(rng.normal(size=n) * rng.choice([0.5, 3.0]), 1)  # ties
+        w[rng.uniform(size=n) < 0.2] = 0.0
+        return w
+
+    return SimInstance(
+        pvals=p, truth=(rng.uniform(size=n) < 0.3).astype(int),
+        partition=GroupPartition(labels=labels, n_groups=n_groups),
+        stats_a=stats(), stats_b=stats(),
+    )
+
+
+def _public_rejections(inst, alpha):
+    """Each method's rejections from a standalone call to its public function."""
+    p, part = inst.pvals, inst.partition
+
+    def solve(kind):
+        return solve_threshold(p, ProcedureSpec(kind=kind, alpha=alpha)).rejected
+
+    out = {
+        "BH": solve("bh"), "ST": solve("storey"), "BC": solve("bc"), "BC_Com": solve("bc"),
+        "eBH_Ave": run_hybrid(p, HybridConfig(alpha_ebh=alpha, weight_mode="averaged")),
+        "fast_eBH_Ada": run_hybrid(p, HybridConfig(alpha_ebh=alpha, weight_mode="adaptive")),
+        "KO_1": knockoff_threshold(inst.stats_a, alpha).rejected,
+        "KO_2": knockoff_threshold(inst.stats_b, alpha).rejected,
+        "KO_Hybrid": combine_and_select(inst.stats_a, inst.stats_b, alpha),
+    }
+    if part is None:
+        out["eBH_Ada"] = out["fast_eBH_Ada"]
+    else:
+        thresholds = groupwise_bc_thresholds(p, part, alpha)
+        out["BC_Sep"] = np.sort(np.concatenate([res.rejected for res in thresholds]))
+        for name, scheme in (("eBH_1", "unit"), ("eBH_2", "size"), ("eBH_Ada", "adaptive")):
+            out[name] = run_grouped_ebh(p, part, alpha, scheme=scheme).rejected
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=_instances(), alpha=st.sampled_from([0.05, 0.1, 0.2, 0.3, 0.6]), grouped=st.booleans())
+def test_prop_replicate_rejections_equal_public_functions(inst, alpha, grouped):
+    if not grouped:
+        inst = replace(inst, partition=None)
+    want = _public_rejections(inst, alpha)
+    got = simulate._run_methods(inst, alpha, list(want), seed=0, replicate=0)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+    # the replicate's records are the FDP and power of those rejections
+    config = SimulationConfig(setting="ALLNULL", replications=1, target_alpha=alpha)
+    with mock.patch.object(simulate, "generate", return_value=inst):
+        records = simulate._replicate_metrics(config, 0, list(want))
+    for name, rejected in want.items():
+        assert (records[name]["fdp"], records[name]["power"]) == fdp_power(rejected, inst.truth), name

@@ -18,6 +18,12 @@ and with labels, ``GroupPartition.from_labels`` on the parsed labels, and
 Each figure is the best of several calls, repeated until the layer has run
 for at least ``BUDGET_S`` seconds (at least three calls).
 
+The ``replicate`` row times ``simulate._replicate_metrics`` on replicate 0
+of each setting of the benchmark's ``campaigns`` workload (its plan in
+``perfbench/campaigns.py``, benchmark seed ``REPLICATE_SEED``), with the
+setting's method set: one draw and every method on it, sharing the
+replicate's level-free scans.
+
 The ``cold_start`` row is the fixed cost every ``evmt`` process pays: the
 median wall time of ``COLD_RUNS`` fresh interpreters running
 ``import evmt``, started with ``subprocess``, next to the same for
@@ -28,7 +34,7 @@ Run from the repository root, against the source tree under test::
     PYTHONPATH=src python tools/layer_timings.py
 
 Prints one JSON object, ``{layer: {n: seconds}}``; ``cold_start`` is keyed
-by the statement run instead of n.
+by the statement run and ``replicate`` by the setting's name instead of n.
 """
 
 from __future__ import annotations
@@ -47,12 +53,15 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from evmt import cli
+from evmt import cli, simulate
 from evmt.adaptive import structure_pipeline
 from evmt.groups import GroupPartition, run_grouped_ebh
 from evmt.hybrid import HybridConfig, _hybrid_evalues, compute_loo_thresholds
 from evmt.procedures import ProcedureSpec, _bc_scan, procedure_to_evalues, solve_threshold
 from evmt.simulate import SimulationConfig, generate
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from campaigns import PLANS, config  # noqa: E402  the benchmark's campaign plans
 
 ALPHA = 0.1
 BUDGET_S = 1.0
@@ -61,6 +70,7 @@ STRUCT_EXPONENTS = range(3, 6)  # n = 10^3 ... 10^5
 CSV_SEED = 941
 N_LABELS = 1000
 COLD_RUNS = 7
+REPLICATE_SEED = 5
 
 
 def best_of(fn):
@@ -131,6 +141,13 @@ def adaptive_layers(out):
         out.setdefault("structure_pipeline_cheap", {})[f"1e{e}"] = round(seconds, 6)
 
 
+def replicate_layer(out):
+    for k, s in enumerate(PLANS["campaigns"]):
+        cfg = config(simulate, s, REPLICATE_SEED, k)
+        seconds = best_of(lambda: simulate._replicate_metrics(cfg, 0, s.methods))
+        out.setdefault("replicate", {})[s.name] = round(seconds, 6)
+
+
 def io_layers(out, tmp):
     for e in EXPONENTS:
         csv, table_out = tmp / f"cli_{e}.csv", tmp / "rejections.csv"
@@ -159,6 +176,7 @@ def main():
     cold_start(out)
     sort_layers(out)
     adaptive_layers(out)
+    replicate_layer(out)
     with tempfile.TemporaryDirectory() as tmp:
         io_layers(out, Path(tmp))
     print(json.dumps(out, indent=1))
