@@ -23,12 +23,12 @@ thresholds and the leave-one-out counts together, and
 ``groups._loo_weights`` turns those counts into weights, as for groups.
 :func:`structure_pipeline` therefore scans each fold once.
 
-Weight modes: ``unit`` (all ones), ``cheap`` (leave-one-out counts at the
-realised data, the recommended default) and ``full`` (additionally takes a
-supremum over replacements of p_i, refitting the complement curves at every
-replacement; far more expensive).  The ``full`` supremum is taken over the
-23 points of ``FULL_WEIGHT_GRID`` only, so it is a grid supremum: a
-replacement between grid points can give a larger count.
+Weight modes: ``unit`` (all ones) and ``cheap`` (the cross-fold
+leave-one-out counts at the realised data, the default).  The e-BH
+guarantee of the cross-fitted procedure asks each weight's cross-fold count
+to bound its supremum over replacements of p_i; ``cheap`` evaluates the
+count at the realised p_i only, so that bound is checked empirically (by
+the null e-value budget), not by construction.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .groups import GroupPartition, _loo_weights, _scan_groups, group_evalues
+from .groups import GroupPartition, _check_partition, _loo_weights, _scan_groups, group_evalues
 from .procedures import _fbc_scan, as_pvalues, ebh_select
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 P_FLOOR = 1e-15
-FULL_WEIGHT_GRID = np.linspace(0.0, 1.0, 23)
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,6 @@ def fit_lfdr_em(
     covars=None,
     eps1: float = 0.1,
     eps2: float = 1e-5,
-    init: Optional[tuple] = None,
 ) -> LfdrModel:
     """Fit the two-group mixture by maximising its likelihood directly.
 
@@ -217,8 +215,6 @@ def fit_lfdr_em(
         (n, d) covariate matrix.
     eps1, eps2 : float
         Winsorization of the fitted ``pi`` into [eps1, 1 - eps2].
-    init : (beta_pi, beta_kappa), optional
-        Warm-start coefficients; when given, the only start.
 
     Returns
     -------
@@ -238,19 +234,13 @@ def fit_lfdr_em(
     z = np.hstack([np.ones((p.size, 1)), x])
     ell = -np.log(p)
 
-    if init is not None:
-        starts = [(np.asarray(init[0], dtype=float), np.asarray(init[1], dtype=float))]
-    else:
-        from scipy.special import logit
+    from scipy.special import logit
 
-        starts = []
-        for pi0, kappa0 in ((0.9, 0.5), (0.99, 0.01)):
-            a0 = np.zeros(d + 1)
-            a0[0] = logit(pi0)
-            b0 = np.zeros(d + 1)
-            b0[0] = logit(kappa0)
-            starts.append((a0, b0))
-    fits = [_ascend(z, ell, a, b) for a, b in starts]
+    fits = []
+    for pi0, kappa0 in ((0.9, 0.5), (0.99, 0.01)):
+        a0, b0 = np.zeros(d + 1), np.zeros(d + 1)
+        a0[0], b0[0] = logit(pi0), logit(kappa0)
+        fits.append(_ascend(z, ell, a0, b0))
     beta_pi, beta_kappa, ll, success, nit = max(fits, key=lambda fit: fit[2])
     return LfdrModel(
         beta_pi=beta_pi,
@@ -275,8 +265,7 @@ def cross_fit(
     the per-fold models when ``return_models`` is set).
     """
     p = as_pvalues(pvals)
-    if part.n != p.size:
-        raise InputError("partition does not match the number of hypotheses")
+    _check_partition(p, part)
     if part.n_groups < 2:
         raise ConfigurationError("cross-fitting needs at least two folds")
     x = _as_covars(covars, p.size)
@@ -304,23 +293,34 @@ def _fold_scans(p, part: GroupPartition, curves: RejectionCurves, alpha):
     return _scan_groups(part, lambda idx: _fbc_scan(p[idx], curves[idx], alpha))
 
 
+def _checked(pvals, part: GroupPartition, curves: RejectionCurves, alpha) -> np.ndarray:
+    """Validated p-values that the partition and curves cover; ``alpha`` in (0, 1) or None."""
+    p = as_pvalues(pvals)
+    _check_partition(p, part)
+    if len(curves) != p.size:
+        raise InputError(f"curves cover {len(curves)} hypotheses, got {p.size} p-values")
+    if alpha is not None and not (0.0 < alpha < 1.0):
+        raise ConfigurationError(f"the fold level must lie in (0, 1), got {alpha}")
+    return p
+
+
 def fbc_group_threshold(pvals, part: GroupPartition, curves: RejectionCurves, alpha_fbc: float):
     """Flexible mirror-count threshold of each fold at level ``alpha_fbc``.
 
     The per-fold domain cap sits just below min_i phi_i(0.5).  Returns one
     :class:`ThresholdResult` per fold with global indices.
     """
-    p = as_pvalues(pvals)
+    p = _checked(pvals, part, curves, alpha_fbc)
     return _fold_scans(p, part, curves, alpha_fbc)[0]
 
 
 def _weight_mode(mode: str, alpha) -> str:
-    """Lower-case and check a weight mode; ``cheap`` and ``full`` need ``alpha``."""
+    """Lower-case and check a weight mode; ``cheap`` needs ``alpha``."""
     mode = mode.lower()
-    if mode not in ("unit", "cheap", "full"):
+    if mode not in ("unit", "cheap"):
         raise ConfigurationError(f"unknown weight mode {mode!r}")
-    if mode != "unit" and alpha is None:
-        raise ConfigurationError("cheap/full weights need the threshold level alpha")
+    if mode == "cheap" and alpha is None:
+        raise ConfigurationError("cheap weights need the threshold level alpha")
     return mode
 
 
@@ -331,66 +331,24 @@ def structure_weights(
     thresholds,
     mode: str = "cheap",
     alpha: Optional[float] = None,
-    covars=None,
-    models=None,
 ) -> np.ndarray:
-    """E-value weights for the cross-fitted procedure.
-
-    ``cheap`` evaluates the cross-fold leave-one-out exceedance counts at
-    the realised data; ``full`` maximises each count over replacements of
-    p_i on a 23-point grid, refitting the other folds' curves (warm-started
-    from ``models``) at every grid value.
+    """E-value weights for the cross-fitted procedure: all ones (``unit``),
+    or (``cheap``) ``w_i = (n / n_g) b_i / (b_i + sum_{h != g} count_h)`` for
+    member i of fold g, where ``b_i = 1 + #{j != i in g : phi_j(1 - p_j) <= T_g}``
+    (1 when fold g is infeasible) and ``count_h`` is fold h's leave-one-out
+    count at level ``alpha``, at the realised p-values.  ``thresholds`` come
+    from :func:`fbc_group_threshold` on the same inputs at level ``alpha``.
     """
-    p = as_pvalues(pvals)
     mode = _weight_mode(mode, alpha)
+    p = _checked(pvals, part, curves, alpha)
     if mode == "unit":
         return np.ones(p.size)
-    counts = _fold_scans(p, part, curves, alpha)[1]
-    return _cross_weights(p, part, curves, thresholds, counts, mode, alpha, covars, models)
+    return _cheap_weights(p, part, curves, thresholds, _fold_scans(p, part, curves, alpha)[1])
 
 
-def _cross_weights(p, part, curves, thresholds, counts, mode, alpha, covars, models):
-    """``cheap`` or ``full`` weights from the folds' leave-one-out ``counts``."""
-    G = part.n_groups
-    if mode == "cheap" or G == 1:
-        cross = counts.sum() - counts
-    else:
-        if models is None:
-            raise ConfigurationError("full weights need the per-fold models")
-        x = _as_covars(covars, p.size)
-        folds = []
-        for h in range(G):
-            hidx = part.indices(h)
-            comp = part.labels != h
-            folds.append((p[hidx], x[hidx], comp, x[comp], models[h]))
-        cross = [
-            _sup_cross_counts(p, part.indices(g), folds[:g] + folds[g + 1:], alpha)
-            for g in range(G)
-        ]
-    return _loo_weights(curves.at(1.0 - p), part, thresholds, cross)
-
-
-def _sup_cross_counts(p, idx, others, alpha):
-    """Full-mode cross count of each member i of one fold (indices ``idx``).
-
-    The supremum over p_i in ``FULL_WEIGHT_GRID`` of the other folds'
-    leave-one-out counts, each fold's curves refitted on its complement
-    with p_i replaced, warm-started from its model.  Each entry of
-    ``others`` holds one other fold's p-values and covariates, its
-    complement mask, the complement's covariates and its model.
-    """
-    sup = np.zeros(idx.size)
-    pm = p.copy()
-    for local, i in enumerate(idx):
-        for rho in FULL_WEIGHT_GRID:
-            pm[i] = rho
-            total = 0
-            for p_h, x_h, comp, x_comp, model in others:
-                refit = fit_lfdr_em(pm[comp], x_comp, init=(model.beta_pi, model.beta_kappa))
-                total += _fbc_scan(p_h, refit.curves(x_h), alpha).loo_count
-            sup[local] = max(sup[local], total)
-        pm[i] = p[i]
-    return sup
+def _cheap_weights(p, part, curves, thresholds, counts) -> np.ndarray:
+    """``cheap`` weights from the folds' leave-one-out ``counts``."""
+    return _loo_weights(curves.at(1.0 - p), part, thresholds, counts)
 
 
 def structure_pipeline(
@@ -414,10 +372,8 @@ def structure_pipeline(
     curves, models = cross_fit(p, covars, part, return_models=True)
     alpha_fbc = alpha_ebh / (1.0 + alpha_ebh)
     thresholds, counts = _fold_scans(p, part, curves, alpha_fbc)
-    if mode == "unit":
-        weights = np.ones(p.size)
-    else:
-        weights = _cross_weights(p, part, curves, thresholds, counts, mode, alpha_fbc, covars, models)
+    weights = (np.ones(p.size) if mode == "unit"
+               else _cheap_weights(p, part, curves, thresholds, counts))
     evalues = group_evalues(p, part, thresholds, weights)
     rejected = ebh_select(evalues, alpha_ebh)
     return {

@@ -31,6 +31,7 @@ import json
 import secrets
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,7 @@ _SPECIAL_COLUMNS = ("pvalue", "group", "truth", "evalue")
 
 _GROUP_SCHEMES = {"unit": "unit", "size": "size", "adaptive": "adaptive"}
 _HYBRID_MODES = {"averaged": "averaged", "adaptive": "adaptive", "fast": "adaptive"}
-_ADAPTIVE_MODES = {"unit": "unit", "cheap": "cheap", "full": "full"}
+_ADAPTIVE_MODES = {"unit": "unit", "cheap": "cheap"}
 
 _DEFAULT_METHODS = {
     "grouped": ["BC_Com", "BC_Sep", "eBH_1", "eBH_2", "eBH_Ada"],
@@ -86,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--weights", default=None,
                         help="unit|size|adaptive (groups), averaged|adaptive "
                              "(hybrid; fast is an alias of adaptive), "
-                             "unit|cheap|full (adaptive)")
+                             "unit|cheap (adaptive)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, metavar="PATH")
     parser.add_argument("--reps", type=int, default=None)
@@ -517,14 +518,7 @@ def _cmd_simulate(args):
     if args.input:
         if len(args.input) != 1:
             raise InputError("simulate accepts at most one --input config file")
-        config = SimulationConfig.from_file(args.input[0])
-        overrides = {
-            "setting": config.setting,
-            "parameters": dict(config.parameters),
-            "replications": config.replications,
-            "seed": config.seed,
-            "target_alpha": config.target_alpha,
-        }
+        overrides = asdict(SimulationConfig.from_file(args.input[0]))
     if args.setting:
         overrides["setting"] = args.setting
     if "setting" not in overrides:

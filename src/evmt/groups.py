@@ -36,9 +36,10 @@ construction, with the flexible mirror-count scan in place of BC.  Both
 modules use one path: ``_scan_groups`` runs a given mirror scan once per
 group and returns the thresholds together with the leave-one-out counts,
 and ``_loo_weights`` computes ``(n / n_l) * B_i / (B_i + cross_l)`` from
-the mirror scores and the other groups' counts ``cross_l``.  The BC group
-scans at a level are one stage of a ``procedures._Memo`` of p and the
-partition, so every grouped method of a campaign replicate reads them.
+the mirror scores and the groups' counts, ``cross_l`` being the sum of the
+other groups' counts.  The BC group scans at a level are one stage of a
+``procedures._Memo`` of p and the partition, so every grouped method of a
+campaign replicate reads them.
 """
 
 from __future__ import annotations
@@ -183,15 +184,16 @@ def _grouped_memo(pvals, part: GroupPartition) -> _Memo:
     return _Memo(p, part)
 
 
-def _loo_weights(mirror: np.ndarray, part: GroupPartition, thresholds, cross) -> np.ndarray:
-    """Leave-one-out weights ``(n / n_l) * b_i / (b_i + cross[l])``.
+def _loo_weights(mirror: np.ndarray, part: GroupPartition, thresholds, counts) -> np.ndarray:
+    """Leave-one-out weights ``(n / n_l) * b_i / (b_i + cross_l)``.
 
     ``b_i = 1 + #{j != i in group l : mirror_j <= T_l}`` (1 when group l is
     infeasible) counts on the stored mirror scores, as the threshold scans
-    did.  ``cross[l]`` is the other groups' leave-one-out count: a number,
-    or one number per member of group l.
+    did.  ``cross_l = counts.sum() - counts[l]`` is the other groups'
+    leave-one-out count.
     """
     n = mirror.size
+    total = counts.sum()
     w = np.empty(n)
     for l in range(part.n_groups):
         idx = part.indices(l)
@@ -200,7 +202,7 @@ def _loo_weights(mirror: np.ndarray, part: GroupPartition, thresholds, cross) ->
         if res.feasible:
             exceed = mirror[idx] <= res.threshold
             b += np.count_nonzero(exceed) - exceed
-        w[idx] = (n / part.sizes[l]) * b / (b + cross[l])
+        w[idx] = (n / part.sizes[l]) * b / (b + (total - counts[l]))
     return w
 
 
@@ -252,7 +254,7 @@ def _weights(p, part: GroupPartition, thresholds, scheme: str, counts) -> np.nda
         for l in range(part.n_groups):
             w[part.indices(l)] = p.size / (part.n_groups * part.sizes[l])
         return w
-    return _loo_weights(1.0 - p, part, thresholds, counts.sum() - counts)
+    return _loo_weights(1.0 - p, part, thresholds, counts)
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,14 @@ Settings
 
 from __future__ import annotations
 
+import copy
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -55,44 +58,111 @@ __all__ = [
     "toy_two_group",
 ]
 
-SETTINGS = ("E1", "E2", "F1", "F2", "F3", "S1", "S2", "STRUCT", "KNOCK_SYNTH", "ALLNULL")
+class _Param(NamedTuple):
+    """One setting parameter: its type (``int``, ``float``, ``list`` of
+    ``item`` or ``dict``, a table ``item``), its least value (exclusive when
+    ``strict``), its default (None: optional) and ``most``, the parameter
+    that bounds a number from above or that a list must sum to."""
 
-_GROUP_SETTINGS = {
-    # (n, n_alt, beta_a, beta_b) per group
-    "E1": [(100, 20, 4.0, 500.0), (1000, 20, 0.1, 500.0)],
-    "E2": [(100, 20, 0.5, 500.0), (1000, 20, 0.5, 500.0)],
-    "F1": [(100, 20, 0.1, 500.0), (100, 20, 0.1, 500.0),
-           (1000, 20, 0.1, 500.0), (1000, 20, 0.1, 500.0)],
-    "F2": [(100, 1, 0.01, 5000.0), (100, 20, 0.1, 500.0),
-           (100, 20, 0.1, 500.0), (100, 20, 0.1, 500.0)],
-    "F3": [(50, 2, 0.1, 500.0), (100, 2, 0.1, 500.0),
-           (50, 4, 0.2, 500.0), (100, 4, 0.3, 500.0)],
+    kind: type
+    low: float = -math.inf
+    default: Any = None
+    most: Optional[str] = None
+    item: Any = None
+    strict: bool = False
+
+
+# one group of a grouped setting: (n, n_alt, beta_a, beta_b)
+_GROUP = {"n": _Param(int, 1), "n_alt": _Param(int, 0, most="n"),
+          "beta_a": _Param(float, 0.0, strict=True), "beta_b": _Param(float, 0.0, strict=True)}
+
+
+def _groups(*rows):
+    rows = [dict(zip(_GROUP, row)) for row in rows]
+    return _Param(list, default=rows, item=_Param(dict, item=_GROUP))
+
+
+# each setting's parameters, by the names generate() reads
+_PARAMETERS = {
+    "E1": {"groups": _groups((100, 20, 4.0, 500.0), (1000, 20, 0.1, 500.0))},
+    "E2": {"groups": _groups((100, 20, 0.5, 500.0), (1000, 20, 0.5, 500.0))},
+    "F1": {"groups": _groups((100, 20, 0.1, 500.0), (100, 20, 0.1, 500.0),
+                             (1000, 20, 0.1, 500.0), (1000, 20, 0.1, 500.0))},
+    "F2": {"groups": _groups((100, 1, 0.01, 5000.0), (100, 20, 0.1, 500.0),
+                             (100, 20, 0.1, 500.0), (100, 20, 0.1, 500.0))},
+    "F3": {"groups": _groups((50, 2, 0.1, 500.0), (100, 2, 0.1, 500.0),
+                             (50, 4, 0.2, 500.0), (100, 4, 0.3, 500.0))},
+    "S1": {"n": _Param(int, 1, 1000), "n_alt": _Param(int, 0, 50, "n"),
+           "mu": _Param(float, default=0.4), "sigma": _Param(float, 0.0, 1.0)},
+    "S2": {"n": _Param(int, 1, 3000), "n_alt": _Param(int, 0, 750, "n"),
+           "mu": _Param(float, default=0.285), "sigma": _Param(float, 0.0, 0.4)},
+    "STRUCT": {"n": _Param(int, 1, 3000), "a0": _Param(float, default=3.5),
+               "a1": _Param(float, default=2.5), "a_f": _Param(float, default=1.0),
+               "mu": _Param(float, default=3.0)},
+    "KNOCK_SYNTH": {"p": _Param(int, 1, 200), "n_alt": _Param(int, 0, 30, "p"),
+                    "mu": _Param(float, default=3.0)},
+    "ALLNULL": {"n": _Param(int, 1, 200), "d": _Param(int, 0),
+                "group_sizes": _Param(list, most="n", item=_Param(int, 1))},
 }
 
 _DEFAULT_ALPHA = {"F3": 0.2, "STRUCT": 0.1, "KNOCK_SYNTH": 0.2}
 
 
+class _BadConfig(ConfigurationError):
+    """A bad configuration entry.  ``keys`` are the config-file keys involved;
+    ``malformed`` marks an unknown name or a wrong type, not a bad value."""
+
+    def __init__(self, keys, message, malformed=False):
+        super().__init__(message)
+        self.keys, self.malformed = keys, malformed
+
+
 def default_parameters(setting: str) -> dict:
     """Built-in parameter map for a setting (copy, safe to mutate)."""
-    setting = setting.upper()
-    if setting in _GROUP_SETTINGS:
-        return {
-            "groups": [
-                {"n": n, "n_alt": na, "beta_a": a, "beta_b": b}
-                for n, na, a, b in _GROUP_SETTINGS[setting]
-            ]
-        }
-    if setting == "S1":
-        return {"n": 1000, "n_alt": 50, "mu": 0.4, "sigma": 1.0}
-    if setting == "S2":
-        return {"n": 3000, "n_alt": 750, "mu": 0.285, "sigma": 0.4}
-    if setting == "STRUCT":
-        return {"n": 3000, "a0": 3.5, "a1": 2.5, "a_f": 1.0, "mu": 3.0}
-    if setting == "KNOCK_SYNTH":
-        return {"p": 200, "n_alt": 30, "mu": 3.0}
-    if setting == "ALLNULL":
-        return {"n": 200}
-    raise ConfigurationError(f"unknown setting {setting!r}")
+    table = _PARAMETERS.get(setting.upper())
+    if table is None:
+        raise _BadConfig(("setting",), f"unknown setting {setting!r}")
+    return {k: copy.deepcopy(v.default) for k, v in table.items() if v.default is not None}
+
+
+def _check_table(table: dict, values: dict, keys=None, where: str = "") -> None:
+    """Check ``values`` against a parameter table.  ``keys`` names the
+    top-level parameter of a nested table, ``where`` its place in messages."""
+    for name in sorted(values.keys() - table.keys()):
+        raise _BadConfig(keys or (name,), f"unknown parameter {where + name!r}; "
+                         f"expected one of {', '.join(table)}", True)
+    for name, spec in table.items():
+        if values.get(name) is None and where:
+            raise _BadConfig(keys, f"{where}{name} is missing", True)
+        if values.get(name) is not None or spec.default is not None:
+            _check_value(keys or (name,), where + name, values.get(name), spec, values)
+
+
+def _check_value(keys, label: str, value, spec: _Param, siblings: dict) -> None:
+    """Check one value against its spec; ``siblings`` holds the value ``most`` names."""
+    if spec.kind is dict:
+        if not isinstance(value, dict):
+            raise _BadConfig(keys, f"{label} must be a table, got {value!r}", True)
+        return _check_table(spec.item, value, keys, label + ".")
+    if spec.kind is list:
+        if not value or not isinstance(value, list):
+            raise _BadConfig(keys, f"{label} must be a non-empty list, got {value!r}", True)
+        for k, entry in enumerate(value):
+            _check_value(keys, f"{label}[{k}]", entry, spec.item, {})
+        if spec.most and sum(value) != siblings[spec.most]:
+            raise _BadConfig(keys + (spec.most,), f"{label} must sum to "
+                             f"{spec.most} = {siblings[spec.most]}, got {sum(value)}")
+        return
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+            or (spec.kind is int and value != int(value))):
+        what = "an integer" if spec.kind is int else "a finite number"
+        raise _BadConfig(keys, f"{label} must be {what}, got {value!r}", True)
+    if value < spec.low or (spec.strict and value == spec.low):
+        raise _BadConfig(keys, f"{label} must be {'above' if spec.strict else 'at least'} "
+                         f"{spec.low:g}, got {value!r}")
+    if spec.most and value > siblings[spec.most]:
+        raise _BadConfig(keys + (spec.most,), f"{label} must be at most "
+                         f"{spec.most} = {siblings[spec.most]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,33 +177,29 @@ class SimulationConfig:
 
     def __post_init__(self):
         setting = self.setting.upper()
-        if setting not in SETTINGS:
-            raise ConfigurationError(f"unknown setting {self.setting!r}")
-        object.__setattr__(self, "setting", setting)
-        if self.replications < 1:
-            raise ConfigurationError("replications must be at least 1")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be a non-negative integer, got {self.seed}")
         params = default_parameters(setting)
+        object.__setattr__(self, "setting", setting)
+        _check_value(("replications", "reps"), "replications", self.replications, _Param(int, 1), {})
+        _check_value(("seed",), "seed", self.seed, _Param(int, 0), {})
         params.update(self.parameters)
+        _check_table(_PARAMETERS[setting], params)
         object.__setattr__(self, "parameters", params)
         if self.target_alpha is None:
-            object.__setattr__(
-                self, "target_alpha", _DEFAULT_ALPHA.get(setting, 0.05)
-            )
+            object.__setattr__(self, "target_alpha", _DEFAULT_ALPHA.get(setting, 0.05))
         if not (0.0 < self.target_alpha < 1.0):
-            raise ConfigurationError("target_alpha must lie in (0, 1)")
+            raise _BadConfig(("target_alpha", "alpha"), "target_alpha must lie in (0, 1)")
 
     @classmethod
     def from_file(cls, path) -> "SimulationConfig":
         """Read a plain ``key = value`` config file.
 
         Recognised keys: ``setting``, ``replications``/``reps``, ``seed``,
-        ``alpha``/``target_alpha``.  Any other key is parsed as a numeric
-        setting parameter.
+        ``alpha``/``target_alpha``.  Any other key is a parameter of the
+        setting, its value parsed as JSON.  A malformed entry (an unknown
+        key, a value of the wrong type) raises :class:`InputError`, a value
+        out of range :class:`ConfigurationError`; both name its line.
         """
-        fields = {}
-        params = {}
+        fields, params, lines = {}, {}, {}
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -143,16 +209,13 @@ class SimulationConfig:
                     raise InputError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
                 key = key.lower()
+                lines[key] = lineno
                 if key == "setting":
                     fields["setting"] = value
                 elif key in ("replications", "reps"):
                     fields["replications"] = _config_number(int, path, lineno, key, value)
                 elif key == "seed":
                     fields["seed"] = _config_number(int, path, lineno, key, value)
-                    if fields["seed"] < 0:
-                        raise ConfigurationError(
-                            f"{path}:{lineno}: seed must be a non-negative integer, got {value}"
-                        )
                 elif key in ("alpha", "target_alpha"):
                     fields["target_alpha"] = _config_number(float, path, lineno, key, value)
                 else:
@@ -162,7 +225,11 @@ class SimulationConfig:
                         raise InputError(f"{path}:{lineno}: bad value {value!r}") from exc
         if "setting" not in fields:
             raise InputError(f"{path}: missing required key 'setting'")
-        return cls(parameters=params, **fields)
+        try:
+            return cls(parameters=params, **fields)
+        except _BadConfig as exc:
+            line = next((f":{lines[k]}" for k in exc.keys if k in lines), "")
+            raise (InputError if exc.malformed else ConfigurationError)(f"{path}{line}: {exc}") from None
 
 
 def _config_number(kind, path, lineno, key, value):
@@ -196,22 +263,19 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
     params = config.parameters
     setting = config.setting
 
-    if setting in _GROUP_SETTINGS:
-        chunks, truths, sizes = [], [], []
+    if "groups" in params:
+        chunks, sizes = [], []
         for g in params["groups"]:
             n, na = int(g["n"]), int(g["n_alt"])
             p = rng.uniform(size=n)
             if na:
                 p[:na] = rng.beta(g["beta_a"], g["beta_b"], size=na)
-            t = np.zeros(n, dtype=int)
-            t[:na] = 1
             chunks.append(p)
-            truths.append(t)
-            sizes.append(n)
+            sizes.append((n, na))
         return SimInstance(
             pvals=np.concatenate(chunks),
-            truth=np.concatenate(truths),
-            partition=GroupPartition.from_sizes(sizes),
+            truth=np.concatenate([np.arange(n) < na for n, na in sizes]).astype(int),
+            partition=GroupPartition.from_sizes([n for n, _ in sizes]),
         )
 
     if setting in ("S1", "S2"):
@@ -250,14 +314,9 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
 
     # ALLNULL
     n = int(params["n"])
-    part = None
-    if params.get("group_sizes"):
-        part = GroupPartition.from_sizes([int(s) for s in params["group_sizes"]])
-        if part.n != n:
-            raise ConfigurationError("group_sizes must sum to n")
-    covars = None
-    if params.get("d"):
-        covars = rng.normal(size=(n, int(params["d"])))
+    sizes = params.get("group_sizes")
+    part = GroupPartition.from_sizes([int(s) for s in sizes]) if sizes else None
+    covars = rng.normal(size=(n, int(params["d"]))) if params.get("d") else None
     return SimInstance(
         pvals=rng.uniform(size=n), truth=np.zeros(n, dtype=int),
         partition=part, covars=covars,

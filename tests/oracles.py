@@ -76,6 +76,19 @@ def brute_fbc_threshold(u, v, alpha, t_up):
     return best
 
 
+def brute_fbc_loo_count(u, v, alpha, t_up):
+    """#{j : v_j <= T_j}, where T_j is the FBC threshold with j's scores
+    censored to (min(u_j, v_j), max(u_j, v_j)); an infeasible T_j counts nothing."""
+    count = 0
+    for j in range(len(u)):
+        cu, cv = list(u), list(v)
+        cu[j], cv[j] = min(u[j], v[j]), max(u[j], v[j])
+        t = brute_fbc_threshold(cu, cv, alpha, t_up)
+        if t is not None and v[j] <= t:
+            count += 1
+    return count
+
+
 def brute_ebh(e, alpha):
     """E-value step-up by explicit rank scan; returns a rejected index set."""
     n = len(e)

@@ -7,7 +7,6 @@ from scipy.stats import norm
 
 from evmt import ConfigurationError, InputError, ProcedureSpec, fdp_power, solve_threshold
 from evmt.adaptive import (
-    FULL_WEIGHT_GRID,
     LfdrModel,
     RejectionCurves,
     cross_fit,
@@ -18,11 +17,10 @@ from evmt.adaptive import (
     structure_pipeline,
     structure_weights,
 )
-from evmt import procedures
+from evmt import adaptive, procedures
 from evmt.groups import GroupPartition
-from evmt.procedures import _mirror_scan
 
-from oracles import brute_fbc_threshold, grid_search_loglik, sample_working_model
+from oracles import brute_fbc_loo_count, brute_fbc_threshold, grid_search_loglik, sample_working_model
 
 
 # ---------------------------------------------------------------------------
@@ -89,21 +87,26 @@ def test_em_is_deterministic():
 
 
 def test_warm_started_fit_never_ends_below_its_start():
+    # _ascend returns its start when L-BFGS-B ends below it
+    def ascend(p, x, start):
+        z = np.hstack([np.ones((p.size, 1)), x])
+        ell = -np.log(np.maximum(p, adaptive.P_FLOOR))
+        return adaptive._ascend(z, ell, *start)[2]
+
     rng = np.random.default_rng(67)
     p, x = sample_working_model(rng, 1500, np.array([1.0, 0.5]), np.array([0.3, -0.4]))
     fitted = fit_lfdr_em(p, x)
-    for init in [
+    for start in [
         (fitted.beta_pi, fitted.beta_kappa),
         (np.array([2.0, 0.0]), np.array([-1.0, 0.0])),
         (np.array([30.0, -5.0]), np.array([-30.0, 5.0])),
     ]:
-        model = fit_lfdr_em(p, x, init=init)
-        assert model.loglik >= pseudo_loglik(*init, p, x)
+        assert ascend(p, x, start) >= pseudo_loglik(*start, p, x)
     # a start outside the optimiser's box (pi = 1 exactly), on data whose
     # likelihood no point inside the box reaches
     q = np.linspace(0.8, 0.99, 50)
     outside = (np.array([40.0]), np.array([0.0]))
-    assert fit_lfdr_em(q, None, init=outside).loglik >= pseudo_loglik(*outside, q)
+    assert ascend(q, np.empty((50, 0)), outside) >= pseudo_loglik(*outside, q)
 
 
 def test_em_preconditions():
@@ -248,69 +251,85 @@ def test_single_fold_weights_reduce_to_unit():
     part = GroupPartition(labels=np.zeros(20, dtype=int), n_groups=1)
     curves = RejectionCurves(rng.uniform(0.3, 0.8, 20), rng.uniform(0.2, 0.8, 20))
     thr = fbc_group_threshold(p, part, curves, 0.3)
-    for mode in ("cheap", "full"):
-        w = structure_weights(p, part, curves, thr, mode, alpha=0.3)
-        assert np.allclose(w, 1.0)
+    w = structure_weights(p, part, curves, thr, "cheap", alpha=0.3)
+    assert np.allclose(w, 1.0)
 
 
-def test_full_weights_match_their_definition():
-    # w_i = (n / n_g) b_i / (b_i + sup_rho sum_{h != g} count_h(rho)), where
-    # count_h(rho) is fold h's leave-one-out count under curves refitted on
-    # its complement with p_i replaced by rho, warm-started from fold h's model
-    rng = np.random.default_rng(71)
-    alpha = 0.5
-    for G, d, n in ((2, 0, 12), (3, 0, 9), (2, 1, 8)):
-        if d:
-            p, x = sample_working_model(rng, n, np.array([1.0, 0.5]), np.array([0.0, 0.3]))
-        else:
-            p, x = rng.uniform(size=n) ** 3, np.empty((n, 0))
-        part = GroupPartition(labels=rng.permutation(np.arange(n) % G), n_groups=G)
-        curves, models = cross_fit(p, x, part, return_models=True)
-        thr = fbc_group_threshold(p, part, curves, alpha)
-        w = structure_weights(p, part, curves, thr, "full", alpha=alpha, covars=x, models=models)
-        for i in range(n):
-            g = part.labels[i]
-            fold = part.labels == g
-            exceed = thr[g].feasible & fold & (curves.at(1.0 - p) <= (thr[g].threshold or 0.0))
-            b = 1.0 + np.count_nonzero(exceed) - exceed[i]
-            sup = 0
-            for rho in FULL_WEIGHT_GRID:
-                q = p.copy()
-                q[i] = rho
-                total = 0
-                for h in range(G):
-                    if h == g:
-                        continue
-                    hm = part.labels == h
-                    init = (models[h].beta_pi, models[h].beta_kappa)
-                    c = fit_lfdr_em(q[~hm], x[~hm], init=init).curves(x[hm])
-                    t_up = (1.0 - 1e-9) * float(c.at(0.5).min())
-                    total += _mirror_scan(
-                        c.at(q[hm]), c.at(1.0 - q[hm]), alpha, t_max=t_up, inclusive=True
-                    ).loo_count
-                sup = max(sup, total)
-            assert w[i] == (n / part.sizes[g]) * b / (b + sup)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(8, 30),
+    G=st.integers(2, 3),
+    shrink=st.sampled_from([1.0, 0.05, 1e-3]),
+    halves=st.sampled_from([0, 0, 1, 2]),
+    alpha=st.floats(0.05, 0.6),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_prop_cheap_weights_match_their_definition(n, G, shrink, halves, alpha, seed):
+    # w_i = (n / n_g) b_i / (b_i + sum_{h != g} count_h) for member i of fold g
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(size=n)
+    p[: n // 3] *= shrink
+    p[rng.permutation(n)[:halves]] = 0.5
+    curves = RejectionCurves(rng.uniform(0.2, 0.9, n), rng.uniform(0.1, 0.9, n))
+    part = GroupPartition(labels=rng.permutation(np.arange(n) % G), n_groups=G)
+    thr = fbc_group_threshold(p, part, curves, alpha)
+    w = structure_weights(p, part, curves, thr, "cheap", alpha=alpha)
+    u, v = curves.at(p), curves.at(1.0 - p)
+    folds, counts = [], []
+    for h in range(G):
+        idx = part.indices(h).tolist()
+        t_up = (1.0 - 1e-9) * float(curves[idx].at(0.5).min())
+        folds.append((idx, brute_fbc_threshold(u[idx], v[idx], alpha, t_up)))
+        counts.append(brute_fbc_loo_count(u[idx], v[idx], alpha, t_up))
+    for g, (idx, t) in enumerate(folds):
+        cross = sum(counts) - counts[g]
+        for i in idx:
+            b = 1 + sum(1 for j in idx if j != i and t is not None and v[j] <= t)
+            assert w[i] == (n / part.sizes[g]) * b / (b + cross)
 
 
-def test_cheap_dominates_full_weights_on_random_instances():
+def test_full_weights_are_gone():
     rng = np.random.default_rng(37)
-    worse = total = 0
-    for trial in range(100):
-        d = 1 if trial % 5 == 0 else 0
-        n = 8 if d else 12
-        beta = (np.array([1.0, 0.5][: d + 1]), np.array([0.0, 0.3][: d + 1]))
-        p, x = sample_working_model(rng, n, *beta, d=d) if d else (
-            rng.uniform(size=n) ** (1.0 + rng.uniform()), np.empty((n, 0)))
-        part = GroupPartition(labels=rng.permutation(np.arange(n) % 2), n_groups=2)
-        curves, models = cross_fit(p, x, part, return_models=True)
-        thr = fbc_group_threshold(p, part, curves, 0.3)
-        cheap = structure_weights(p, part, curves, thr, "cheap", alpha=0.3)
-        full = structure_weights(
-            p, part, curves, thr, "full", alpha=0.3, covars=x, models=models,
-        )
-        total += n
-        worse += int(np.sum(full > cheap + 1e-12))
-    assert worse == 0, f"{worse}/{total} coordinates had full > cheap"
+    p = rng.uniform(size=20)
+    part = GroupPartition(labels=np.arange(20) % 2, n_groups=2)
+    curves = RejectionCurves(rng.uniform(0.3, 0.8, 20), rng.uniform(0.2, 0.8, 20))
+    thr = fbc_group_threshold(p, part, curves, 0.1)
+    with pytest.raises(ConfigurationError, match="unknown weight mode 'full'"):
+        structure_weights(p, part, curves, thr, "full", alpha=0.1)
+    with pytest.raises(ConfigurationError, match="unknown weight mode 'full'"):
+        structure_pipeline(p, None, 0.1, mode="full")
+
+
+def _fold_instance(n=30, G=3):
+    rng = np.random.default_rng(73)
+    part = GroupPartition(labels=np.arange(n) % G, n_groups=G)
+    curves = RejectionCurves(rng.uniform(0.3, 0.8, n), rng.uniform(0.2, 0.8, n))
+    return rng.uniform(size=n), part, curves
+
+
+def test_fold_inputs_of_another_size_are_input_errors():
+    p, part, curves = _fold_instance()
+    thr = fbc_group_threshold(p, part, curves, 0.2)
+    longer = np.concatenate([p, p[:10]])
+    with pytest.raises(InputError, match="partition covers 30 hypotheses, got 40"):
+        fbc_group_threshold(longer, part, curves, 0.2)
+    with pytest.raises(InputError, match="partition covers 30 hypotheses, got 40"):
+        structure_weights(longer, part, curves, thr, "cheap", alpha=0.2)
+    with pytest.raises(InputError, match="curves cover 20 hypotheses, got 30"):
+        fbc_group_threshold(p, part, curves[:20], 0.2)
+    for mode in ("unit", "cheap"):
+        with pytest.raises(InputError, match="curves cover 20 hypotheses, got 30"):
+            structure_weights(p, part, curves[:20], thr, mode, alpha=0.2)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1])
+def test_fold_level_outside_unit_interval_is_a_configuration_error(alpha):
+    p, part, curves = _fold_instance()
+    thr = fbc_group_threshold(p, part, curves, 0.2)
+    with pytest.raises(ConfigurationError, match="fold level must lie in"):
+        fbc_group_threshold(p, part, curves, alpha)
+    with pytest.raises(ConfigurationError, match="fold level must lie in"):
+        structure_weights(p, part, curves, thr, "cheap", alpha=alpha)
 
 
 # ---------------------------------------------------------------------------

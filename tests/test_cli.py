@@ -288,6 +288,39 @@ def test_simulate_bad_reps_in_config_file_exit_2(tmp_path, capsys, value):
     assert f"{cfg}:3: reps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "setting, entry, code, message",
+    [
+        ("S1", "nalt = 7", 2, "unknown parameter 'nalt'"),
+        ("S1", "n = -5", 3, "n must be at least 1, got -5"),
+        ("S1", "n_alt = 5000", 3, "n_alt must be at most n = 1000, got 5000"),
+        ("S1", 'mu = "abc"', 2, "mu must be a finite number, got 'abc'"),
+        ("E1", "groups = 3", 2, "groups must be a non-empty list, got 3"),
+        ("E1", 'groups = [{"n": 10, "n_alt": 2, "beta_b": 5}]', 2, "groups[0].beta_a is missing"),
+        ("E1", 'groups = [{"n": 10, "n_alt": 2, "beta_a": -1, "beta_b": 5}]', 3,
+         "groups[0].beta_a must be above 0, got -1"),
+        ("ALLNULL", "n = 0", 3, "n must be at least 1, got 0"),
+        ("ALLNULL", "group_sizes = [20, 20]", 3, "group_sizes must sum to n = 200, got 40"),
+    ],
+)
+def test_simulate_bad_parameter_in_config_file(tmp_path, capsys, setting, entry, code, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"setting = {setting}\nreps = 2\n# comment\n{entry}\n")
+    out = tmp_path / "m.csv"
+    assert run_cli(["simulate", "--input", cfg, "--seed", 1, "--out", out]) == code
+    assert f"{cfg}:4: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_adaptive_full_weights_exit_3(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["pvalue", "x"], [(0.01 * k, k % 3) for k in range(1, 30)])
+    out = tmp_path / "r.csv"
+    assert run_cli(["adaptive", "--input", path, "--weights", "full", "--seed", 1, "--out", out]) == 3
+    assert "--weights for adaptive must be one of ['cheap', 'unit'], got 'full'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_read_table_rejects_out_of_range_pvalue(tmp_path):
     path = tmp_path / "p.csv"
     write_csv(path, ["pvalue"], [(0.5,), (1.5,)])

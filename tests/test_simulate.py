@@ -210,6 +210,71 @@ def test_negative_seed_is_a_configuration_error(tmp_path):
         SimulationConfig.from_file(cfg)
 
 
+@pytest.mark.parametrize(
+    "setting, parameters, message",
+    [
+        ("S1", {"nalt": 7}, "unknown parameter 'nalt'; expected one of n, n_alt, mu, sigma"),
+        ("S1", {"n": -5}, "n must be at least 1, got -5"),
+        ("S1", {"n_alt": 5000}, "n_alt must be at most n = 1000, got 5000"),
+        ("S1", {"mu": "abc"}, "mu must be a finite number, got 'abc'"),
+        ("S1", {"n": 2.5}, "n must be an integer, got 2.5"),
+        ("S2", {"sigma": -0.1}, "sigma must be at least 0, got -0.1"),
+        ("E1", {"groups": 3}, "groups must be a non-empty list, got 3"),
+        ("E1", {"groups": [{"n": 10, "n_alt": 2, "beta_b": 5.0}]}, r"groups\[0\].beta_a is missing"),
+        ("E1", {"groups": [{"n": 10, "n_alt": 2, "beta_a": 0.0, "beta_b": 5.0}]},
+         r"groups\[0\].beta_a must be above 0, got 0.0"),
+        ("F3", {"groups": [{"n": 10, "n_alt": 11, "beta_a": 1.0, "beta_b": 5.0}]},
+         r"groups\[0\].n_alt must be at most n = 10, got 11"),
+        ("KNOCK_SYNTH", {"n_alt": 201}, "n_alt must be at most p = 200, got 201"),
+        ("STRUCT", {"a0": float("inf")}, "a0 must be a finite number, got inf"),
+        ("ALLNULL", {"n": 0}, "n must be at least 1, got 0"),
+        ("ALLNULL", {"n": 50, "group_sizes": [20, 20]}, "group_sizes must sum to n = 50, got 40"),
+    ],
+)
+def test_bad_parameters_are_configuration_errors(setting, parameters, message):
+    with pytest.raises(ConfigurationError, match=message):
+        SimulationConfig(setting=setting, parameters=parameters)
+
+
+def test_parameter_defaults_come_from_the_table():
+    for setting, table in simulate._PARAMETERS.items():
+        defaults = default_parameters(setting)
+        assert defaults == {k: v.default for k, v in table.items() if v.default is not None}
+        assert SimulationConfig(setting=setting).parameters == defaults
+    # integral floats count as integers; the optional ALLNULL keys stay optional
+    SimulationConfig(setting="S1", parameters={"n": 1e3, "n_alt": 50.0})
+    SimulationConfig(setting="ALLNULL", parameters={"n": 50, "group_sizes": [20, 30], "d": 2})
+
+
+def test_parameters_are_checked_once_per_config(monkeypatch):
+    config = SimulationConfig(setting="E1", replications=3, seed=4)
+
+    def fail(*args):
+        raise AssertionError("parameters checked again")
+
+    monkeypatch.setattr(simulate, "_check_table", fail)
+    monkeypatch.setenv("EVMT_THREADS", "1")
+    run_campaign(config, ["BH", "eBH_Ada"])
+
+
+@pytest.mark.parametrize(
+    "entry, error, message",
+    [
+        ("nalt = 7", "InputError", "campaign.cfg:3: unknown parameter 'nalt'"),
+        ('mu = "abc"', "InputError", "campaign.cfg:3: mu must be a finite number"),
+        ("n = -5", "ConfigurationError", "campaign.cfg:3: n must be at least 1"),
+        ("n = 10", "ConfigurationError", "campaign.cfg:3: n_alt must be at most n = 10, got 50"),
+    ],
+)
+def test_config_file_parameter_errors_name_their_line(tmp_path, entry, error, message):
+    import evmt
+
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_text(f"setting = S1\nreps = 2\n{entry}\n")
+    with pytest.raises(getattr(evmt, error), match=message):
+        SimulationConfig.from_file(cfg)
+
+
 def test_toy_two_group_story():
     from evmt.groups import run_grouped_ebh
 
