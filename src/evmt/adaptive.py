@@ -23,6 +23,18 @@ thresholds and the leave-one-out counts together, and
 ``groups._loo_weights`` turns those counts into weights, as for groups.
 :func:`structure_pipeline` therefore scans each fold once.
 
+The fit maximises the log-likelihood by L-BFGS-B over the box
+[-36, 36] of every coefficient, from two fixed starts.  Its objective is
+one numpy kernel (``_negloglik``) over (2, n) buffers allocated once per
+ascent.  One (2, d+1) @ (d+1, n) product gives both linear predictors u;
+the logistic is 1 / (1 + exp(-u)) in place (exactly 0 for u below about
+-709.8, where exp(-u) overflows);
+1 - pi, 1 - kappa, p^-kappa, (1 - kappa) p^-kappa and the density are
+formed once and shared by the value and both gradient rows, and one
+(2, n) @ (n, d+1) product gives the gradient.  A density that underflows
+to 0 counts as the smallest normal float, so far outside the data's range
+the objective stays finite.
+
 Weight modes: ``unit`` (all ones) and ``cheap`` (the cross-fold
 leave-one-out counts at the realised data, the default).  The e-BH
 guarantee of the cross-fitted procedure asks each weight's cross-fold count
@@ -40,7 +52,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .groups import GroupPartition, _check_partition, _loo_weights, _scan_groups, group_evalues
+from .groups import (
+    GroupPartition,
+    _check_partition,
+    _check_thresholds,
+    _loo_weights,
+    _scan_groups,
+    group_evalues,
+)
 from .procedures import _fbc_scan, as_pvalues, ebh_select
 
 __all__ = [
@@ -55,6 +74,8 @@ __all__ = [
 ]
 
 P_FLOOR = 1e-15
+_BOX = 36.0  # the L-BFGS-B box on every coefficient
+_DENS_FLOOR = np.finfo(np.float64).tiny  # an underflowed density counts as this
 
 
 @dataclass(frozen=True)
@@ -144,19 +165,65 @@ def pseudo_loglik(beta_pi, beta_kappa, pvals, covars=None) -> float:
     return float(np.sum(np.log(pi + (1.0 - pi) * alt)))
 
 
-def _minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use.
+def _minimize(negobj, theta0, box):
+    """L-BFGS-B minimisation of ``negobj`` (value and gradient) from
+    ``theta0`` over the box ``[-box, box]`` in every coordinate.
 
     This is evmt's one rule for scipy: a function that needs it imports it
-    in its own body, once per call.  An objective that L-BFGS-B evaluates
-    many times uses the name its enclosing call imported, as in
-    :func:`_ascend`.  Imported at module level, ``scipy.special`` would take
-    most of a fresh ``import evmt``, which the commands that fit no model
-    and draw no z-scores never need.
+    in its own body, once per call, as here.  The objective that L-BFGS-B
+    evaluates many times is :func:`_ascend`'s numpy kernel and imports
+    nothing.  Imported at module level, ``scipy.optimize`` and
+    ``scipy.special`` would take most of a fresh ``import evmt``, which the
+    commands that fit no model and draw no z-scores never need.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import Bounds, minimize
 
-    return minimize(*args, **kwargs)
+    return minimize(negobj, theta0, jac=True, method="L-BFGS-B", bounds=Bounds(-box, box))
+
+
+def _negloglik(z, ell):
+    """The mixture fit's objective: ``negobj(theta)`` gives the negative
+    log-likelihood and its gradient at ``theta = (beta_pi, beta_kappa)``.
+
+    ``z`` is the (n, d + 1) design with its intercept column and ``ell`` is
+    -log p.  Each call is one pass over (2, n) buffers allocated here, once
+    per ascent; see the module docstring.
+    """
+    n, d1 = z.shape
+    zt = np.ascontiguousarray(z.T)  # zt.T is z in column order, which BLAS reads faster here
+    lin = np.empty((2, n))  # the linear predictors, then (pi, kappa)
+    co = np.empty((2, n))  # (1 - pi, 1 - kappa)
+    grow, f1, dens, tmp = np.empty((4, n))  # p^-kappa, (1 - kappa) p^-kappa, the density
+    rows = np.empty((2, n))  # the gradient before the product with the design
+    pi, kap = lin
+    q, omk = co
+
+    def negobj(theta):
+        np.matmul(-theta.reshape(2, d1), zt, out=lin)  # -u
+        with np.errstate(over="ignore"):  # u below about -709.8: exp(-u) = inf, the logistic is 0
+            np.exp(lin, out=lin)
+        np.add(lin, 1.0, out=lin)
+        np.reciprocal(lin, out=lin)
+        np.subtract(1.0, lin, out=co)
+        np.exp(np.multiply(kap, ell, out=grow), out=grow)
+        np.multiply(omk, grow, out=f1)
+        np.add(pi, np.multiply(q, f1, out=dens), out=dens)
+        np.maximum(dens, _DENS_FLOOR, out=dens)
+        val = -np.log(dens, out=tmp).sum()
+        # the rows multiply out in the order of the plain formulas
+        # pi (1 - pi) (1 - f1) / dens and
+        # (1 - pi) kappa (1 - kappa) p^-kappa ((1 - kappa) ell - 1) / dens
+        np.multiply(pi, q, out=rows[0])
+        np.multiply(rows[0], np.subtract(1.0, f1, out=tmp), out=rows[0])
+        np.multiply(q, kap, out=rows[1])
+        np.multiply(rows[1], omk, out=rows[1])
+        np.multiply(rows[1], grow, out=rows[1])
+        np.subtract(np.multiply(omk, ell, out=tmp), 1.0, out=tmp)
+        np.multiply(rows[1], tmp, out=rows[1])
+        np.divide(rows, dens, out=rows)
+        return float(val), -(rows @ zt.T).ravel()
+
+    return negobj
 
 
 def _ascend(z, ell, beta_pi, beta_kappa):
@@ -165,27 +232,12 @@ def _ascend(z, ell, beta_pi, beta_kappa):
     Returns ``(beta_pi, beta_kappa, loglik, success, nit)``; when the
     optimiser ends below its start, the start is returned instead.
     """
-    from scipy.special import expit
-
-    d1 = beta_pi.size
-
-    def negobj(theta):
-        a, b = theta[:d1], theta[d1:]
-        pi = expit(z @ a)
-        kap = expit(z @ b)
-        grow = np.exp(kap * ell)
-        f1 = (1.0 - kap) * grow
-        dens = pi + (1.0 - pi) * f1
-        val = -np.sum(np.log(dens))
-        ga = z.T @ (pi * (1.0 - pi) * (1.0 - f1) / dens)
-        gb = z.T @ ((1.0 - pi) * kap * (1.0 - kap) * grow * ((1.0 - kap) * ell - 1.0) / dens)
-        return val, -np.concatenate([ga, gb])
-
+    negobj = _negloglik(z, ell)
     theta0 = np.concatenate([beta_pi, beta_kappa])
-    bounds = [(-36.0, 36.0)] * theta0.size
-    res = _minimize(negobj, theta0, jac=True, method="L-BFGS-B", bounds=bounds)
+    res = _minimize(negobj, theta0, _BOX)
     f0 = negobj(theta0)[0]
     theta, f = (res.x, res.fun) if np.isfinite(res.fun) and res.fun <= f0 else (theta0, f0)
+    d1 = beta_pi.size
     return theta[:d1], theta[d1:], float(-f), bool(res.success), int(res.nit)
 
 
@@ -341,6 +393,7 @@ def structure_weights(
     """
     mode = _weight_mode(mode, alpha)
     p = _checked(pvals, part, curves, alpha)
+    _check_thresholds(thresholds, part)
     if mode == "unit":
         return np.ones(p.size)
     return _cheap_weights(p, part, curves, thresholds, _fold_scans(p, part, curves, alpha)[1])

@@ -518,8 +518,8 @@ def _cmd_simulate(args):
     if args.input:
         if len(args.input) != 1:
             raise InputError("simulate accepts at most one --input config file")
-        overrides = asdict(SimulationConfig.from_file(args.input[0]))
-    if args.setting:
+        overrides = asdict(SimulationConfig.from_file(args.input[0], setting=args.setting))
+    elif args.setting:
         overrides["setting"] = args.setting
     if "setting" not in overrides:
         raise ConfigurationError("simulate needs --setting or a config file")

@@ -146,6 +146,13 @@ def _check_partition(p: np.ndarray, part: GroupPartition) -> None:
         )
 
 
+def _check_thresholds(thresholds, part: GroupPartition) -> None:
+    if len(thresholds) != part.n_groups:
+        raise InputError(
+            f"got {len(thresholds)} thresholds for a partition of {part.n_groups} groups"
+        )
+
+
 def _scan_groups(part: GroupPartition, scan_group):
     """One mirror scan per group: the thresholds and the leave-one-out counts.
 
@@ -226,6 +233,7 @@ def assemble_weights(
     level ``alpha`` the thresholds were computed at.
     """
     memo = _grouped_memo(pvals, part)
+    _check_thresholds(thresholds, part)
     scheme = _scheme(scheme)
     counts = None
     if scheme == "adaptive":
@@ -278,6 +286,7 @@ def group_evalues(pvals, part: GroupPartition, thresholds, weights) -> np.ndarra
     """Weighted per-group e-values, zero outside each group's rejections."""
     p = as_pvalues(pvals)
     _check_partition(p, part)
+    _check_thresholds(thresholds, part)
     return _group_evalues(p.size, part, thresholds, np.asarray(weights))
 
 

@@ -190,7 +190,7 @@ class SimulationConfig:
             raise _BadConfig(("target_alpha", "alpha"), "target_alpha must lie in (0, 1)")
 
     @classmethod
-    def from_file(cls, path) -> "SimulationConfig":
+    def from_file(cls, path, setting: Optional[str] = None) -> "SimulationConfig":
         """Read a plain ``key = value`` config file.
 
         Recognised keys: ``setting``, ``replications``/``reps``, ``seed``,
@@ -198,7 +198,13 @@ class SimulationConfig:
         setting, its value parsed as JSON.  A malformed entry (an unknown
         key, a value of the wrong type) raises :class:`InputError`, a value
         out of range :class:`ConfigurationError`; both name its line.
+
+        ``setting``, when given, replaces the file's own (which may then be
+        absent): the configuration takes that setting's defaults and the
+        entries the file names, checked against that setting.
         """
+        if setting is not None:
+            default_parameters(setting)  # an unknown setting is no line of the file
         fields, params, lines = {}, {}, {}
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -223,6 +229,9 @@ class SimulationConfig:
                         params[key] = json.loads(value)
                     except json.JSONDecodeError as exc:
                         raise InputError(f"{path}:{lineno}: bad value {value!r}") from exc
+        if setting is not None:
+            fields["setting"] = setting
+            lines.pop("setting", None)
         if "setting" not in fields:
             raise InputError(f"{path}: missing required key 'setting'")
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.special import expit
 
 # Scores that tie, sit on the domain's edges or next to 1/2, where 1 - p
 # rounds to 1/2; drawn often, with -0.0 among them.
@@ -158,6 +159,24 @@ def grid_search_loglik(p, rounds=6, size=51):
         lo_k = max(1e-6, best[2] - 2 * dk)
         hi_k = min(1.0 - 1e-9, best[2] + 2 * dk)
     return best[0]
+
+
+def mixture_negloglik(theta, z, ell):
+    """Negative mixture log-likelihood and its gradient in theta = (a, b), by
+    the plain formulas: pi = expit(z a), kappa = expit(z b) and
+    -sum_i log(pi_i + (1 - pi_i)(1 - kappa_i) exp(kappa_i ell_i)), ell = -log p.
+    """
+    d1 = z.shape[1]
+    a, b = theta[:d1], theta[d1:]
+    pi = expit(z @ a)
+    kap = expit(z @ b)
+    grow = np.exp(kap * ell)
+    f1 = (1.0 - kap) * grow
+    dens = pi + (1.0 - pi) * f1
+    val = -np.sum(np.log(dens))
+    ga = z.T @ (pi * (1.0 - pi) * (1.0 - f1) / dens)
+    gb = z.T @ ((1.0 - pi) * kap * (1.0 - kap) * grow * ((1.0 - kap) * ell - 1.0) / dens)
+    return val, -np.concatenate([ga, gb])
 
 
 def random_pvalues(rng, n=None):

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import norm
@@ -19,8 +21,15 @@ from evmt.adaptive import (
 )
 from evmt import adaptive, procedures
 from evmt.groups import GroupPartition
+from evmt.simulate import SimulationConfig, generate
 
-from oracles import brute_fbc_loo_count, brute_fbc_threshold, grid_search_loglik, sample_working_model
+from oracles import (
+    brute_fbc_loo_count,
+    brute_fbc_threshold,
+    grid_search_loglik,
+    mixture_negloglik,
+    sample_working_model,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +116,124 @@ def test_warm_started_fit_never_ends_below_its_start():
     q = np.linspace(0.8, 0.99, 50)
     outside = (np.array([40.0]), np.array([0.0]))
     assert ascend(q, np.empty((50, 0)), outside) >= pseudo_loglik(*outside, q)
+
+
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float
+_COEF = st.one_of(st.floats(-36.0, 36.0), st.sampled_from([-36.0, 36.0]))  # the fit's box
+
+
+@st.composite
+def _objective_cases(draw):
+    """(theta, z, ell): d in {0, 1, 2}, coefficients inside and on the box,
+    covariates up to 50 in size (|z theta| past 709), p with 0 and 1."""
+    d = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 12))
+    cells = st.floats(-50.0, 50.0) | st.sampled_from([0.0, 1.0, -1.0, 25.0, -50.0, 50.0])
+    x = np.array(draw(st.lists(st.lists(cells, min_size=d, max_size=d), min_size=n, max_size=n)))
+    p = np.array(draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 1e-300]),
+                               min_size=n, max_size=n)))
+    theta = np.array(draw(st.lists(_COEF, min_size=2 * (d + 1), max_size=2 * (d + 1))))
+    z = np.hstack([np.ones((n, 1)), x.reshape(n, d)])
+    return theta, z, -np.log(np.maximum(p, adaptive.P_FLOOR))
+
+
+def _oracle(theta, z, ell):
+    """The oracle's value and gradient at theta, with bounds on how far a
+    correct evaluation in floating point may lie from them.
+
+    Rounding in u = z theta and in the logistic moves pi and kappa by a few
+    ulps of their own size, and 1 - pi and 1 - kappa by as much again; the
+    bounds carry these moves through the density and the gradient's rows.
+    Both bounds are None where a density falls below the smallest normal
+    float, which the kernel counts as that float.
+    """
+    eps, d1 = np.finfo(np.float64).eps, z.shape[1]
+    absz = np.abs(z)
+    with np.errstate(all="ignore"):
+        val, grad = mixture_negloglik(theta, z, ell)
+        a, b = theta[:d1], theta[d1:]
+        pi, q, kap, omk = expit(z @ a), expit(-(z @ a)), expit(z @ b), expit(-(z @ b))
+        grow = np.exp(kap * ell)
+        f1 = omk * grow
+        dens = pi + q * f1
+        if not (np.all(dens >= _TINY) and np.isfinite(val)):
+            return val, grad, None, None
+        d_pi = pi * (4 * eps + q * 2 * d1 * eps * (absz @ np.abs(a)))
+        d_kap = kap * (4 * eps + omk * 2 * d1 * eps * (absz @ np.abs(b)))
+        d_q, d_omk = d_pi + 2 * eps * q, d_kap + 2 * eps * omk
+        d_f1 = d_omk * grow + f1 * ell * d_kap
+        rel = (d_pi + d_q * f1 + q * d_f1) / dens + 8 * eps  # of the density
+        val_tol = 1e-12 * max(abs(val), 1.0) + np.sum(-np.log1p(-np.minimum(rel, 1.0)))
+        c = omk * ell - 1.0
+        row0 = pi * q * (1.0 - f1) / dens
+        row1 = q * kap * f1 * c / dens
+        d_row0 = ((d_pi * q + pi * d_q) * np.abs(1.0 - f1) + pi * q * d_f1) / dens
+        d_row1 = ((d_q * kap + q * d_kap) * f1 * np.abs(c)
+                  + q * kap * (d_f1 * np.abs(c) + f1 * ell * d_omk)) / dens
+        d_row0 += np.abs(row0) * (rel + 8 * eps)
+        d_row1 += np.abs(row1) * (rel + 12 * eps)
+        scale = 35.0 * absz.sum(axis=0)  # each row is at most 35 in size
+        grad_tol = np.concatenate([absz.T @ d_row0, absz.T @ d_row1]) + 1e-12 * np.tile(scale, 2)
+    return val, grad, val_tol, grad_tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_objective_cases())
+# a density of e^-575 (about 1e-250): tiny, yet a normal float
+@example((np.array([-25.0, -11.0, 36.0, 36.0]), np.array([[1.0, 50.0]]), np.array([2.0])))
+def test_prop_likelihood_kernel_matches_plain_formulas(case):
+    theta, z, ell = case
+    negobj = adaptive._negloglik(z, ell)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, grad = negobj(theta)
+    assert np.isfinite(val) and np.all(np.isfinite(grad))
+    oval, ograd, val_tol, grad_tol = _oracle(theta, z, ell)
+    if val_tol is None:
+        # a density under the smallest normal float counts as that float
+        assert val <= -z.shape[0] * np.log(_TINY)
+        return
+    assert abs(val - oval) <= val_tol
+    assert np.all(np.abs(grad - ograd) <= grad_tol)
+    # central differences, where the oracle holds on both sides of the step
+    h = 1e-6
+    for k in range(theta.size):
+        step = np.zeros(theta.size)
+        step[k] = h
+        up, _, up_tol, _ = _oracle(theta + step, z, ell)
+        down, _, down_tol, _ = _oracle(theta - step, z, ell)
+        if up_tol is not None and down_tol is not None:
+            fd = (negobj(theta + step)[0] - negobj(theta - step)[0]) / (2 * h)
+            assert abs(fd - grad[k]) <= 1e-4 * (1.0 + abs(grad[k])) + (up_tol + down_tol) / h
+
+
+def test_fit_with_large_covariates_warns_nothing():
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-50.0, 50.0, size=(400, 2))
+    p = rng.uniform(size=400)
+    p[:80] = rng.beta(0.1, 5.0, size=80)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = fit_lfdr_em(p, x)
+    assert np.isfinite(model.loglik)
+    assert model.loglik >= pseudo_loglik([np.log(9.0), 0.0, 0.0], np.zeros(3), p, x)
+
+
+def test_pipelines_match_the_plain_objective(monkeypatch):
+    def run():
+        pipes = []
+        for seed in range(20):
+            inst = generate(SimulationConfig(setting="STRUCT", seed=seed), 0)
+            pipes.append(structure_pipeline(inst.pvals, inst.covars, 0.1,
+                                            rng=np.random.default_rng(seed)))
+        return pipes
+
+    kernel = run()
+    monkeypatch.setattr(adaptive, "_negloglik",
+                        lambda z, ell: lambda theta: mixture_negloglik(theta, z, ell))
+    for a, b in zip(kernel, run()):
+        assert a["evalues"].tobytes() == b["evalues"].tobytes()
+        assert np.array_equal(a["rejected"], b["rejected"])
 
 
 def test_em_preconditions():
@@ -320,6 +447,16 @@ def test_fold_inputs_of_another_size_are_input_errors():
     for mode in ("unit", "cheap"):
         with pytest.raises(InputError, match="curves cover 20 hypotheses, got 30"):
             structure_weights(p, part, curves[:20], thr, mode, alpha=0.2)
+
+
+def test_fold_threshold_count_must_match_the_folds():
+    p, part, curves = _fold_instance()
+    thr = fbc_group_threshold(p, part, curves, 0.2)
+    for wrong in (thr[:2], thr + thr[:1]):
+        for mode in ("unit", "cheap"):
+            message = f"got {len(wrong)} thresholds for a partition of 3 groups"
+            with pytest.raises(InputError, match=message):
+                structure_weights(p, part, curves, wrong, mode, alpha=0.2)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1])

@@ -312,6 +312,30 @@ def test_simulate_bad_parameter_in_config_file(tmp_path, capsys, setting, entry,
     assert not out.exists()
 
 
+def test_simulate_setting_flag_replaces_the_files_setting(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("setting = S1\nmu = 0.45\nreps = 1\n")
+    with mock.patch.object(cli, "run_campaign", wraps=cli.run_campaign) as campaign:
+        assert run_cli(["simulate", "--input", cfg, "--setting", "S2", "--seed", 1,
+                        "--out", tmp_path / "m.csv"]) == 0
+    config = campaign.call_args.args[0]
+    assert config.setting == "S2"
+    assert config.parameters == {"n": 3000, "n_alt": 750, "mu": 0.45, "sigma": 0.4}
+    assert config.replications == 1
+
+
+def test_simulate_setting_flag_checks_the_files_keys(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("setting = S1\nmu = 0.45\n")
+    out = tmp_path / "m.csv"
+    assert run_cli(["simulate", "--input", cfg, "--setting", "E1", "--seed", 1, "--out", out]) == 2
+    assert f"{cfg}:2: unknown parameter 'mu'" in capsys.readouterr().err
+    assert not out.exists()
+    # the flag's own setting is checked without the file's line
+    assert run_cli(["simulate", "--input", cfg, "--setting", "Z9", "--seed", 1, "--out", out]) == 3
+    assert "unknown setting 'Z9'" in capsys.readouterr().err
+
+
 def test_adaptive_full_weights_exit_3(tmp_path, capsys):
     path = tmp_path / "p.csv"
     write_csv(path, ["pvalue", "x"], [(0.01 * k, k % 3) for k in range(1, 30)])

@@ -201,6 +201,19 @@ def test_adaptive_weights_need_alpha():
         assemble_weights(p, part, thr, "bogus", alpha=0.05)
 
 
+@pytest.mark.parametrize("keep", [1, 3])
+def test_threshold_count_must_match_the_groups(keep):
+    p, part, _ = toy_instance()
+    thr = groupwise_bc_thresholds(p, part, 0.05)
+    wrong = (thr + thr)[:keep]
+    message = f"got {keep} thresholds for a partition of 2 groups"
+    for scheme in ("unit", "size", "adaptive"):
+        with pytest.raises(InputError, match=message):
+            assemble_weights(p, part, wrong, scheme, alpha=0.05)
+    with pytest.raises(InputError, match=message):
+        group_evalues(p, part, wrong, np.ones(p.size))
+
+
 def test_infeasible_group_still_contributes_censored_exceedances():
     # group 0's base threshold is infeasible at alpha=0.5, yet censoring its
     # large p-value yields a feasible threshold of 0.1; that exceedance must

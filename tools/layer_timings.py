@@ -18,6 +18,16 @@ and with labels, ``GroupPartition.from_labels`` on the parsed labels, and
 Each figure is the best of several calls, repeated until the layer has run
 for at least ``BUDGET_S`` seconds (at least three calls).
 
+The ``fit_lfdr_em`` row fits the mixture on one fold of a STRUCT
+instance of twice the size, seed 3, as ``structure_pipeline`` splits it
+(two folds, ``rng = default_rng(0)``): n = 1500 with d = 2, one fold of the
+benchmark's STRUCT replicate, and n = 10^5.  It reports seconds per fit
+(best of several), objective evaluations per fit (both starts, with the
+evaluation at each start), and the microseconds per evaluation spent
+inside the objective (``adaptive._negloglik``'s kernel) and outside it, in
+scipy's L-BFGS-B and its wrappers, from further fits with a timer around
+each evaluation.
+
 The ``replicate`` row times ``simulate._replicate_metrics`` on replicate 0
 of each setting of the benchmark's ``campaigns`` workload (its plan in
 ``perfbench/campaigns.py``, benchmark seed ``REPLICATE_SEED``), with the
@@ -34,7 +44,8 @@ Run from the repository root, against the source tree under test::
     PYTHONPATH=src python tools/layer_timings.py
 
 Prints one JSON object, ``{layer: {n: seconds}}``; ``cold_start`` is keyed
-by the statement run and ``replicate`` by the setting's name instead of n.
+by the statement run and ``replicate`` by the setting's name instead of n,
+and each ``fit_lfdr_em`` entry is an object of the figures above.
 """
 
 from __future__ import annotations
@@ -53,8 +64,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from evmt import cli, simulate
-from evmt.adaptive import structure_pipeline
+from evmt import adaptive, cli, simulate
+from evmt.adaptive import fit_lfdr_em, structure_pipeline
 from evmt.groups import GroupPartition, run_grouped_ebh
 from evmt.hybrid import HybridConfig, _hybrid_evalues, compute_loo_thresholds
 from evmt.procedures import ProcedureSpec, _bc_scan, procedure_to_evalues, solve_threshold
@@ -141,6 +152,45 @@ def adaptive_layers(out):
         out.setdefault("structure_pipeline_cheap", {})[f"1e{e}"] = round(seconds, 6)
 
 
+def fit_layer(out):
+    kernel, calls, inside = adaptive._negloglik, 0, 0.0
+
+    def timed_kernel(z, ell):
+        negobj = kernel(z, ell)
+
+        def timed(theta):
+            nonlocal calls, inside
+            start = time.perf_counter()
+            result = negobj(theta)
+            inside += time.perf_counter() - start
+            calls += 1
+            return result
+
+        return timed
+
+    for n, key in ((1500, "1500_d2"), (10**5, "1e5_d2")):
+        inst = generate(SimulationConfig(setting="STRUCT", parameters={"n": 2 * n}, seed=3), 0)
+        labels = np.empty(2 * n, dtype=np.intp)
+        labels[np.random.default_rng(0).permutation(2 * n)] = np.arange(2 * n) % 2
+        p, x = inst.pvals[labels == 1], inst.covars[labels == 1]
+        seconds = best_of(lambda: fit_lfdr_em(p, x))
+        adaptive._negloglik, calls, inside, fits = timed_kernel, 0, 0.0, 0
+        try:
+            start = time.perf_counter()
+            while fits < 3 or time.perf_counter() - start < BUDGET_S:
+                fit_lfdr_em(p, x)
+                fits += 1
+            total = time.perf_counter() - start
+        finally:
+            adaptive._negloglik = kernel
+        out.setdefault("fit_lfdr_em", {})[key] = {
+            "s_per_fit": round(seconds, 6),
+            "evals_per_fit": round(calls / fits, 1),
+            "objective_us_per_eval": round(1e6 * inside / calls, 1),
+            "optimiser_us_per_eval": round(1e6 * (total - inside) / calls, 1),
+        }
+
+
 def replicate_layer(out):
     for k, s in enumerate(PLANS["campaigns"]):
         cfg = config(simulate, s, REPLICATE_SEED, k)
@@ -176,6 +226,7 @@ def main():
     cold_start(out)
     sort_layers(out)
     adaptive_layers(out)
+    fit_layer(out)
     replicate_layer(out)
     with tempfile.TemporaryDirectory() as tmp:
         io_layers(out, Path(tmp))
