@@ -31,7 +31,6 @@ import json
 import secrets
 import sys
 import warnings
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,6 @@ from .knockoffs import _combined_evalues
 from .procedures import (
     ProcedureSpec,
     _group_fdp_power,
-    _Memo,
     as_evalues,
     ebh_select,
     fdp_power,
@@ -502,7 +500,7 @@ def _cmd_knockoff(args):
     if w_a.size != w_b.size:
         raise InputError("the two statistic files must have the same number of rows")
     alpha_ko = args.alpha / 2.0
-    evalues = _combined_evalues(_Memo(w_a), _Memo(w_b), alpha_ko, 0.5, 0.5)
+    evalues = _combined_evalues(w_a, w_b, alpha_ko, 0.5, 0.5)
     rejected = ebh_select(evalues, args.alpha)
     summary = {
         "command": "knockoff-combine",
@@ -518,7 +516,7 @@ def _cmd_simulate(args):
     if args.input:
         if len(args.input) != 1:
             raise InputError("simulate accepts at most one --input config file")
-        overrides = asdict(SimulationConfig.from_file(args.input[0], setting=args.setting))
+        overrides = SimulationConfig._file_fields(args.input[0], setting=args.setting)
     elif args.setting:
         overrides["setting"] = args.setting
     if "setting" not in overrides:

@@ -38,8 +38,9 @@ group and returns the thresholds together with the leave-one-out counts,
 and ``_loo_weights`` computes ``(n / n_l) * B_i / (B_i + cross_l)`` from
 the mirror scores and the groups' counts, ``cross_l`` being the sum of the
 other groups' counts.  The BC group scans at a level are one stage of a
-``procedures._Memo`` of p and the partition, so every grouped method of a
-campaign replicate reads them.
+``procedures._Memo`` of p and the partition.  The public functions take
+that memo in place of the p-values, so every grouped method of a campaign
+replicate reads the same scans.
 """
 
 from __future__ import annotations
@@ -185,7 +186,12 @@ def _bc_groups(memo: _Memo, alpha: float):
 
 
 def _grouped_memo(pvals, part: GroupPartition) -> _Memo:
-    """Memo of validated p-values and the partition, checked against them."""
+    """Memo of validated p-values and the partition, checked against them; a
+    memo built with ``part`` itself is used as is, one of any other is refused."""
+    if isinstance(pvals, _Memo):
+        if pvals.part is not part:
+            raise InputError("the p-value memo was built for another partition")
+        return pvals
     p = as_pvalues(pvals)
     _check_partition(p, part)
     return _Memo(p, part)
@@ -235,14 +241,20 @@ def assemble_weights(
     memo = _grouped_memo(pvals, part)
     _check_thresholds(thresholds, part)
     scheme = _scheme(scheme)
-    counts = None
-    if scheme == "adaptive":
-        if alpha is None:
-            raise ConfigurationError("adaptive weights need the threshold level alpha")
-        # the censored thresholds T_{l,j} can be feasible even when the
-        # group's base threshold is not, so the count is taken unconditionally
-        counts = memo(_bc_groups, alpha)[1]
-    return _weights(memo.data, part, thresholds, scheme, counts)
+    n = memo.size
+    if scheme == "unit":
+        return np.ones(n)
+    if scheme == "size_adjusted":
+        w = np.empty(n)
+        for l in range(part.n_groups):
+            w[part.indices(l)] = n / (part.n_groups * part.sizes[l])
+        return w
+    if alpha is None:
+        raise ConfigurationError("adaptive weights need the threshold level alpha")
+    # the censored thresholds T_{l,j} can be feasible even when the
+    # group's base threshold is not, so the count is taken unconditionally
+    counts = memo(_bc_groups, alpha)[1]
+    return _loo_weights(1.0 - memo.data, part, thresholds, counts)
 
 
 def _scheme(scheme: str) -> str:
@@ -250,19 +262,6 @@ def _scheme(scheme: str) -> str:
         return _SCHEMES[scheme.lower()]
     except KeyError:
         raise ConfigurationError(f"unknown weight scheme {scheme!r}") from None
-
-
-def _weights(p, part: GroupPartition, thresholds, scheme: str, counts) -> np.ndarray:
-    """Weights of a resolved scheme; ``counts`` holds the groups' leave-one-out
-    counts (adaptive scheme only)."""
-    if scheme == "unit":
-        return np.ones(p.size)
-    if scheme == "size_adjusted":
-        w = np.empty(p.size)
-        for l in range(part.n_groups):
-            w[part.indices(l)] = p.size / (part.n_groups * part.sizes[l])
-        return w
-    return _loo_weights(1.0 - p, part, thresholds, counts)
 
 
 @dataclass(frozen=True)
@@ -284,14 +283,11 @@ class GroupReport:
 
 def group_evalues(pvals, part: GroupPartition, thresholds, weights) -> np.ndarray:
     """Weighted per-group e-values, zero outside each group's rejections."""
-    p = as_pvalues(pvals)
-    _check_partition(p, part)
+    n = _grouped_memo(pvals, part).size
     _check_thresholds(thresholds, part)
-    return _group_evalues(p.size, part, thresholds, np.asarray(weights))
-
-
-def _group_evalues(n: int, part: GroupPartition, thresholds, weights: np.ndarray) -> np.ndarray:
-    """:func:`group_evalues` for ``n`` hypotheses."""
+    weights = np.asarray(weights)
+    if weights.shape != (n,):
+        raise InputError(f"got {weights.size} weights for {n} p-values")
     e = np.zeros(n)
     for l in range(part.n_groups):
         res = thresholds[l]
@@ -311,8 +307,9 @@ def run_grouped_ebh(
 
     Parameters
     ----------
-    pvals : array_like
-        P-values for all hypotheses.
+    pvals : array_like or _Memo
+        P-values for all hypotheses, or a ``procedures._Memo`` of validated
+        p-values built with ``part``.
     part : GroupPartition
         Disjoint grouping of the hypotheses.
     alpha : float
@@ -324,17 +321,11 @@ def run_grouped_ebh(
         Non-null indicators; when given, overall and per-group FDP/power are
         included in the report.
     """
-    return _grouped(_grouped_memo(pvals, part), alpha, scheme, truth)
-
-
-def _grouped(memo: _Memo, alpha: float, scheme: str, truth=None) -> GroupReport:
-    """:func:`run_grouped_ebh` on the memo of validated p-values and their
-    partition."""
-    p, part = memo.data, memo.part
+    memo = _grouped_memo(pvals, part)
     scheme = _scheme(scheme)
-    thresholds, counts = memo(_bc_groups, alpha)
-    weights = _weights(p, part, thresholds, scheme, counts)
-    evalues = _group_evalues(p.size, part, thresholds, weights)
+    thresholds = groupwise_bc_thresholds(memo, part, alpha)
+    weights = assemble_weights(memo, part, thresholds, scheme, alpha)
+    evalues = group_evalues(memo, part, thresholds, weights)
     rejected = _ebh_select(evalues, alpha)
     per_group = [res.rejected for res in thresholds]
 

@@ -95,15 +95,16 @@ position.
 
 Cost.  The mirror-count grid and its counts come from the base scan of p,
 which sorts p once; the sorted p and the grid are level-free stages of a
-``procedures._Memo``, which the BH e-values and, in a campaign replicate,
-the other methods on p read too.  Every other leave-one-out quantity is read off one
-ordered view: the censored vector (p~_1, ..., p~_n), argsorted once.  Its
-ascending values and ranks give ``t_bh_loo``.  Its values below 1/2 are the
-grid's scores (p~_i = p_i a rejection score, p~_i = 1 - p_i a mirror
-score), so a hypothesis's grid position is the number of distinct censored
-values below its own, a running total read back by rank.  Nothing is
-searched per hypothesis: the adaptive weights run in O(n log n) for the
-two sorts and O(n) after them.
+``procedures._Memo``, which the BH e-values read too.  The public functions
+take the memo in place of the p-values, so in a campaign replicate the
+other methods on p read the same stages.  Every other leave-one-out
+quantity is read off one ordered view: the censored vector
+(p~_1, ..., p~_n), argsorted once.  Its ascending values and ranks give
+``t_bh_loo``.  Its values below 1/2 are the grid's scores (p~_i = p_i a
+rejection score, p~_i = 1 - p_i a mirror score), so a hypothesis's grid
+position is the number of distinct censored values below its own, a
+running total read back by rank.  Nothing is searched per hypothesis: the
+adaptive weights run in O(n log n) for the two sorts and O(n) after them.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ from .procedures import (
     _last_at_or_before,
     _Memo,
     _MirrorScan,
-    _solve,
     _to_evalues,
     as_pvalues,
+    solve_threshold,
 )
 
 __all__ = [
@@ -194,18 +195,18 @@ class HybridConfig:
 
 def bh_evalues(pvals, alpha_bh: float) -> np.ndarray:
     """Step-up e-values, ``1{p_i <= T_bh} / T_bh`` (zeros when infeasible)."""
-    return _base_evalues(_Memo(as_pvalues(pvals)), "bh", alpha_bh)
+    return _base_evalues(_Memo.of_pvalues(pvals), "bh", alpha_bh)
 
 
 def bc_evalues(pvals, alpha_bc: float) -> np.ndarray:
     """Mirror-count e-values, ``n 1{p_i <= T_bc} / (1 + #{p_j >= 1 - T_bc})``."""
-    return _base_evalues(_Memo(as_pvalues(pvals)), "bc", alpha_bc)
+    return _base_evalues(_Memo.of_pvalues(pvals), "bc", alpha_bc)
 
 
 def _base_evalues(memo: _Memo, kind: str, alpha: float) -> np.ndarray:
     """E-values of the base procedure ``kind`` at ``alpha``, on the memo of
     validated p-values."""
-    return _to_evalues(memo.data.size, _solve(memo, ProcedureSpec(kind=kind, alpha=alpha)))
+    return _to_evalues(memo.size, solve_threshold(memo, ProcedureSpec(kind=kind, alpha=alpha)))
 
 
 def _bh_loo_vector(s: np.ndarray, ranks: np.ndarray, alpha: float) -> np.ndarray:
@@ -262,12 +263,7 @@ class LooThresholds:
 
 def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresholds:
     """All leave-one-out quantities needed by the adaptive weights."""
-    return _loo_thresholds(_Memo(as_pvalues(pvals)), alpha_bh, alpha_bc)
-
-
-def _loo_thresholds(memo: _Memo, alpha_bh: float, alpha_bc: float) -> LooThresholds:
-    """:func:`compute_loo_thresholds` on the memo of validated p-values; the
-    mirror scan reads the memo's level-free grid."""
+    memo = _Memo.of_pvalues(pvals)
     p = memo.data
     n = p.size
     # the mirror scan first, so that the transient arrays of a first build
@@ -373,19 +369,15 @@ fast_adaptive_weights = adaptive_weights
 
 def _hybrid_evalues(pvals, config: HybridConfig):
     """Blended e-values plus the weight pair actually used."""
-    return _blend(_Memo(as_pvalues(pvals)), config)
-
-
-def _blend(memo: _Memo, config: HybridConfig):
-    """:func:`_hybrid_evalues` on the memo of validated p-values."""
-    n = memo.data.size
+    memo = _Memo.of_pvalues(pvals)
+    n = memo.size
     e_bh = _base_evalues(memo, "bh", config.alpha_bh)
     if config.weight_mode == "averaged":
         e_bc = _base_evalues(memo, "bc", config.alpha_bc)
         w_bh = np.full(n, 0.5)
         w_bc = np.full(n, 0.5)
     else:
-        loo = _loo_thresholds(memo, config.alpha_bh, config.alpha_bc)
+        loo = compute_loo_thresholds(memo, config.alpha_bh, config.alpha_bc)
         # bc_evalues from the mirror scan the leave-one-out thresholds hold
         scan = loo._scan
         e_bc = np.zeros(n)
@@ -402,9 +394,4 @@ def run_hybrid(pvals, config: HybridConfig) -> np.ndarray:
 
     Returns the sorted 0-based indices of rejected hypotheses.
     """
-    return _run_hybrid(_Memo(as_pvalues(pvals)), config)
-
-
-def _run_hybrid(memo: _Memo, config: HybridConfig) -> np.ndarray:
-    """:func:`run_hybrid` on the memo of validated p-values."""
-    return _ebh_select(_blend(memo, config)[0], config.alpha_ebh)
+    return _ebh_select(_hybrid_evalues(pvals, config)[0], config.alpha_ebh)

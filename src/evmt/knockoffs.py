@@ -19,7 +19,8 @@ before a single selection pass.
 The candidates and the ratio at each depend on the statistics alone; the
 level only picks the first feasible candidate.  So the ratio is counted
 once per statistic vector (a level-free stage of ``procedures._Memo``) and
-selections at several levels read it.
+selections at several levels read it: the public functions take the memo
+of a family's statistics in place of the statistics themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .procedures import ThresholdResult, _ebh_select, _Memo
+from .procedures import ThresholdResult, _check_alpha, _ebh_select, _Memo, _to_evalues
 
 __all__ = ["knockoff_threshold", "knockoff_evalues", "combine_and_select"]
 
@@ -41,13 +42,9 @@ def as_stats(values) -> np.ndarray:
     return w
 
 
-def knockoff_threshold(stats, alpha: float) -> ThresholdResult:
-    """Smallest feasible magnitude threshold; infeasible when none qualifies.
-
-    ``m_at_T`` holds ``1 + #{W_j <= -T}`` and ``rejected`` the indices with
-    ``W_j >= T``.
-    """
-    return _knockoff_threshold(_Memo(as_stats(stats)), alpha)
+def _stats_memo(x) -> _Memo:
+    """``x`` itself when it is a memo, else a memo of the validated statistics ``x``."""
+    return x if isinstance(x, _Memo) else _Memo(as_stats(x))
 
 
 def _sign_counts(memo: _Memo):
@@ -63,11 +60,14 @@ def _sign_counts(memo: _Memo):
     return cands, neg, (1.0 + neg) / np.maximum(pos, 1)
 
 
-def _knockoff_threshold(memo: _Memo, alpha: float) -> ThresholdResult:
-    """:func:`knockoff_threshold` on the memo of validated statistics: the
-    level criterion read off the level-free sign counts."""
-    if not (0.0 < alpha < 1.0):
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+def knockoff_threshold(stats, alpha: float) -> ThresholdResult:
+    """Smallest feasible magnitude threshold; infeasible when none qualifies.
+
+    ``m_at_T`` holds ``1 + #{W_j <= -T}`` and ``rejected`` the indices with
+    ``W_j >= T``.
+    """
+    memo = _stats_memo(stats)
+    _check_alpha(alpha)
     cands, neg, ratio = memo(_sign_counts)
     feas = ratio <= alpha
     if not feas.any():
@@ -80,16 +80,8 @@ def _knockoff_threshold(memo: _Memo, alpha: float) -> ThresholdResult:
 
 def knockoff_evalues(stats, alpha: float) -> np.ndarray:
     """E-values reproducing the selection: p / (1 + #{W <= -T}) on it, 0 off."""
-    return _knockoff_evalues(_Memo(as_stats(stats)), alpha)
-
-
-def _knockoff_evalues(memo: _Memo, alpha: float) -> np.ndarray:
-    """:func:`knockoff_evalues` on the memo of validated statistics."""
-    res = _knockoff_threshold(memo, alpha)
-    e = np.zeros(memo.data.size)
-    if res.feasible:
-        e[res.rejected] = memo.data.size / res.m_at_T
-    return e
+    memo = _stats_memo(stats)
+    return _to_evalues(memo.size, knockoff_threshold(memo, alpha))
 
 
 def combine_and_select(
@@ -107,13 +99,8 @@ def combine_and_select(
     ``w1 + w2 <= 1``, and passed to the e-value step-up rule at
     ``alpha_ebh``.  Returns sorted 0-based indices of selected features.
     """
-    return _combine_and_select(_Memo(as_stats(stats_a)), _Memo(as_stats(stats_b)),
-                               alpha_ebh, w1, w2, alpha_ko)
-
-
-def _combine_and_select(memo_a: _Memo, memo_b: _Memo, alpha_ebh: float, w1, w2, alpha_ko):
-    """:func:`combine_and_select` on the memos of validated statistics."""
-    if memo_a.data.size != memo_b.data.size:
+    memo_a, memo_b = _stats_memo(stats_a), _stats_memo(stats_b)
+    if memo_a.size != memo_b.size:
         raise InputError("the two statistic vectors must have equal length")
     if not (0.0 < alpha_ebh < 1.0):
         raise ConfigurationError(f"alpha_ebh must lie in (0, 1), got {alpha_ebh}")
@@ -125,7 +112,7 @@ def _combine_and_select(memo_a: _Memo, memo_b: _Memo, alpha_ebh: float, w1, w2, 
     return _ebh_select(e, alpha_ebh)
 
 
-def _combined_evalues(memo_a: _Memo, memo_b: _Memo, alpha_ko: float, w1, w2) -> np.ndarray:
-    """``w1 * e_a + w2 * e_b``, each family's e-values at level ``alpha_ko``,
-    on the memos of validated statistics."""
-    return w1 * _knockoff_evalues(memo_a, alpha_ko) + w2 * _knockoff_evalues(memo_b, alpha_ko)
+def _combined_evalues(stats_a, stats_b, alpha_ko: float, w1, w2) -> np.ndarray:
+    """``w1 * e_a + w2 * e_b``, each family's e-values at level ``alpha_ko``;
+    each family is an array of statistics or a memo of validated ones."""
+    return w1 * knockoff_evalues(stats_a, alpha_ko) + w2 * knockoff_evalues(stats_b, alpha_ko)

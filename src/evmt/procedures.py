@@ -189,8 +189,10 @@ class _Memo:
     sets); no n-length array that depends on the level is kept.
 
     ``data`` is the validated vector (p-values or signed statistics) and
-    ``part`` its group partition, if any.  Public functions wrap their
-    validated input in a fresh memo, so each method has one code path; a
+    ``part`` its group partition, if any.  The public function takes the
+    memo: in place of its documented array it accepts a memo of data that
+    has already been validated, and uses it as is; an array it validates
+    and wraps in a fresh memo.  So each method has one code path, and a
     campaign replicate keeps its memos until the replicate ends (see
     :mod:`evmt.simulate`).
     """
@@ -206,6 +208,15 @@ class _Memo:
     def of(cls, x) -> "_Memo":
         """``x`` itself when it is a memo, else a fresh memo of the array ``x``."""
         return x if isinstance(x, cls) else cls(np.asarray(x, dtype=np.float64))
+
+    @classmethod
+    def of_pvalues(cls, x) -> "_Memo":
+        """``x`` itself when it is a memo, else a memo of the validated p-values ``x``."""
+        return x if isinstance(x, cls) else cls(as_pvalues(x))
+
+    @property
+    def size(self) -> int:
+        return self.data.size
 
     def __call__(self, stage, *key):
         k = (stage, *key)
@@ -390,17 +401,12 @@ def _stepup_scan(memo: _Memo, alpha: float, scale: float) -> ThresholdResult:
 
 def storey_pi0(pvals, storey_lambda: float) -> float:
     """Estimate of the null proportion, ``(1 + n - #{p <= lambda}) / ((1 - lambda) n)``."""
-    p = as_pvalues(pvals)
+    memo = _Memo.of_pvalues(pvals)
     if not (0.0 <= storey_lambda < 1.0):
         raise ConfigurationError(
             f"storey_lambda must lie in [0, 1), got {storey_lambda}"
         )
-    return _storey_pi0(_Memo(p), storey_lambda)
-
-
-def _storey_pi0(memo: _Memo, storey_lambda: float) -> float:
-    """:func:`storey_pi0` on the memo's p-values."""
-    n = memo.data.size
+    n = memo.size
     r_lam = int(np.count_nonzero(memo.data <= storey_lambda))
     return (1.0 + n - r_lam) / ((1.0 - storey_lambda) * n)
 
@@ -410,8 +416,9 @@ def solve_threshold(pvals, spec: ProcedureSpec) -> ThresholdResult:
 
     Parameters
     ----------
-    pvals : array_like
-        P-values in [0, 1].
+    pvals : array_like or _Memo
+        P-values in [0, 1], or a :class:`_Memo` of validated p-values whose
+        level-free stages the scan reads and keeps.
     spec : ProcedureSpec
         Procedure kind, level and kind-specific settings.
 
@@ -421,17 +428,13 @@ def solve_threshold(pvals, spec: ProcedureSpec) -> ThresholdResult:
         Feasibility flag, threshold, false-rejection estimate at the
         threshold and the rejected index set.
     """
-    return _solve(_Memo(as_pvalues(pvals)), spec)
-
-
-def _solve(memo: _Memo, spec: ProcedureSpec) -> ThresholdResult:
-    """:func:`solve_threshold` on the memo of validated p-values."""
+    memo = _Memo.of_pvalues(pvals)
     p = memo.data
     n = p.size
     if spec.kind == "bh":
         return _stepup_scan(memo, spec.alpha, float(n))
     if spec.kind == "storey":
-        return _stepup_scan(memo, spec.alpha, n * _storey_pi0(memo, spec.storey_lambda))
+        return _stepup_scan(memo, spec.alpha, n * storey_pi0(memo, spec.storey_lambda))
     if spec.kind == "bc":
         scan = _bc_scan(memo, spec.alpha)
     else:  # fbc

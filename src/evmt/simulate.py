@@ -11,10 +11,11 @@ validates the p-values and the partition once, and holds the level-free
 scans every method reads its level criterion off: the sorted p-values and
 the BC grid for BH, Storey, BC and both hybrid blends, the per-group scans
 for the grouped methods, the sign counts of each knockoff family for
-``KO_1``, ``KO_2`` and ``KO_Hybrid``.  Methods that share a runner needing
-no randomness (``BC`` and ``BC_Com``; ``eBH_Ada`` and ``fast_eBH_Ada`` on
-an instance without groups) share one run of it.  The memo goes with the
-replicate.
+``KO_1``, ``KO_2`` and ``KO_Hybrid``.  The runners call the public
+functions, which take the memo in place of the data.  Methods that share a
+runner needing no randomness (``BC`` and ``BC_Com``; ``eBH_Ada`` and
+``fast_eBH_Ada`` on an instance without groups) share one run of it.  The
+memo goes with the replicate.
 
 Settings
 --------
@@ -43,10 +44,10 @@ import numpy as np
 
 from .adaptive import run_structure_adaptive
 from .errors import ConfigurationError, InputError
-from .groups import GroupPartition, _bc_groups, _check_partition, _grouped
-from .hybrid import HybridConfig, _run_hybrid
-from .knockoffs import _combine_and_select, _knockoff_threshold, as_stats
-from .procedures import ProcedureSpec, _group_fdp_power, _Memo, _solve, as_pvalues, fdp_power
+from .groups import GroupPartition, _check_partition, groupwise_bc_thresholds, run_grouped_ebh
+from .hybrid import HybridConfig, run_hybrid
+from .knockoffs import as_stats, combine_and_select, knockoff_threshold
+from .procedures import ProcedureSpec, _group_fdp_power, _Memo, as_pvalues, fdp_power, solve_threshold
 
 __all__ = [
     "SimulationConfig",
@@ -203,6 +204,12 @@ class SimulationConfig:
         absent): the configuration takes that setting's defaults and the
         entries the file names, checked against that setting.
         """
+        return cls(**cls._file_fields(path, setting))
+
+    @classmethod
+    def _file_fields(cls, path, setting: Optional[str] = None) -> dict:
+        """The constructor arguments that the config file sets, checked as
+        :meth:`from_file` checks them."""
         if setting is not None:
             default_parameters(setting)  # an unknown setting is no line of the file
         fields, params, lines = {}, {}, {}
@@ -234,11 +241,13 @@ class SimulationConfig:
             lines.pop("setting", None)
         if "setting" not in fields:
             raise InputError(f"{path}: missing required key 'setting'")
+        fields["parameters"] = params
         try:
-            return cls(parameters=params, **fields)
+            cls(**fields)
         except _BadConfig as exc:
             line = next((f":{lines[k]}" for k in exc.keys if k in lines), "")
             raise (InputError if exc.malformed else ConfigurationError)(f"{path}{line}: {exc}") from None
+        return fields
 
 
 def _config_number(kind, path, lineno, key, value):
@@ -357,12 +366,13 @@ def _stats(rep, which):
 
 
 def _grouped_pvals(rep, method):
-    _need(rep.data, "partition", method)
-    return rep(_pvals)
+    """The p-value memo and its partition, which the method needs."""
+    part = _need(rep.data, "partition", method)
+    return rep(_pvals), part
 
 
 def _run_threshold(rep, alpha, kind):
-    return _solve(rep(_pvals), ProcedureSpec(kind=kind, alpha=alpha)).rejected
+    return solve_threshold(rep(_pvals), ProcedureSpec(kind=kind, alpha=alpha)).rejected
 
 
 def _run_bc(rep, alpha):
@@ -370,16 +380,16 @@ def _run_bc(rep, alpha):
 
 
 def _run_bc_sep(rep, alpha):
-    thresholds = _grouped_pvals(rep, "BC_Sep")(_bc_groups, alpha)[0]
+    thresholds = groupwise_bc_thresholds(*_grouped_pvals(rep, "BC_Sep"), alpha)
     return np.sort(np.concatenate([res.rejected for res in thresholds]))
 
 
 def _run_grouped(rep, alpha, scheme):
-    return _grouped(_grouped_pvals(rep, f"grouped scheme {scheme}"), alpha, scheme).rejected
+    return run_grouped_ebh(*_grouped_pvals(rep, f"grouped scheme {scheme}"), alpha, scheme).rejected
 
 
 def _run_hybrid_mode(rep, alpha, mode):
-    return _run_hybrid(rep(_pvals), HybridConfig(alpha_ebh=alpha, weight_mode=mode))
+    return run_hybrid(rep(_pvals), HybridConfig(alpha_ebh=alpha, weight_mode=mode))
 
 
 def _run_grouped_adaptive(rep, alpha):
@@ -397,11 +407,11 @@ def _run_struct(rep, alpha, rng, mode):
 
 def _run_knockoff(rep, alpha, which):
     _need(rep.data, f"stats_{which}", f"KO_{which}")
-    return _knockoff_threshold(rep(_stats, which), alpha).rejected
+    return knockoff_threshold(rep(_stats, which), alpha).rejected
 
 
 def _run_knockoff_hybrid(rep, alpha):
-    return _combine_and_select(rep(_stats, "a"), rep(_stats, "b"), alpha, 0.5, 0.5, None)
+    return combine_and_select(rep(_stats, "a"), rep(_stats, "b"), alpha)
 
 
 # name -> (needs_rng, runner); the registry order fixes each method's

@@ -254,6 +254,24 @@ def test_simulate_from_config_file(tmp_path):
     assert "BH" in out.read_text()
 
 
+def test_simulate_config_file_without_seed_draws_a_fresh_one(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("setting = ALLNULL\nreps = 1\nn = 40\n")
+    with mock.patch.object(cli.secrets, "randbits", return_value=12345):
+        assert run_cli(["simulate", "--input", cfg, "--out", tmp_path / "m.csv"]) == 0
+    first, report = capsys.readouterr().out.split("\n", 1)
+    assert first == "seed = 12345"
+    assert json.loads(report)["seed"] == 12345
+
+
+def test_simulate_config_file_keeps_an_explicit_seed_zero(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("setting = ALLNULL\nreps = 1\nn = 40\nseed = 0\n")
+    with mock.patch.object(cli.secrets, "randbits", side_effect=AssertionError("a seed was drawn")):
+        assert run_cli(["simulate", "--input", cfg, "--out", tmp_path / "m.csv"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 0
+
+
 def test_simulate_unknown_setting_exit_3(capsys):
     assert run_cli(["simulate", "--setting", "Z9", "--reps", 2]) == 3
     assert "setting" in capsys.readouterr().err

@@ -214,6 +214,18 @@ def test_threshold_count_must_match_the_groups(keep):
         group_evalues(p, part, wrong, np.ones(p.size))
 
 
+@pytest.mark.parametrize("count", [5, 60])
+def test_weight_count_must_match_the_pvalues(count):
+    # 40 p-values in two groups, each with ten rejections at level 0.2
+    half = np.concatenate([np.linspace(1e-4, 1e-3, 10), np.linspace(0.6, 0.7, 10)])
+    p = np.concatenate([half, half])
+    part = GroupPartition.from_sizes([20, 20])
+    thr = groupwise_bc_thresholds(p, part, 0.2)
+    assert all(res.feasible for res in thr)
+    with pytest.raises(InputError, match=f"got {count} weights for 40 p-values"):
+        group_evalues(p, part, thr, np.ones(count))
+
+
 def test_infeasible_group_still_contributes_censored_exceedances():
     # group 0's base threshold is infeasible at alpha=0.5, yet censoring its
     # large p-value yields a feasible threshold of 0.1; that exceedance must

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from dataclasses import replace
@@ -13,6 +14,7 @@ from evmt import (
     ConfigurationError,
     GroupPartition,
     HybridConfig,
+    InputError,
     ProcedureSpec,
     combine_and_select,
     fdp_power,
@@ -370,8 +372,8 @@ def test_each_level_free_stage_runs_once_per_replicate(monkeypatch, setting, met
 def test_grouped_eBH_Ada_stays_apart_from_the_hybrid(monkeypatch):
     # with groups, eBH_Ada is the grouped procedure and fast_eBH_Ada the hybrid
     monkeypatch.delenv("EVMT_THREADS", raising=False)
-    blends = _count_calls(monkeypatch, hybrid, "_blend")
-    grouped = _count_calls(monkeypatch, simulate, "_grouped")
+    blends = _count_calls(monkeypatch, hybrid, "_hybrid_evalues")
+    grouped = _count_calls(monkeypatch, simulate, "run_grouped_ebh")
     cfg = SimulationConfig(setting="E1", replications=4, seed=3)
     run_campaign(cfg, ["eBH_Ada", "fast_eBH_Ada", "BC", "BC_Com"])
     assert len(blends) == 4 and len(grouped) == 4
@@ -383,7 +385,7 @@ def test_shared_runners_run_once_per_replicate(monkeypatch):
     from evmt import cli
 
     monkeypatch.delenv("EVMT_THREADS", raising=False)
-    blends = _count_calls(monkeypatch, hybrid, "_blend")
+    blends = _count_calls(monkeypatch, hybrid, "_hybrid_evalues")
     mirror = _count_calls(monkeypatch, procedures, "_run_scan")
     stepup = _count_calls(monkeypatch, procedures, "_stepup_scan")
     cfg = SimulationConfig(setting="S1", replications=5, seed=5)
@@ -502,3 +504,124 @@ def test_prop_replicate_rejections_equal_public_functions(inst, alpha, grouped):
         records = simulate._replicate_metrics(config, 0, list(want))
     for name, rejected in want.items():
         assert (records[name]["fdp"], records[name]["power"]) == fdp_power(rejected, inst.truth), name
+
+
+def test_campaign_runners_call_the_public_functions(monkeypatch):
+    # each runner hands the replicate's memo to the public function
+    monkeypatch.delenv("EVMT_THREADS", raising=False)
+    names = ["solve_threshold", "run_hybrid", "groupwise_bc_thresholds", "run_grouped_ebh",
+             "knockoff_threshold", "combine_and_select"]
+    calls = {name: _count_calls(monkeypatch, simulate, name) for name in names}
+    run_campaign(SimulationConfig(setting="S1", replications=2, seed=1), SCORES)
+    run_campaign(SimulationConfig(setting="E1", replications=2, seed=1), GROUPED)
+    run_campaign(SimulationConfig(setting="KNOCK_SYNTH", replications=2, seed=1), ["KO_1", "KO_2", "KO_Hybrid"])
+    # S1: BH, ST, BC and two blends; E1: BC_Com, BC_Sep and three grouped schemes
+    counts = {name: len(got) for name, got in calls.items()}
+    assert counts == {"solve_threshold": 2 * 3 + 2, "run_hybrid": 2 * 2, "groupwise_bc_thresholds": 2,
+                      "run_grouped_ebh": 2 * 3, "knockoff_threshold": 2 * 2, "combine_and_select": 2}
+    for name, got in calls.items():
+        assert all(isinstance(args[0], procedures._Memo) for args in got), name
+    assert all(isinstance(args[1], procedures._Memo) for args in calls["combine_and_select"])
+
+
+def _bits(x):
+    """A comparable form of a result that tells apart every bit of its floats."""
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if dataclasses.is_dataclass(x):
+        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, float):
+        return float(x).hex()
+    return x
+
+
+class _ScaledCurves:
+    """fbc curves ``phi_i(p) = c_i p``."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def __len__(self):
+        return self.c.size
+
+    def at(self, p):
+        return self.c * p
+
+
+def _merged_calls(inst, alpha):
+    """Each function that takes a memo, as ``name -> f(pvals, stats_a, stats_b)``."""
+    part = inst.partition
+    curves = _ScaledCurves(np.linspace(0.5, 1.5, inst.truth.size))
+    averaged = HybridConfig(alpha_ebh=alpha, weight_mode="averaged")
+    adaptive = HybridConfig(alpha_ebh=alpha, weight_mode="adaptive")
+    calls = {
+        f"solve_threshold {kind}": lambda p, a, b, kind=kind: solve_threshold(
+            p, ProcedureSpec(kind=kind, alpha=alpha, rejection_functions=curves))
+        for kind in ("bh", "storey", "bc", "fbc")
+    }
+    calls.update({
+        "storey_pi0": lambda p, a, b: procedures.storey_pi0(p, 0.5),
+        "bh_evalues": lambda p, a, b: hybrid.bh_evalues(p, alpha),
+        "bc_evalues": lambda p, a, b: hybrid.bc_evalues(p, alpha),
+        "compute_loo_thresholds": lambda p, a, b: hybrid.compute_loo_thresholds(p, alpha, alpha / 2),
+        "_hybrid_evalues": lambda p, a, b: hybrid._hybrid_evalues(p, adaptive),
+        "run_hybrid averaged": lambda p, a, b: run_hybrid(p, averaged),
+        "run_hybrid adaptive": lambda p, a, b: run_hybrid(p, adaptive),
+        "knockoff_threshold": lambda p, a, b: knockoff_threshold(a, alpha),
+        "knockoff_evalues": lambda p, a, b: knockoffs.knockoff_evalues(b, alpha),
+        "combine_and_select": lambda p, a, b: combine_and_select(a, b, alpha, 0.7, 0.3),
+        "_combined_evalues": lambda p, a, b: knockoffs._combined_evalues(a, b, alpha, 0.5, 0.5),
+    })
+    if part is not None:
+        thresholds = groupwise_bc_thresholds(inst.pvals, part, alpha)
+        calls.update({
+            "groupwise_bc_thresholds": lambda p, a, b: groupwise_bc_thresholds(p, part, alpha),
+            "assemble_weights": lambda p, a, b: groups.assemble_weights(p, part, thresholds, "adaptive", alpha),
+            "group_evalues": lambda p, a, b: groups.group_evalues(
+                p, part, thresholds, np.linspace(0.5, 2.0, inst.truth.size)),
+        })
+        calls.update({
+            f"run_grouped_ebh {scheme}": lambda p, a, b, scheme=scheme: run_grouped_ebh(
+                p, part, alpha, scheme, truth=inst.truth)
+            for scheme in ("unit", "size", "adaptive")
+        })
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=_instances(), grouped=st.booleans())
+def test_prop_memo_and_array_give_identical_results(inst, grouped):
+    if not grouped:
+        inst = replace(inst, partition=None)
+    memo = groups._grouped_memo(inst.pvals, inst.partition) if grouped else procedures._Memo.of_pvalues(inst.pvals)
+    memo_a, memo_b = knockoffs._stats_memo(inst.stats_a), knockoffs._stats_memo(inst.stats_b)
+    # one set of memos serves every function at two levels, as in a replicate
+    for alpha in (0.1, 0.3):
+        for name, call in _merged_calls(inst, alpha).items():
+            want = call(inst.pvals, inst.stats_a, inst.stats_b)
+            assert _bits(call(memo, memo_a, memo_b)) == _bits(want), (name, alpha)
+
+
+def test_grouped_functions_refuse_a_memo_of_another_partition():
+    p = np.linspace(0.001, 0.999, 40)
+    part = GroupPartition.from_sizes([10, 30])
+    thresholds = groupwise_bc_thresholds(p, part, 0.2)
+    calls = {
+        "groupwise_bc_thresholds": lambda memo: groupwise_bc_thresholds(memo, part, 0.2),
+        "assemble_weights": lambda memo: groups.assemble_weights(memo, part, thresholds, "unit"),
+        "group_evalues": lambda memo: groups.group_evalues(memo, part, thresholds, np.ones(40)),
+        "run_grouped_ebh": lambda memo: run_grouped_ebh(memo, part, 0.2),
+    }
+    others = [
+        groups._grouped_memo(p, GroupPartition.from_sizes([20, 20])),
+        # an equal partition that is another object is another partition too
+        groups._grouped_memo(p, GroupPartition.from_sizes([10, 30])),
+        procedures._Memo.of_pvalues(p),
+    ]
+    for call in calls.values():
+        call(groups._grouped_memo(p, part))  # the memo of part itself is used as is
+        for memo in others:
+            with pytest.raises(InputError, match="another partition"):
+                call(memo)
