@@ -17,11 +17,13 @@ complementary folds.  Per-fold thresholds are converted to e-values,
 weighted, and passed to the e-value step-up selector.
 
 The folds go through the per-group path of :mod:`evmt.groups`:
-``groups._scan_groups`` runs ``procedures._fbc_scan`` (the fbc scan with
-its domain cap just below min_i phi_i(0.5)) once per fold, which gives the
-thresholds and the leave-one-out counts together, and
-``groups._loo_weights`` turns those counts into weights, as for groups.
-:func:`structure_pipeline` therefore scans each fold once.
+:func:`structure_pipeline` calls :func:`cross_fit`, :func:`fbc_group_threshold`,
+:func:`structure_weights`, ``group_evalues`` and ``ebh_select`` in turn on
+one ``procedures._Memo`` of p and the folds.  Its stage ``_fbc_folds``, kept
+per curves and level, runs ``procedures._fbc_scan`` (domain capped just
+below min_i phi_i(0.5)) once per fold through ``groups._scan_groups``, which
+gives the thresholds and the leave-one-out counts together;
+``groups._loo_weights`` turns the counts into weights, as for groups.
 
 The fit maximises the log-likelihood by L-BFGS-B over the box
 [-36, 36] of every coefficient, from two fixed starts.  Its objective is
@@ -54,13 +56,13 @@ import numpy as np
 from .errors import ConfigurationError, InputError
 from .groups import (
     GroupPartition,
-    _check_partition,
     _check_thresholds,
+    _grouped_memo,
     _loo_weights,
     _scan_groups,
     group_evalues,
 )
-from .procedures import _fbc_scan, as_pvalues, ebh_select
+from .procedures import _fbc_scan, _Memo, as_pvalues, ebh_select
 
 __all__ = [
     "RejectionCurves",
@@ -78,9 +80,10 @@ _BOX = 36.0  # the L-BFGS-B box on every coefficient
 _DENS_FLOOR = np.finfo(np.float64).tiny  # an underflowed density counts as this
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RejectionCurves:
-    """Per-hypothesis curves phi_i(p), increasing and continuous on (0, 1]."""
+    """Per-hypothesis curves phi_i(p), increasing and continuous on (0, 1];
+    equal only to themselves, so that they can key a memo stage."""
 
     pi: np.ndarray
     kappa: np.ndarray
@@ -275,7 +278,8 @@ def fit_lfdr_em(
         winning start's L-BFGS-B success flag and iteration count.
     """
     p = np.maximum(as_pvalues(pvals), P_FLOOR)
-    if not np.all(np.isfinite(-np.log(p))):
+    ell = -np.log(p)
+    if not np.all(np.isfinite(ell)):
         raise InputError("p-values produced a non-finite likelihood")
     x = _as_covars(covars, p.size)
     d = x.shape[1]
@@ -284,7 +288,6 @@ def fit_lfdr_em(
             f"the mixture fit needs at least {2 * (d + 1)} observations for d={d}, got {p.size}"
         )
     z = np.hstack([np.ones((p.size, 1)), x])
-    ell = -np.log(p)
 
     from scipy.special import logit
 
@@ -305,55 +308,48 @@ def fit_lfdr_em(
     )
 
 
-def cross_fit(
-    pvals,
-    covars,
-    part: GroupPartition,
-    return_models: bool = False,
-):
+def cross_fit(pvals, covars, part: GroupPartition):
     """Fit each fold's rejection curves on the complementary folds.
 
-    Returns the assembled :class:`RejectionCurves` for all n hypotheses (and
-    the per-fold models when ``return_models`` is set).
+    Returns the assembled :class:`RejectionCurves` for all n hypotheses and
+    the per-fold models.
     """
-    p = as_pvalues(pvals)
-    _check_partition(p, part)
+    memo = _grouped_memo(pvals, part)
     if part.n_groups < 2:
         raise ConfigurationError("cross-fitting needs at least two folds")
+    p = memo.data
     x = _as_covars(covars, p.size)
-    pi = np.empty(p.size)
-    kappa = np.empty(p.size)
+    pi, kappa = np.empty((2, p.size))
     models = []
     for g in range(part.n_groups):
-        mask = part.labels == g
-        comp = ~mask
+        idx = part.indices(g)
         try:
-            model = fit_lfdr_em(p[comp], x[comp])
+            model = fit_lfdr_em(np.delete(p, idx), np.delete(x, idx, axis=0))
         except ConfigurationError as exc:
             raise ConfigurationError(f"fold {g}: {exc}") from exc
         models.append(model)
-        pi[mask] = model.pi(x[mask])
-        kappa[mask] = model.kappa(x[mask])
-    curves = RejectionCurves(pi, kappa)
-    if return_models:
-        return curves, models
-    return curves
+        pi[idx] = model.pi(x[idx])
+        kappa[idx] = model.kappa(x[idx])
+    return RejectionCurves(pi, kappa), models
 
 
-def _fold_scans(p, part: GroupPartition, curves: RejectionCurves, alpha):
-    """:func:`groups._scan_groups` with each fold's fbc scan at level ``alpha``."""
-    return _scan_groups(part, lambda idx: _fbc_scan(p[idx], curves[idx], alpha))
+def _fbc_folds(memo: _Memo, curves: RejectionCurves, alpha: float):
+    """:func:`groups._scan_groups` with each fold's fbc scan at level ``alpha``,
+    on the memo of validated p-values and their folds.  A memo keeps it per
+    curves and level: the thresholds and the weights read one scan per fold."""
+    p = memo.data
+    return _scan_groups(memo.part, lambda idx: _fbc_scan(p[idx], curves[idx], alpha))
 
 
-def _checked(pvals, part: GroupPartition, curves: RejectionCurves, alpha) -> np.ndarray:
-    """Validated p-values that the partition and curves cover; ``alpha`` in (0, 1) or None."""
-    p = as_pvalues(pvals)
-    _check_partition(p, part)
-    if len(curves) != p.size:
-        raise InputError(f"curves cover {len(curves)} hypotheses, got {p.size} p-values")
+def _fold_memo(pvals, part: GroupPartition, curves: RejectionCurves, alpha) -> _Memo:
+    """:func:`groups._grouped_memo` of the p-values and folds, with the curves
+    checked to cover them and ``alpha`` in (0, 1) or None."""
+    memo = _grouped_memo(pvals, part)
+    if len(curves) != memo.size:
+        raise InputError(f"curves cover {len(curves)} hypotheses, got {memo.size} p-values")
     if alpha is not None and not (0.0 < alpha < 1.0):
         raise ConfigurationError(f"the fold level must lie in (0, 1), got {alpha}")
-    return p
+    return memo
 
 
 def fbc_group_threshold(pvals, part: GroupPartition, curves: RejectionCurves, alpha_fbc: float):
@@ -362,8 +358,7 @@ def fbc_group_threshold(pvals, part: GroupPartition, curves: RejectionCurves, al
     The per-fold domain cap sits just below min_i phi_i(0.5).  Returns one
     :class:`ThresholdResult` per fold with global indices.
     """
-    p = _checked(pvals, part, curves, alpha_fbc)
-    return _fold_scans(p, part, curves, alpha_fbc)[0]
+    return _fold_memo(pvals, part, curves, alpha_fbc)(_fbc_folds, curves, alpha_fbc)[0]
 
 
 def _weight_mode(mode: str, alpha) -> str:
@@ -392,16 +387,12 @@ def structure_weights(
     from :func:`fbc_group_threshold` on the same inputs at level ``alpha``.
     """
     mode = _weight_mode(mode, alpha)
-    p = _checked(pvals, part, curves, alpha)
+    memo = _fold_memo(pvals, part, curves, alpha)
     _check_thresholds(thresholds, part)
     if mode == "unit":
-        return np.ones(p.size)
-    return _cheap_weights(p, part, curves, thresholds, _fold_scans(p, part, curves, alpha)[1])
-
-
-def _cheap_weights(p, part, curves, thresholds, counts) -> np.ndarray:
-    """``cheap`` weights from the folds' leave-one-out ``counts``."""
-    return _loo_weights(curves.at(1.0 - p), part, thresholds, counts)
+        return np.ones(memo.size)
+    counts = memo(_fbc_folds, curves, alpha)[1]
+    return _loo_weights(curves.at(1.0 - memo.data), part, thresholds, counts)
 
 
 def structure_pipeline(
@@ -412,8 +403,9 @@ def structure_pipeline(
     n_groups: int = 2,
     rng=None,
 ):
-    """Full cross-fitted run; returns a dict with every intermediate piece."""
-    p = as_pvalues(pvals)
+    """Full cross-fitted run; returns a dict with every intermediate piece.
+    ``pvals`` may be a ``procedures._Memo`` of validated p-values."""
+    p = _Memo.of_pvalues(pvals).data
     if not (0.0 < alpha_ebh < 1.0):
         raise ConfigurationError(f"alpha_ebh must lie in (0, 1), got {alpha_ebh}")
     mode = _weight_mode(mode, alpha_ebh)
@@ -422,12 +414,12 @@ def structure_pipeline(
     labels = np.empty(p.size, dtype=np.intp)
     labels[rng.permutation(p.size)] = np.arange(p.size) % n_groups
     part = GroupPartition(labels=labels, n_groups=n_groups)
-    curves, models = cross_fit(p, covars, part, return_models=True)
+    memo = _Memo(p, part)
+    curves, models = cross_fit(memo, covars, part)
     alpha_fbc = alpha_ebh / (1.0 + alpha_ebh)
-    thresholds, counts = _fold_scans(p, part, curves, alpha_fbc)
-    weights = (np.ones(p.size) if mode == "unit"
-               else _cheap_weights(p, part, curves, thresholds, counts))
-    evalues = group_evalues(p, part, thresholds, weights)
+    thresholds = fbc_group_threshold(memo, part, curves, alpha_fbc)
+    weights = structure_weights(memo, part, curves, thresholds, mode, alpha_fbc)
+    evalues = group_evalues(memo, part, thresholds, weights)
     rejected = ebh_select(evalues, alpha_ebh)
     return {
         "partition": part,

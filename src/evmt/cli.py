@@ -486,9 +486,9 @@ def _cmd_adaptive(args):
 
 
 def _read_stat_column(path) -> np.ndarray:
-    table = read_table(path)
-    if len(table) != 1:
-        raise InputError(f"{path}: expected a single statistic column, got {sorted(table)}")
+    table = read_table(path, labels=True)
+    if len(table) != 1 or "group" in table:
+        raise InputError(f"{path}: line 1: expected a single statistic column, got {sorted(table)}")
     return next(iter(table.values()))
 
 

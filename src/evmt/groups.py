@@ -245,10 +245,7 @@ def assemble_weights(
     if scheme == "unit":
         return np.ones(n)
     if scheme == "size_adjusted":
-        w = np.empty(n)
-        for l in range(part.n_groups):
-            w[part.indices(l)] = n / (part.n_groups * part.sizes[l])
-        return w
+        return (n / (part.n_groups * part.sizes))[part.labels]
     if alpha is None:
         raise ConfigurationError("adaptive weights need the threshold level alpha")
     # the censored thresholds T_{l,j} can be feasible even when the

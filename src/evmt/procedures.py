@@ -185,16 +185,16 @@ class _Memo:
     counts, the sign counts of knockoff statistics.  A procedure reads its
     level criterion off them, so methods that run on the same data at
     different levels share one build.  The rest are small results keyed by
-    stage and level (per-group thresholds and counts, rejection index
-    sets); no n-length array that depends on the level is kept.
+    stage and level (per-group thresholds and counts, per-fold ones also by
+    curves, rejection index sets); no level-dependent n-array is kept.
 
     ``data`` is the validated vector (p-values or signed statistics) and
-    ``part`` its group partition, if any.  The public function takes the
-    memo: in place of its documented array it accepts a memo of data that
-    has already been validated, and uses it as is; an array it validates
-    and wraps in a fresh memo.  So each method has one code path, and a
-    campaign replicate keeps its memos until the replicate ends (see
-    :mod:`evmt.simulate`).
+    ``part`` its partition into groups or folds, if any.  The public
+    function takes the memo: in place of its documented array it accepts a
+    memo of data that has already been validated, and uses it as is; an
+    array it validates and wraps in a fresh memo.  So each method has one
+    code path, and a campaign replicate keeps its memos until the replicate
+    ends (see :mod:`evmt.simulate`).
     """
 
     __slots__ = ("data", "part", "_built")
@@ -450,7 +450,12 @@ def procedure_to_evalues(pvals, spec: ProcedureSpec, result: ThresholdResult) ->
     Rejected hypotheses receive ``n / m(T)``; everything else (and every
     hypothesis when the threshold search was infeasible) receives 0.
     """
-    return _to_evalues(as_pvalues(pvals).size, result)
+    n = as_pvalues(pvals).size
+    if np.max(result.rejected, initial=-1) >= n:
+        raise InputError(
+            f"the result rejects index {np.max(result.rejected)}, but there are {n} p-values"
+        )
+    return _to_evalues(n, result)
 
 
 def _to_evalues(n: int, result: ThresholdResult) -> np.ndarray:

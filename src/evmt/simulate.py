@@ -402,7 +402,7 @@ def _run_hybrid_adaptive(rep, alpha):
 
 def _run_struct(rep, alpha, rng, mode):
     covars = _need(rep.data, "covars", "eBH_FBC")
-    return run_structure_adaptive(rep.data.pvals, covars, alpha, mode=mode, rng=rng)
+    return run_structure_adaptive(rep(_pvals), covars, alpha, mode=mode, rng=rng)
 
 
 def _run_knockoff(rep, alpha, which):

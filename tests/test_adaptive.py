@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import norm
 
-from evmt import ConfigurationError, InputError, ProcedureSpec, fdp_power, solve_threshold
+from evmt import (
+    ConfigurationError,
+    InputError,
+    ProcedureSpec,
+    ebh_select,
+    fdp_power,
+    solve_threshold,
+)
 from evmt.adaptive import (
     LfdrModel,
     RejectionCurves,
@@ -20,7 +27,7 @@ from evmt.adaptive import (
     structure_weights,
 )
 from evmt import adaptive, procedures
-from evmt.groups import GroupPartition
+from evmt.groups import GroupPartition, group_evalues
 from evmt.simulate import SimulationConfig, generate
 
 from oracles import (
@@ -254,8 +261,8 @@ def test_cross_fit_depends_only_on_complement():
     labels = np.arange(60) % 2
     part = GroupPartition(labels=labels, n_groups=2)
     swapped = GroupPartition(labels=1 - labels, n_groups=2)
-    c1 = cross_fit(p, x, part)
-    c2 = cross_fit(p, x, swapped)
+    c1, _ = cross_fit(p, x, part)
+    c2, _ = cross_fit(p, x, swapped)
     assert np.allclose(c1.pi, c2.pi)
     assert np.allclose(c1.kappa, c2.kappa)
 
@@ -265,10 +272,10 @@ def test_cross_fit_ignores_own_group_pvalues():
     p = rng.uniform(size=40)
     x = rng.normal(size=(40, 1))
     part = GroupPartition(labels=np.arange(40) % 2, n_groups=2)
-    base = cross_fit(p, x, part)
+    base, _ = cross_fit(p, x, part)
     q = p.copy()
     q[0] = 0.987  # index 0 lives in fold 0
-    moved = cross_fit(q, x, part)
+    moved, _ = cross_fit(q, x, part)
     fold0 = part.indices(0)
     assert np.allclose(base.pi[fold0], moved.pi[fold0])
     assert np.allclose(base.kappa[fold0], moved.kappa[fold0])
@@ -278,7 +285,7 @@ def test_cross_fit_folds_agree_on_uniform_data():
     rng = np.random.default_rng(17)
     p = rng.uniform(size=10000)
     part = GroupPartition(labels=rng.permutation(np.arange(10000) % 2), n_groups=2)
-    curves = cross_fit(p, None, part)
+    curves, _ = cross_fit(p, None, part)
     grid = np.linspace(0.001, 0.999, 50)
     f0 = curves[part.indices(0)[:1]]
     f1 = curves[part.indices(1)[:1]]
@@ -459,6 +466,27 @@ def test_fold_threshold_count_must_match_the_folds():
                 structure_weights(p, part, curves, wrong, mode, alpha=0.2)
 
 
+def test_fold_functions_refuse_a_memo_of_another_partition():
+    p, part, curves = _fold_instance()
+    thr = fbc_group_threshold(p, part, curves, 0.2)
+    calls = {
+        "cross_fit": lambda memo: cross_fit(memo, None, part),
+        "fbc_group_threshold": lambda memo: fbc_group_threshold(memo, part, curves, 0.2),
+        "structure_weights": lambda memo: structure_weights(memo, part, curves, thr, "cheap", alpha=0.2),
+    }
+    others = [
+        procedures._Memo(p, GroupPartition(labels=np.arange(30) % 2, n_groups=2)),
+        # an equal partition that is another object is another partition too
+        procedures._Memo(p, GroupPartition(labels=np.arange(30) % 3, n_groups=3)),
+        procedures._Memo.of_pvalues(p),
+    ]
+    for call in calls.values():
+        call(procedures._Memo(p, part))  # the memo of part itself is used as is
+        for memo in others:
+            with pytest.raises(InputError, match="another partition"):
+                call(memo)
+
+
 @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1])
 def test_fold_level_outside_unit_interval_is_a_configuration_error(alpha):
     p, part, curves = _fold_instance()
@@ -565,42 +593,71 @@ def test_null_evalue_budget_for_unit_and_cheap():
         assert vals.mean() <= n + 3 * se, mode
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that logs each call's arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("G", [2, 3])
 def test_pipeline_scans_each_fold_once(monkeypatch, G):
-    # every mirror scan ends in procedures._run_scan
-    calls = []
-    original = procedures._run_scan
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(procedures, "_run_scan", counted)
+    # every mirror scan ends in procedures._run_scan, and the fold scans
+    # run only inside the two public fold functions
+    calls = {"_run_scan": _count_calls(monkeypatch, procedures, "_run_scan")}
+    for name in ("_fbc_scan", "fbc_group_threshold", "structure_weights"):
+        calls[name] = _count_calls(monkeypatch, adaptive, name)
     rng = np.random.default_rng(67)
     p, x, _ = struct_instance(rng, n=120)
     structure_pipeline(p, x, 0.1, mode="cheap", n_groups=G, rng=np.random.default_rng(3))
-    assert len(calls) == G
+    counts = {name: len(got) for name, got in calls.items()}
+    assert counts == {"_run_scan": G, "_fbc_scan": G, "fbc_group_threshold": 1, "structure_weights": 1}
+    memo = calls["fbc_group_threshold"][0][0]
+    assert isinstance(memo, procedures._Memo)
+    assert calls["structure_weights"][0][0] is memo
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     n=st.integers(12, 80),
-    G=st.integers(2, 3),
+    G=st.integers(2, 4),
     d=st.integers(0, 1),
     shrink=st.sampled_from([1.0, 0.05, 1e-3]),
     alpha=st.floats(0.05, 0.5),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_prop_pipeline_weights_equal_structure_weights(n, G, d, shrink, alpha, seed):
+def test_prop_pipeline_equals_its_public_stages(n, G, d, shrink, alpha, seed):
+    # the pipeline is its public stages called in turn; here they run on arrays
     rng = np.random.default_rng(seed)
     p = rng.uniform(size=n)
     p[: n // 4] *= shrink
     x = rng.normal(size=(n, d)) if d else None
-    for mode in ("unit", "cheap"):
-        pipe = structure_pipeline(p, x, alpha, mode=mode, n_groups=G, rng=np.random.default_rng(seed))
-        part, curves, thr = pipe["partition"], pipe["curves"], pipe["thresholds"]
-        w = structure_weights(p, part, curves, thr, mode, alpha=pipe["alpha_fbc"])
-        assert np.array_equal(w.view(np.int64), pipe["weights"].view(np.int64)), mode
-        for a, b in zip(thr, fbc_group_threshold(p, part, curves, pipe["alpha_fbc"])):
+    pipes = {
+        mode: structure_pipeline(p, x, alpha, mode=mode, n_groups=G, rng=np.random.default_rng(seed))
+        for mode in ("unit", "cheap")
+    }
+    part, alpha_fbc = pipes["unit"]["partition"], pipes["unit"]["alpha_fbc"]
+    curves, models = cross_fit(p, x, part)
+    thr = fbc_group_threshold(p, part, curves, alpha_fbc)
+    for mode, pipe in pipes.items():
+        assert np.array_equal(pipe["partition"].labels, part.labels)
+        assert pipe["curves"].pi.tobytes() == curves.pi.tobytes()
+        assert pipe["curves"].kappa.tobytes() == curves.kappa.tobytes()
+        for a, b in zip(pipe["models"], models):
+            assert a.beta_pi.tobytes() == b.beta_pi.tobytes()
+            assert a.beta_kappa.tobytes() == b.beta_kappa.tobytes()
+        assert len(pipe["thresholds"]) == len(thr) == G
+        for a, b in zip(pipe["thresholds"], thr):
             assert (a.threshold, a.m_at_T, a.feasible) == (b.threshold, b.m_at_T, b.feasible)
             assert np.array_equal(a.rejected, b.rejected)
+        w = structure_weights(p, part, curves, thr, mode, alpha=alpha_fbc)
+        assert pipe["weights"].tobytes() == w.tobytes(), mode
+        e = group_evalues(p, part, thr, w)
+        assert pipe["evalues"].tobytes() == e.tobytes(), mode
+        assert np.array_equal(pipe["rejected"], ebh_select(e, alpha)), mode

@@ -219,6 +219,16 @@ def test_knockoff_combine(tmp_path):
     assert run_cli(["knockoff-combine", "--input", fa]) == 2
 
 
+@pytest.mark.parametrize("columns", [["w", "group"], ["group"]])
+def test_knockoff_combine_refuses_a_group_column(tmp_path, capsys, columns):
+    fa, fb = tmp_path / "wa.csv", tmp_path / "wb.csv"
+    write_csv(fa, columns, [("1.5", "a")[: len(columns)], ("-0.5", "b")[: len(columns)]])
+    write_csv(fb, ["w"], [("1.5",), ("-0.5",)])
+    assert run_cli(["knockoff-combine", "--input", fa, "--input", fb]) == 2
+    err = capsys.readouterr().err
+    assert f"{fa}: line 1: expected a single statistic column, got {sorted(columns)}" in err
+
+
 def test_simulate_writes_metrics(tmp_path, capsys):
     out = tmp_path / "metrics.csv"
     code = run_cli(["simulate", "--setting", "E1", "--reps", 5, "--seed", 7,
@@ -706,7 +716,7 @@ def test_import_does_not_load_scipy_optimize_or_stats():
 def test_data_commands_load_no_scipy(tmp_path, command):
     write_csv(tmp_path / "g.csv", ["pvalue", "group", "evalue"],
               [(0.001, "a", 30.0), (0.5, "b", 0.0), (0.02, " a ", 1.0), (0.9, "b", 0.5)])
-    write_csv(tmp_path / "w.csv", ["w", "group"], [(3.0, "a"), (-1.0, "b"), (2.0, "a")])
+    write_csv(tmp_path / "w.csv", ["w"], [(3.0,), (-1.0,), (2.0,)])
     inputs = ["--input", "w.csv"] * 2 if command == "knockoff-combine" else ["--input", "g.csv"]
     run = _fresh_python(["-X", "importtime", "-m", "evmt.cli", command, *inputs, "--out", "r.csv"],
                         cwd=tmp_path)

@@ -175,6 +175,17 @@ def test_unit_and_size_weights():
     assert size[-1] == pytest.approx(0.55)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(codes=st.lists(st.integers(0, 5), min_size=1, max_size=60))
+def test_prop_size_weights_are_n_over_L_times_the_group_size(codes):
+    part = GroupPartition.from_labels(codes)
+    p = np.linspace(0.0, 1.0, part.n)
+    thr = groupwise_bc_thresholds(p, part, 0.2)
+    w = assemble_weights(p, part, thr, "size")
+    want = [part.n / (part.n_groups * part.sizes[l]) for l in part.labels]
+    assert w.tobytes() == np.array(want).tobytes()
+
+
 def test_adaptive_weights_single_group_are_unit():
     rng = np.random.default_rng(4)
     p = random_pvalues(rng, 30)

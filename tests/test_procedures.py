@@ -268,6 +268,17 @@ def test_feasible_result_without_false_rejection_estimate_raises():
         procedure_to_evalues([0.01, 0.5], spec, broken)
 
 
+@pytest.mark.parametrize("last", [2, 3])
+def test_conversion_result_must_index_into_the_pvalues(last):
+    spec = ProcedureSpec(kind="bh", alpha=0.5)
+    res = ThresholdResult(threshold=0.5, m_at_T=1.5, rejected=np.array([0, last]), feasible=True)
+    if last < 3:
+        assert procedure_to_evalues([0.01, 0.2, 0.3], spec, res).tolist() == [2.0, 0.0, 2.0]
+    else:
+        with pytest.raises(InputError, match="rejects index 3, but there are 3 p-values"):
+            procedure_to_evalues([0.01, 0.2, 0.3], spec, res)
+
+
 def test_invariant_check_survives_python_optimisation():
     code = (
         "import numpy as np\n"

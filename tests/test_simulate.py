@@ -510,15 +510,18 @@ def test_campaign_runners_call_the_public_functions(monkeypatch):
     # each runner hands the replicate's memo to the public function
     monkeypatch.delenv("EVMT_THREADS", raising=False)
     names = ["solve_threshold", "run_hybrid", "groupwise_bc_thresholds", "run_grouped_ebh",
-             "knockoff_threshold", "combine_and_select"]
+             "knockoff_threshold", "combine_and_select", "run_structure_adaptive"]
     calls = {name: _count_calls(monkeypatch, simulate, name) for name in names}
     run_campaign(SimulationConfig(setting="S1", replications=2, seed=1), SCORES)
     run_campaign(SimulationConfig(setting="E1", replications=2, seed=1), GROUPED)
     run_campaign(SimulationConfig(setting="KNOCK_SYNTH", replications=2, seed=1), ["KO_1", "KO_2", "KO_Hybrid"])
+    run_campaign(SimulationConfig(setting="STRUCT", parameters={"n": 120}, replications=2, seed=1),
+                 ["eBH_FBC", "eBH_FBC_unit"])
     # S1: BH, ST, BC and two blends; E1: BC_Com, BC_Sep and three grouped schemes
     counts = {name: len(got) for name, got in calls.items()}
     assert counts == {"solve_threshold": 2 * 3 + 2, "run_hybrid": 2 * 2, "groupwise_bc_thresholds": 2,
-                      "run_grouped_ebh": 2 * 3, "knockoff_threshold": 2 * 2, "combine_and_select": 2}
+                      "run_grouped_ebh": 2 * 3, "knockoff_threshold": 2 * 2, "combine_and_select": 2,
+                      "run_structure_adaptive": 2 * 2}
     for name, got in calls.items():
         assert all(isinstance(args[0], procedures._Memo) for args in got), name
     assert all(isinstance(args[1], procedures._Memo) for args in calls["combine_and_select"])
