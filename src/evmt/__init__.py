@@ -8,7 +8,6 @@ from .adaptive import (
     cross_fit,
     fbc_group_threshold,
     fit_lfdr_em,
-    pseudo_loglik,
     run_structure_adaptive,
     structure_weights,
 )

@@ -57,17 +57,15 @@ from .errors import ConfigurationError, InputError
 from .groups import (
     GroupPartition,
     _check_thresholds,
-    _grouped_memo,
     _loo_weights,
     _scan_groups,
     group_evalues,
 )
-from .procedures import _fbc_scan, _Memo, as_pvalues, ebh_select
+from .procedures import _check_alpha, _fbc_scan, _lookup, _Memo, as_pvalues, ebh_select
 
 __all__ = [
     "RejectionCurves",
     "LfdrModel",
-    "pseudo_loglik",
     "fit_lfdr_em",
     "cross_fit",
     "fbc_group_threshold",
@@ -78,6 +76,9 @@ __all__ = [
 P_FLOOR = 1e-15
 _BOX = 36.0  # the L-BFGS-B box on every coefficient
 _DENS_FLOOR = np.finfo(np.float64).tiny  # an underflowed density counts as this
+
+# each accepted spelling of a weight mode, lower case, and its canonical name
+_MODES = {"unit": "unit", "cheap": "cheap"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,52 +121,34 @@ class LfdrModel:
     def pi(self, covars) -> np.ndarray:
         from scipy.special import expit
 
-        z = _design(covars, self.beta_pi.size - 1)
+        z = _design(covars, d=self.beta_pi.size - 1)
         return np.clip(expit(z @ self.beta_pi), self.eps1, 1.0 - self.eps2)
 
     def kappa(self, covars) -> np.ndarray:
         from scipy.special import expit
 
-        z = _design(covars, self.beta_kappa.size - 1)
+        z = _design(covars, d=self.beta_kappa.size - 1)
         return expit(z @ self.beta_kappa)
 
     def curves(self, covars) -> RejectionCurves:
         return RejectionCurves(self.pi(covars), self.kappa(covars))
 
 
-def _as_covars(covars, n: int) -> np.ndarray:
-    if covars is None:
-        return np.empty((n, 0))
-    x = np.asarray(covars, dtype=np.float64)
+def _design(covars, n: Optional[int] = None, d: Optional[int] = None) -> np.ndarray:
+    """The checked (n, d + 1) design matrix: an intercept column, then the
+    finite covariates (a 1-d array is one column; None is no column, which
+    needs ``n``).  ``n`` and ``d``, when given, fix the number of rows and
+    of covariate columns."""
+    x = np.empty((n, 0)) if covars is None else np.asarray(covars, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2 or x.shape[0] != n:
+    if x.ndim != 2 or (n is not None and x.shape[0] != n):
         raise InputError(f"covariates must form an (n, d) array with n={n}")
+    if d is not None and x.shape[1] != d:
+        raise InputError(f"model expects {d} covariate columns, got {x.shape[1]}")
     if not np.all(np.isfinite(x)):
         raise InputError("covariates must be finite")
-    return x
-
-
-def _design(covars, d: int) -> np.ndarray:
-    x = np.asarray(covars, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[1] != d:
-        raise InputError(f"model expects {d} covariate columns, got {x.shape[1]}")
     return np.hstack([np.ones((x.shape[0], 1)), x])
-
-
-def pseudo_loglik(beta_pi, beta_kappa, pvals, covars=None) -> float:
-    """Mixture log-likelihood sum_i log(pi_i + (1 - pi_i)(1 - kappa_i) p_i^(-kappa_i))."""
-    from scipy.special import expit
-
-    p = np.maximum(as_pvalues(pvals), P_FLOOR)
-    x = _as_covars(covars, p.size)
-    z = np.hstack([np.ones((p.size, 1)), x])
-    pi = expit(z @ np.asarray(beta_pi, dtype=np.float64))
-    kap = expit(z @ np.asarray(beta_kappa, dtype=np.float64))
-    alt = (1.0 - kap) * np.exp(kap * (-np.log(p)))
-    return float(np.sum(np.log(pi + (1.0 - pi) * alt)))
 
 
 def _minimize(negobj, theta0, box):
@@ -281,13 +264,12 @@ def fit_lfdr_em(
     ell = -np.log(p)
     if not np.all(np.isfinite(ell)):
         raise InputError("p-values produced a non-finite likelihood")
-    x = _as_covars(covars, p.size)
-    d = x.shape[1]
+    z = _design(covars, p.size)
+    d = z.shape[1] - 1
     if p.size < 2 * (d + 1):
         raise ConfigurationError(
             f"the mixture fit needs at least {2 * (d + 1)} observations for d={d}, got {p.size}"
         )
-    z = np.hstack([np.ones((p.size, 1)), x])
 
     from scipy.special import logit
 
@@ -314,11 +296,10 @@ def cross_fit(pvals, covars, part: GroupPartition):
     Returns the assembled :class:`RejectionCurves` for all n hypotheses and
     the per-fold models.
     """
-    memo = _grouped_memo(pvals, part)
-    if part.n_groups < 2:
-        raise ConfigurationError("cross-fitting needs at least two folds")
+    memo = _Memo.of(pvals, check=as_pvalues, part=part)
+    _check_folds(part.n_groups)
     p = memo.data
-    x = _as_covars(covars, p.size)
+    x = _design(covars, p.size)[:, 1:]  # the checked covariates
     pi, kappa = np.empty((2, p.size))
     models = []
     for g in range(part.n_groups):
@@ -341,14 +322,19 @@ def _fbc_folds(memo: _Memo, curves: RejectionCurves, alpha: float):
     return _scan_groups(memo.part, lambda idx: _fbc_scan(p[idx], curves[idx], alpha))
 
 
+def _check_folds(n_groups: int) -> None:
+    if n_groups < 2:
+        raise ConfigurationError("cross-fitting needs at least two folds")
+
+
 def _fold_memo(pvals, part: GroupPartition, curves: RejectionCurves, alpha) -> _Memo:
-    """:func:`groups._grouped_memo` of the p-values and folds, with the curves
-    checked to cover them and ``alpha`` in (0, 1) or None."""
-    memo = _grouped_memo(pvals, part)
+    """The memo of the p-values and folds, with the curves checked to cover
+    them and ``alpha`` in (0, 1) or None."""
+    memo = _Memo.of(pvals, check=as_pvalues, part=part)
     if len(curves) != memo.size:
         raise InputError(f"curves cover {len(curves)} hypotheses, got {memo.size} p-values")
-    if alpha is not None and not (0.0 < alpha < 1.0):
-        raise ConfigurationError(f"the fold level must lie in (0, 1), got {alpha}")
+    if alpha is not None:
+        _check_alpha(alpha, "the fold level")
     return memo
 
 
@@ -359,16 +345,6 @@ def fbc_group_threshold(pvals, part: GroupPartition, curves: RejectionCurves, al
     :class:`ThresholdResult` per fold with global indices.
     """
     return _fold_memo(pvals, part, curves, alpha_fbc)(_fbc_folds, curves, alpha_fbc)[0]
-
-
-def _weight_mode(mode: str, alpha) -> str:
-    """Lower-case and check a weight mode; ``cheap`` needs ``alpha``."""
-    mode = mode.lower()
-    if mode not in ("unit", "cheap"):
-        raise ConfigurationError(f"unknown weight mode {mode!r}")
-    if mode == "cheap" and alpha is None:
-        raise ConfigurationError("cheap weights need the threshold level alpha")
-    return mode
 
 
 def structure_weights(
@@ -386,7 +362,9 @@ def structure_weights(
     count at level ``alpha``, at the realised p-values.  ``thresholds`` come
     from :func:`fbc_group_threshold` on the same inputs at level ``alpha``.
     """
-    mode = _weight_mode(mode, alpha)
+    mode = _lookup(_MODES, mode, "weight mode")
+    if mode == "cheap" and alpha is None:
+        raise ConfigurationError("cheap weights need the threshold level alpha")
     memo = _fold_memo(pvals, part, curves, alpha)
     _check_thresholds(thresholds, part)
     if mode == "unit":
@@ -405,10 +383,10 @@ def structure_pipeline(
 ):
     """Full cross-fitted run; returns a dict with every intermediate piece.
     ``pvals`` may be a ``procedures._Memo`` of validated p-values."""
-    p = _Memo.of_pvalues(pvals).data
-    if not (0.0 < alpha_ebh < 1.0):
-        raise ConfigurationError(f"alpha_ebh must lie in (0, 1), got {alpha_ebh}")
-    mode = _weight_mode(mode, alpha_ebh)
+    p = _Memo.of(pvals, check=as_pvalues).data
+    _check_alpha(alpha_ebh, "alpha_ebh")
+    mode = _lookup(_MODES, mode, "weight mode")
+    _check_folds(n_groups)
     if rng is None:
         rng = np.random.default_rng(0)
     labels = np.empty(p.size, dtype=np.intp)

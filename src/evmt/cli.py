@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import adaptive, groups, hybrid
 from .adaptive import fit_lfdr_em, structure_pipeline
 from .errors import ConfigurationError, InputError
 from .groups import GroupPartition, run_grouped_ebh
@@ -43,6 +44,7 @@ from .knockoffs import _combined_evalues
 from .procedures import (
     ProcedureSpec,
     _group_fdp_power,
+    _lookup,
     as_evalues,
     ebh_select,
     fdp_power,
@@ -52,10 +54,6 @@ from .procedures import (
 from .simulate import SimulationConfig, run_campaign
 
 _SPECIAL_COLUMNS = ("pvalue", "group", "truth", "evalue")
-
-_GROUP_SCHEMES = {"unit": "unit", "size": "size", "adaptive": "adaptive"}
-_HYBRID_MODES = {"averaged": "averaged", "adaptive": "adaptive", "fast": "adaptive"}
-_ADAPTIVE_MODES = {"unit": "unit", "cheap": "cheap"}
 
 _DEFAULT_METHODS = {
     "grouped": ["BC_Com", "BC_Sep", "eBH_1", "eBH_2", "eBH_Ada"],
@@ -83,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float, default=None,
                         help="target FDR level (default 0.05)")
     parser.add_argument("--weights", default=None,
-                        help="unit|size|adaptive (groups), averaged|adaptive "
-                             "(hybrid; fast is an alias of adaptive), "
-                             "unit|cheap (adaptive)")
+                        help="unit|size_adjusted|adaptive (groups; size is an alias "
+                             "of size_adjusted), averaged|adaptive (hybrid; fast and "
+                             "fast_adaptive are aliases of adaptive), unit|cheap (adaptive)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, metavar="PATH")
     parser.add_argument("--reps", type=int, default=None)
@@ -269,14 +267,16 @@ def _require(table, column, path):
     return table[column]
 
 
-def _pick(mapping, value, default, what):
+def _pick(table, value, default, what):
+    """``--weights`` read in the table of spellings of the procedure ``what``
+    (``default`` when not given)."""
     if value is None:
         return default
     try:
-        return mapping[value.lower()]
-    except KeyError:
+        return _lookup(table, value, "weight mode")
+    except ConfigurationError:
         raise ConfigurationError(
-            f"--weights for {what} must be one of {sorted(mapping)}, got {value!r}"
+            f"--weights for {what} must be one of {sorted(table)}, got {value!r}"
         ) from None
 
 
@@ -375,10 +375,25 @@ def _cmd_threshold(args, kind):
 
 
 def _cmd_fbc(args):
+    """The fbc procedure with one mixture fit's curves, fitted on the masked
+    p-values ``min(p_i, 1 - p_i)`` (the masking of AdaPT, Lei and Fithian,
+    2018) and applied to p itself.
+
+    The mirror count bounds the false rejections by swapping each null p_i
+    with 1 - p_i.  The masked vector is the same on both sides of a swap, so
+    the fit, and with it every curve, is too.  Given the masked vector, an
+    independent null p_i that is symmetric about 1/2 (uniform, say) is
+    either of the two with equal chance, independently across the nulls, so
+    it is a rejection score ``phi_i(p_i) <= t`` or a mirror score
+    ``phi_i(1 - p_i) <= t`` with equal chance: the swap of BC's argument
+    holds conditionally on the curves.  Curves fitted on p itself see which
+    side was observed; on global-null data with covariates they let the FDR
+    exceed the level.
+    """
     table, path = _single_table(args)
     p = _require(table, "pvalue", path)
     covars = _covariates(table)
-    model = fit_lfdr_em(p, covars)
+    model = fit_lfdr_em(np.minimum(p, 1.0 - p), covars)
     curves = model.curves(covars if covars is not None else np.empty((p.size, 0)))
     spec = ProcedureSpec(kind="fbc", alpha=args.alpha, rejection_functions=curves)
     res = solve_threshold(p, spec)
@@ -409,7 +424,7 @@ def _cmd_groups(args):
     p = _require(table, "pvalue", path)
     part = GroupPartition.from_labels(_require(table, "group", path))
     del table["group"]  # one string per row; the partition holds the codes
-    scheme = _pick(_GROUP_SCHEMES, args.weights, "adaptive", "groups")
+    scheme = _pick(groups._SCHEMES, args.weights, "adaptive", "groups")
     report = run_grouped_ebh(p, part, args.alpha, scheme=scheme)
     summary = {
         "command": "groups",
@@ -432,7 +447,7 @@ def _cmd_groups(args):
 def _cmd_hybrid(args):
     table, path = _single_table(args)
     p = _require(table, "pvalue", path)
-    mode = _pick(_HYBRID_MODES, args.weights, "adaptive", "hybrid")
+    mode = _pick(hybrid._MODES, args.weights, "adaptive", "hybrid")
     config = HybridConfig(alpha_ebh=args.alpha, weight_mode=mode)
     evalues, w_bh, w_bc = _hybrid_evalues(p, config)
     rejected = ebh_select(evalues, args.alpha)
@@ -458,7 +473,7 @@ def _cmd_adaptive(args):
     table, path = _single_table(args)
     p = _require(table, "pvalue", path)
     covars = _covariates(table)
-    mode = _pick(_ADAPTIVE_MODES, args.weights, "cheap", "adaptive")
+    mode = _pick(adaptive._MODES, args.weights, "cheap", "adaptive")
     seed = _check_seed(args.seed)
     if seed is None:
         seed = secrets.randbits(31)

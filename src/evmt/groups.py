@@ -54,8 +54,10 @@ from .errors import ConfigurationError, InputError
 from .procedures import (
     ThresholdResult,
     _bc_scan,
+    _check_alpha,
     _ebh_select,
     _group_fdp_power,
+    _lookup,
     _Memo,
     as_pvalues,
     fdp_power,
@@ -70,6 +72,7 @@ __all__ = [
     "run_grouped_ebh",
 ]
 
+# each accepted spelling of a weight scheme, lower case, and its canonical name
 _SCHEMES = {
     "unit": "unit",
     "size": "size_adjusted",
@@ -140,13 +143,6 @@ class GroupPartition:
         return self._order[self._starts[group]:self._starts[group + 1]]
 
 
-def _check_partition(p: np.ndarray, part: GroupPartition) -> None:
-    if part.n != p.size:
-        raise InputError(
-            f"partition covers {part.n} hypotheses, got {p.size} p-values"
-        )
-
-
 def _check_thresholds(thresholds, part: GroupPartition) -> None:
     if len(thresholds) != part.n_groups:
         raise InputError(
@@ -182,19 +178,7 @@ def _bc_groups(memo: _Memo, alpha: float):
     grouped method of a campaign replicate reads one scan per group.
     """
     p = memo.data
-    return _scan_groups(memo.part, lambda idx: _bc_scan(p[idx], alpha))
-
-
-def _grouped_memo(pvals, part: GroupPartition) -> _Memo:
-    """Memo of validated p-values and the partition, checked against them; a
-    memo built with ``part`` itself is used as is, one of any other is refused."""
-    if isinstance(pvals, _Memo):
-        if pvals.part is not part:
-            raise InputError("the p-value memo was built for another partition")
-        return pvals
-    p = as_pvalues(pvals)
-    _check_partition(p, part)
-    return _Memo(p, part)
+    return _scan_groups(memo.part, lambda idx: _bc_scan(_Memo(p[idx]), alpha))
 
 
 def _loo_weights(mirror: np.ndarray, part: GroupPartition, thresholds, counts) -> np.ndarray:
@@ -225,7 +209,8 @@ def groupwise_bc_thresholds(pvals, part: GroupPartition, alpha: float):
     Returns a list of :class:`ThresholdResult`, one per group, whose
     ``rejected`` fields hold global hypothesis indices.
     """
-    return _grouped_memo(pvals, part)(_bc_groups, alpha)[0]
+    memo = _Memo.of(pvals, check=as_pvalues, part=part)
+    return memo(_bc_groups, _check_alpha(alpha))[0]
 
 
 def assemble_weights(
@@ -238,9 +223,9 @@ def assemble_weights(
     ``size``) or ``adaptive``; the adaptive scheme additionally needs the
     level ``alpha`` the thresholds were computed at.
     """
-    memo = _grouped_memo(pvals, part)
+    memo = _Memo.of(pvals, check=as_pvalues, part=part)
     _check_thresholds(thresholds, part)
-    scheme = _scheme(scheme)
+    scheme = _lookup(_SCHEMES, scheme, "weight scheme")
     n = memo.size
     if scheme == "unit":
         return np.ones(n)
@@ -248,17 +233,11 @@ def assemble_weights(
         return (n / (part.n_groups * part.sizes))[part.labels]
     if alpha is None:
         raise ConfigurationError("adaptive weights need the threshold level alpha")
+    alpha = _check_alpha(alpha)
     # the censored thresholds T_{l,j} can be feasible even when the
     # group's base threshold is not, so the count is taken unconditionally
     counts = memo(_bc_groups, alpha)[1]
     return _loo_weights(1.0 - memo.data, part, thresholds, counts)
-
-
-def _scheme(scheme: str) -> str:
-    try:
-        return _SCHEMES[scheme.lower()]
-    except KeyError:
-        raise ConfigurationError(f"unknown weight scheme {scheme!r}") from None
 
 
 @dataclass(frozen=True)
@@ -280,7 +259,7 @@ class GroupReport:
 
 def group_evalues(pvals, part: GroupPartition, thresholds, weights) -> np.ndarray:
     """Weighted per-group e-values, zero outside each group's rejections."""
-    n = _grouped_memo(pvals, part).size
+    n = _Memo.of(pvals, check=as_pvalues, part=part).size
     _check_thresholds(thresholds, part)
     weights = np.asarray(weights)
     if weights.shape != (n,):
@@ -318,8 +297,8 @@ def run_grouped_ebh(
         Non-null indicators; when given, overall and per-group FDP/power are
         included in the report.
     """
-    memo = _grouped_memo(pvals, part)
-    scheme = _scheme(scheme)
+    memo = _Memo.of(pvals, check=as_pvalues, part=part)
+    scheme = _lookup(_SCHEMES, scheme, "weight scheme")
     thresholds = groupwise_bc_thresholds(memo, part, alpha)
     weights = assemble_weights(memo, part, thresholds, scheme, alpha)
     evalues = group_evalues(memo, part, thresholds, weights)

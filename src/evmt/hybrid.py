@@ -118,9 +118,11 @@ from .errors import ConfigurationError, InvariantError
 from .procedures import (
     ProcedureSpec,
     _bc_scan,
+    _check_alpha,
     _ebh_select,
     _last_at_or_after,
     _last_at_or_before,
+    _lookup,
     _Memo,
     _MirrorScan,
     _to_evalues,
@@ -172,11 +174,8 @@ class HybridConfig:
     alpha_bc: Optional[float] = None
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_ebh < 1.0):
-            raise ConfigurationError(f"alpha_ebh must lie in (0, 1), got {self.alpha_ebh}")
-        mode = _MODES.get(self.weight_mode.lower())
-        if mode is None:
-            raise ConfigurationError(f"unknown weight mode {self.weight_mode!r}")
+        _check_alpha(self.alpha_ebh, "alpha_ebh")
+        mode = _lookup(_MODES, self.weight_mode, "weight mode")
         object.__setattr__(self, "weight_mode", mode)
         default = (
             self.alpha_ebh / 2.0
@@ -188,19 +187,17 @@ class HybridConfig:
         if self.alpha_bc is None:
             object.__setattr__(self, "alpha_bc", default)
         for name in ("alpha_bh", "alpha_bc"):
-            a = getattr(self, name)
-            if not (0.0 < a < 1.0):
-                raise ConfigurationError(f"{name} must lie in (0, 1), got {a}")
+            _check_alpha(getattr(self, name), name)
 
 
 def bh_evalues(pvals, alpha_bh: float) -> np.ndarray:
     """Step-up e-values, ``1{p_i <= T_bh} / T_bh`` (zeros when infeasible)."""
-    return _base_evalues(_Memo.of_pvalues(pvals), "bh", alpha_bh)
+    return _base_evalues(_Memo.of(pvals, check=as_pvalues), "bh", alpha_bh)
 
 
 def bc_evalues(pvals, alpha_bc: float) -> np.ndarray:
     """Mirror-count e-values, ``n 1{p_i <= T_bc} / (1 + #{p_j >= 1 - T_bc})``."""
-    return _base_evalues(_Memo.of_pvalues(pvals), "bc", alpha_bc)
+    return _base_evalues(_Memo.of(pvals, check=as_pvalues), "bc", alpha_bc)
 
 
 def _base_evalues(memo: _Memo, kind: str, alpha: float) -> np.ndarray:
@@ -263,7 +260,9 @@ class LooThresholds:
 
 def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresholds:
     """All leave-one-out quantities needed by the adaptive weights."""
-    memo = _Memo.of_pvalues(pvals)
+    memo = _Memo.of(pvals, check=as_pvalues)
+    _check_alpha(alpha_bh, "alpha_bh")
+    _check_alpha(alpha_bc, "alpha_bc")
     p = memo.data
     n = p.size
     # the mirror scan first, so that the transient arrays of a first build
@@ -369,7 +368,7 @@ fast_adaptive_weights = adaptive_weights
 
 def _hybrid_evalues(pvals, config: HybridConfig):
     """Blended e-values plus the weight pair actually used."""
-    memo = _Memo.of_pvalues(pvals)
+    memo = _Memo.of(pvals, check=as_pvalues)
     n = memo.size
     e_bh = _base_evalues(memo, "bh", config.alpha_bh)
     if config.weight_mode == "averaged":

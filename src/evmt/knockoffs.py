@@ -28,23 +28,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .procedures import ThresholdResult, _check_alpha, _ebh_select, _Memo, _to_evalues
+from .procedures import ThresholdResult, _as_vector, _check_alpha, _ebh_select, _Memo, _to_evalues
 
 __all__ = ["knockoff_threshold", "knockoff_evalues", "combine_and_select"]
 
 
 def as_stats(values) -> np.ndarray:
-    w = np.asarray(values, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise InputError("statistics must form a non-empty 1-d array")
-    if not np.all(np.isfinite(w)):
-        raise InputError("statistics must be finite")
-    return w
-
-
-def _stats_memo(x) -> _Memo:
-    """``x`` itself when it is a memo, else a memo of the validated statistics ``x``."""
-    return x if isinstance(x, _Memo) else _Memo(as_stats(x))
+    """Validate and return a 1-d float64 array of signed statistics."""
+    return _as_vector(values, "statistics")
 
 
 def _sign_counts(memo: _Memo):
@@ -66,7 +57,7 @@ def knockoff_threshold(stats, alpha: float) -> ThresholdResult:
     ``m_at_T`` holds ``1 + #{W_j <= -T}`` and ``rejected`` the indices with
     ``W_j >= T``.
     """
-    memo = _stats_memo(stats)
+    memo = _Memo.of(stats, check=as_stats)
     _check_alpha(alpha)
     cands, neg, ratio = memo(_sign_counts)
     feas = ratio <= alpha
@@ -80,7 +71,7 @@ def knockoff_threshold(stats, alpha: float) -> ThresholdResult:
 
 def knockoff_evalues(stats, alpha: float) -> np.ndarray:
     """E-values reproducing the selection: p / (1 + #{W <= -T}) on it, 0 off."""
-    memo = _stats_memo(stats)
+    memo = _Memo.of(stats, check=as_stats)
     return _to_evalues(memo.size, knockoff_threshold(memo, alpha))
 
 
@@ -99,12 +90,11 @@ def combine_and_select(
     ``w1 + w2 <= 1``, and passed to the e-value step-up rule at
     ``alpha_ebh``.  Returns sorted 0-based indices of selected features.
     """
-    memo_a, memo_b = _stats_memo(stats_a), _stats_memo(stats_b)
+    memo_a, memo_b = _Memo.of(stats_a, check=as_stats), _Memo.of(stats_b, check=as_stats)
     if memo_a.size != memo_b.size:
         raise InputError("the two statistic vectors must have equal length")
-    if not (0.0 < alpha_ebh < 1.0):
-        raise ConfigurationError(f"alpha_ebh must lie in (0, 1), got {alpha_ebh}")
-    if w1 < 0.0 or w2 < 0.0 or w1 + w2 > 1.0 + 1e-12:
+    _check_alpha(alpha_ebh, "alpha_ebh")
+    if not (w1 >= 0.0 and w2 >= 0.0 and w1 + w2 <= 1.0 + 1e-12):  # NaN fails too
         raise ConfigurationError("combination weights must be nonnegative with sum <= 1")
     if alpha_ko is None:
         alpha_ko = alpha_ebh / 2.0

@@ -54,13 +54,20 @@ _KINDS = ("bh", "storey", "bc", "fbc")
 _MONOTONE_PROBES = np.array([1e-6, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0])
 
 
+def _as_vector(values, what: str) -> np.ndarray:
+    """Validate and return ``values`` as a non-empty, finite 1-d float64
+    array; ``what`` names the data in messages."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise InputError(f"{what} must form a non-empty 1-d array")
+    if not np.all(np.isfinite(x)):
+        raise InputError(f"{what} must be finite")
+    return x
+
+
 def as_pvalues(values) -> np.ndarray:
     """Validate and return a 1-d float64 array of p-values in [0, 1]."""
-    p = np.asarray(values, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise InputError("p-values must form a non-empty 1-d array")
-    if not np.all(np.isfinite(p)):
-        raise InputError("p-values must be finite")
+    p = _as_vector(values, "p-values")
     if p.min() < 0.0 or p.max() > 1.0:
         raise InputError("p-values must lie in [0, 1]")
     return p
@@ -68,20 +75,27 @@ def as_pvalues(values) -> np.ndarray:
 
 def as_evalues(values) -> np.ndarray:
     """Validate and return a 1-d float64 array of nonnegative e-values."""
-    e = np.asarray(values, dtype=np.float64)
-    if e.ndim != 1 or e.size == 0:
-        raise InputError("e-values must form a non-empty 1-d array")
-    if not np.all(np.isfinite(e)):
-        raise InputError("e-values must be finite")
+    e = _as_vector(values, "e-values")
     if e.min() < 0.0:
         raise InputError("e-values must be nonnegative")
     return e
 
 
-def _check_alpha(alpha: float) -> float:
+def _check_alpha(alpha: float, name: str = "alpha") -> float:
+    """The one check of a level: ``alpha`` must lie in (0, 1), which NaN
+    does not; ``name`` names it in the message."""
     if not (0.0 < alpha < 1.0):
-        raise ConfigurationError(f"alpha must lie in (0, 1), got {alpha}")
+        raise ConfigurationError(f"{name} must lie in (0, 1), got {alpha}")
     return float(alpha)
+
+
+def _lookup(table: dict, key: str, what: str) -> str:
+    """The canonical name of ``key``, any case, in a procedure's table of
+    spellings; ``what`` names the setting in the message."""
+    try:
+        return table[key.lower()]
+    except KeyError:
+        raise ConfigurationError(f"unknown {what} {key!r}") from None
 
 
 @dataclass(frozen=True)
@@ -102,7 +116,10 @@ class ProcedureSpec:
         object with an ``at(p)`` method mapping a length-n array of
         probabilities to the n curve values ``phi_i(p_i)``, or a sequence of
         n scalar callables.  The threshold domain ends just below
-        ``min_i phi_i(0.5)``.
+        ``min_i phi_i(0.5)``.  The FDR guarantee needs curves that do not
+        depend on whether p_i or 1 - p_i was observed: the mirror count
+        rests on swapping the two for a null p_i, so curves fitted on p
+        itself void it (fit them on ``min(p, 1 - p)``, or on other data).
     """
 
     kind: str
@@ -192,9 +209,9 @@ class _Memo:
     ``part`` its partition into groups or folds, if any.  The public
     function takes the memo: in place of its documented array it accepts a
     memo of data that has already been validated, and uses it as is; an
-    array it validates and wraps in a fresh memo.  So each method has one
-    code path, and a campaign replicate keeps its memos until the replicate
-    ends (see :mod:`evmt.simulate`).
+    array it validates and wraps in a fresh memo, both through :meth:`of`.
+    So each method has one code path, and a campaign replicate keeps its
+    memos until the replicate ends (see :mod:`evmt.simulate`).
     """
 
     __slots__ = ("data", "part", "_built")
@@ -205,14 +222,22 @@ class _Memo:
         self._built = {}
 
     @classmethod
-    def of(cls, x) -> "_Memo":
-        """``x`` itself when it is a memo, else a fresh memo of the array ``x``."""
-        return x if isinstance(x, cls) else cls(np.asarray(x, dtype=np.float64))
+    def of(cls, x, check, part=None) -> "_Memo":
+        """The memo that a public function works on.
 
-    @classmethod
-    def of_pvalues(cls, x) -> "_Memo":
-        """``x`` itself when it is a memo, else a memo of the validated p-values ``x``."""
-        return x if isinstance(x, cls) else cls(as_pvalues(x))
+        A memo ``x`` is returned as is, unless ``part`` is given and the memo
+        was built for another partition.  An array ``x`` is validated by
+        ``check`` (:func:`as_pvalues`, say) and wrapped in a fresh memo with
+        ``part``, whose size it must match.
+        """
+        if isinstance(x, cls):
+            if part is not None and x.part is not part:
+                raise InputError("the p-value memo was built for another partition")
+            return x
+        data = check(x)
+        if part is not None and part.n != data.size:
+            raise InputError(f"partition covers {part.n} hypotheses, got {data.size} p-values")
+        return cls(data, part)
 
     @property
     def size(self) -> int:
@@ -322,7 +347,7 @@ def _bc_scan(p, alpha: float) -> _MirrorScan:
 
     ``p`` is a :class:`_Memo` of the p-values, or the p-values themselves.
     """
-    memo = _Memo.of(p)
+    memo = _Memo.of(p, check=as_pvalues)
     return _run_scan(memo.data, memo(_bc_grid), alpha)
 
 
@@ -401,7 +426,7 @@ def _stepup_scan(memo: _Memo, alpha: float, scale: float) -> ThresholdResult:
 
 def storey_pi0(pvals, storey_lambda: float) -> float:
     """Estimate of the null proportion, ``(1 + n - #{p <= lambda}) / ((1 - lambda) n)``."""
-    memo = _Memo.of_pvalues(pvals)
+    memo = _Memo.of(pvals, check=as_pvalues)
     if not (0.0 <= storey_lambda < 1.0):
         raise ConfigurationError(
             f"storey_lambda must lie in [0, 1), got {storey_lambda}"
@@ -428,7 +453,7 @@ def solve_threshold(pvals, spec: ProcedureSpec) -> ThresholdResult:
         Feasibility flag, threshold, false-rejection estimate at the
         threshold and the rejected index set.
     """
-    memo = _Memo.of_pvalues(pvals)
+    memo = _Memo.of(pvals, check=as_pvalues)
     p = memo.data
     n = p.size
     if spec.kind == "bh":
@@ -451,10 +476,10 @@ def procedure_to_evalues(pvals, spec: ProcedureSpec, result: ThresholdResult) ->
     hypothesis when the threshold search was infeasible) receives 0.
     """
     n = as_pvalues(pvals).size
-    if np.max(result.rejected, initial=-1) >= n:
-        raise InputError(
-            f"the result rejects index {np.max(result.rejected)}, but there are {n} p-values"
-        )
+    rejected = np.asarray(result.rejected)
+    outside = rejected[(rejected < 0) | (rejected >= n)]
+    if outside.size:
+        raise InputError(f"the result rejects index {outside[0]}, but there are {n} p-values")
     return _to_evalues(n, result)
 
 

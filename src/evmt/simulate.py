@@ -44,10 +44,12 @@ import numpy as np
 
 from .adaptive import run_structure_adaptive
 from .errors import ConfigurationError, InputError
-from .groups import GroupPartition, _check_partition, groupwise_bc_thresholds, run_grouped_ebh
+from .groups import GroupPartition, groupwise_bc_thresholds, run_grouped_ebh
 from .hybrid import HybridConfig, run_hybrid
 from .knockoffs import as_stats, combine_and_select, knockoff_threshold
-from .procedures import ProcedureSpec, _group_fdp_power, _Memo, as_pvalues, fdp_power, solve_threshold
+from .procedures import (
+    ProcedureSpec, _check_alpha, _group_fdp_power, _Memo, as_pvalues, fdp_power, solve_threshold,
+)
 
 __all__ = [
     "SimulationConfig",
@@ -187,8 +189,10 @@ class SimulationConfig:
         object.__setattr__(self, "parameters", params)
         if self.target_alpha is None:
             object.__setattr__(self, "target_alpha", _DEFAULT_ALPHA.get(setting, 0.05))
-        if not (0.0 < self.target_alpha < 1.0):
-            raise _BadConfig(("target_alpha", "alpha"), "target_alpha must lie in (0, 1)")
+        try:
+            _check_alpha(self.target_alpha, "target_alpha")
+        except ConfigurationError as exc:
+            raise _BadConfig(("target_alpha", "alpha"), str(exc)) from None
 
     @classmethod
     def from_file(cls, path, setting: Optional[str] = None) -> "SimulationConfig":
@@ -353,16 +357,12 @@ def _need(instance, attr, method):
 
 def _pvals(rep):
     """Memo of the validated p-values, with the partition when there is one."""
-    p = as_pvalues(rep.data.pvals)
-    part = rep.data.partition
-    if part is not None:
-        _check_partition(p, part)
-    return _Memo(p, part)
+    return _Memo.of(rep.data.pvals, check=as_pvalues, part=rep.data.partition)
 
 
 def _stats(rep, which):
     """Memo of one knockoff family's validated statistics."""
-    return _Memo(as_stats(getattr(rep.data, f"stats_{which}")))
+    return _Memo.of(getattr(rep.data, f"stats_{which}"), check=as_stats)
 
 
 def _grouped_pvals(rep, method):

@@ -21,7 +21,6 @@ from evmt.adaptive import (
     cross_fit,
     fbc_group_threshold,
     fit_lfdr_em,
-    pseudo_loglik,
     run_structure_adaptive,
     structure_pipeline,
     structure_weights,
@@ -72,6 +71,13 @@ def test_em_matches_grid_search_on_uniform_data():
         assert -1e-6 <= model.loglik <= 3.0
 
 
+def _loglik(beta_pi, beta_kappa, p, x=None):
+    """The mixture log-likelihood at (beta_pi, beta_kappa), by the plain formulas."""
+    z = np.hstack([np.ones((p.size, 1)), np.empty((p.size, 0)) if x is None else x])
+    ell = -np.log(np.maximum(p, adaptive.P_FLOOR))
+    return -mixture_negloglik(np.concatenate([beta_pi, beta_kappa]), z, ell)[0]
+
+
 def test_em_recovers_parameters_at_moderate_scale():
     rng = np.random.default_rng(7)
     beta_pi = np.array([1.2, 0.8])
@@ -80,7 +86,7 @@ def test_em_recovers_parameters_at_moderate_scale():
     model = fit_lfdr_em(p, x)
     assert np.all(np.abs(model.beta_pi - beta_pi) < 0.25)
     assert np.all(np.abs(model.beta_kappa - beta_kappa) < 0.25)
-    assert model.loglik >= pseudo_loglik(beta_pi, beta_kappa, p, x) - 1e-6
+    assert model.loglik >= _loglik(beta_pi, beta_kappa, p, x) - 1e-6
 
 
 def test_em_constant_covariate_still_finite():
@@ -117,12 +123,12 @@ def test_warm_started_fit_never_ends_below_its_start():
         (np.array([2.0, 0.0]), np.array([-1.0, 0.0])),
         (np.array([30.0, -5.0]), np.array([-30.0, 5.0])),
     ]:
-        assert ascend(p, x, start) >= pseudo_loglik(*start, p, x)
+        assert ascend(p, x, start) >= _loglik(*start, p, x)
     # a start outside the optimiser's box (pi = 1 exactly), on data whose
     # likelihood no point inside the box reaches
     q = np.linspace(0.8, 0.99, 50)
     outside = (np.array([40.0]), np.array([0.0]))
-    assert ascend(q, np.empty((50, 0)), outside) >= pseudo_loglik(*outside, q)
+    assert ascend(q, np.empty((50, 0)), outside) >= _loglik(*outside, q)
 
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float
@@ -223,7 +229,7 @@ def test_fit_with_large_covariates_warns_nothing():
         warnings.simplefilter("error")
         model = fit_lfdr_em(p, x)
     assert np.isfinite(model.loglik)
-    assert model.loglik >= pseudo_loglik([np.log(9.0), 0.0, 0.0], np.zeros(3), p, x)
+    assert model.loglik >= _loglik([np.log(9.0), 0.0, 0.0], np.zeros(3), p, x)
 
 
 def test_pipelines_match_the_plain_objective(monkeypatch):
@@ -301,6 +307,15 @@ def test_cross_fit_requires_two_folds_and_enough_data():
     part = GroupPartition(labels=np.arange(8) % 2, n_groups=2)
     with pytest.raises(ConfigurationError):
         cross_fit(p, x, part)  # complement of size 4 < 2 (d + 1) = 8
+
+
+@pytest.mark.parametrize("n_groups", [0, 1])
+def test_pipeline_checks_the_fold_count_first(n_groups):
+    p = np.linspace(0.01, 0.99, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="at least two folds"):
+            structure_pipeline(p, None, 0.1, n_groups=n_groups)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +493,7 @@ def test_fold_functions_refuse_a_memo_of_another_partition():
         procedures._Memo(p, GroupPartition(labels=np.arange(30) % 2, n_groups=2)),
         # an equal partition that is another object is another partition too
         procedures._Memo(p, GroupPartition(labels=np.arange(30) % 3, n_groups=3)),
-        procedures._Memo.of_pvalues(p),
+        procedures._Memo.of(p, check=procedures.as_pvalues),
     ]
     for call in calls.values():
         call(procedures._Memo(p, part))  # the memo of part itself is used as is

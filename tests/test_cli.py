@@ -187,6 +187,37 @@ def test_fbc_and_adaptive_with_covariates(tmp_path):
         assert np.isfinite(m["loglik"])
 
 
+def test_fbc_controls_the_fdr_on_global_null_data_with_covariates(tmp_path, capsys):
+    # curves fitted on the p-values they test reached an FDR of 0.26-0.28 here
+    rng = np.random.default_rng(2018)
+    alpha, reps, n = 0.2, 1000, 100
+    path, out = tmp_path / "null.csv", tmp_path / "r.csv"
+    fdp = np.empty(reps)
+    for r in range(reps):
+        p, x = rng.uniform(size=n), 2.0 * rng.normal(size=(n, 2))
+        write_csv(path, ["pvalue", "x1", "x2", "truth"], [(a, b, c, 0) for a, (b, c) in zip(p, x)])
+        assert run_cli(["fbc", "--input", path, "--alpha", alpha, "--out", out]) == 0
+        fdp[r] = json.loads(out.with_suffix(".json").read_text())["metrics"]["fdp"]
+        capsys.readouterr()
+    se = fdp.std(ddof=1) / np.sqrt(reps)
+    assert fdp.mean() <= alpha + 3.0 * se, (fdp.mean(), se)
+
+
+@pytest.mark.parametrize("command, spelling, name", [
+    ("groups", "size_adjusted", "size"),
+    ("hybrid", "fast_adaptive", "adaptive"),
+])
+def test_weights_take_the_library_spellings(tmp_path, toy_csv, command, spelling, name):
+    written = []
+    for weights in (spelling, name):
+        out = tmp_path / f"{weights}.csv"
+        assert run_cli([command, "--input", toy_csv, "--weights", weights, "--out", out]) == 0
+        summary = json.loads(out.with_suffix(".json").read_text())
+        del summary["rejections_csv"]
+        written.append((out.read_bytes(), summary))
+    assert written[0] == written[1]
+
+
 def test_hybrid_command(tmp_path):
     rng = np.random.default_rng(11)
     p = rng.uniform(size=400)

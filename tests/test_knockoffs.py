@@ -88,6 +88,9 @@ def test_combination_validation():
         combine_and_select([1.0, -1.0], [1.0, -1.0], 0.2, w1=0.7, w2=0.7)
     with pytest.raises(ConfigurationError):
         combine_and_select([1.0, -1.0], [1.0, -1.0], 0.2, w1=-0.1, w2=0.5)
+    for w1, w2 in ((float("nan"), 0.5), (0.5, float("nan"))):
+        with pytest.raises(ConfigurationError):
+            combine_and_select([1.0, -1.0], [1.0, -1.0], 0.2, w1=w1, w2=w2)
     with pytest.raises(InputError):
         combine_and_select([1.0, -1.0], [1.0], 0.2)
 

@@ -268,14 +268,14 @@ def test_feasible_result_without_false_rejection_estimate_raises():
         procedure_to_evalues([0.01, 0.5], spec, broken)
 
 
-@pytest.mark.parametrize("last", [2, 3])
+@pytest.mark.parametrize("last", [2, 3, -1])
 def test_conversion_result_must_index_into_the_pvalues(last):
     spec = ProcedureSpec(kind="bh", alpha=0.5)
     res = ThresholdResult(threshold=0.5, m_at_T=1.5, rejected=np.array([0, last]), feasible=True)
-    if last < 3:
+    if 0 <= last < 3:
         assert procedure_to_evalues([0.01, 0.2, 0.3], spec, res).tolist() == [2.0, 0.0, 2.0]
     else:
-        with pytest.raises(InputError, match="rejects index 3, but there are 3 p-values"):
+        with pytest.raises(InputError, match=f"rejects index {last}, but there are 3 p-values"):
             procedure_to_evalues([0.01, 0.2, 0.3], spec, res)
 
 

@@ -598,13 +598,17 @@ def _merged_calls(inst, alpha):
 def test_prop_memo_and_array_give_identical_results(inst, grouped):
     if not grouped:
         inst = replace(inst, partition=None)
-    memo = groups._grouped_memo(inst.pvals, inst.partition) if grouped else procedures._Memo.of_pvalues(inst.pvals)
-    memo_a, memo_b = knockoffs._stats_memo(inst.stats_a), knockoffs._stats_memo(inst.stats_b)
+    memo = procedures._Memo.of(inst.pvals, check=procedures.as_pvalues, part=inst.partition)
+    memo_a, memo_b = (procedures._Memo.of(w, check=knockoffs.as_stats) for w in (inst.stats_a, inst.stats_b))
     # one set of memos serves every function at two levels, as in a replicate
     for alpha in (0.1, 0.3):
         for name, call in _merged_calls(inst, alpha).items():
             want = call(inst.pvals, inst.stats_a, inst.stats_b)
             assert _bits(call(memo, memo_a, memo_b)) == _bits(want), (name, alpha)
+
+
+def _grouped_memo(p, part):
+    return procedures._Memo.of(p, check=procedures.as_pvalues, part=part)
 
 
 def test_grouped_functions_refuse_a_memo_of_another_partition():
@@ -618,13 +622,13 @@ def test_grouped_functions_refuse_a_memo_of_another_partition():
         "run_grouped_ebh": lambda memo: run_grouped_ebh(memo, part, 0.2),
     }
     others = [
-        groups._grouped_memo(p, GroupPartition.from_sizes([20, 20])),
+        _grouped_memo(p, GroupPartition.from_sizes([20, 20])),
         # an equal partition that is another object is another partition too
-        groups._grouped_memo(p, GroupPartition.from_sizes([10, 30])),
-        procedures._Memo.of_pvalues(p),
+        _grouped_memo(p, GroupPartition.from_sizes([10, 30])),
+        procedures._Memo.of(p, check=procedures.as_pvalues),
     ]
     for call in calls.values():
-        call(groups._grouped_memo(p, part))  # the memo of part itself is used as is
+        call(_grouped_memo(p, part))  # the memo of part itself is used as is
         for memo in others:
             with pytest.raises(InputError, match="another partition"):
                 call(memo)
