@@ -19,11 +19,13 @@ weighted, and passed to the e-value step-up selector.
 The folds go through the per-group path of :mod:`evmt.groups`:
 :func:`structure_pipeline` calls :func:`cross_fit`, :func:`fbc_group_threshold`,
 :func:`structure_weights`, ``group_evalues`` and ``ebh_select`` in turn on
-one ``procedures._Memo`` of p and the folds.  Its stage ``_fbc_folds``, kept
-per curves and level, runs ``procedures._fbc_scan`` (domain capped just
-below min_i phi_i(0.5)) once per fold through ``groups._scan_groups``, which
-gives the thresholds and the leave-one-out counts together;
+one ``procedures._Memo`` of p and the folds.  The stage
+``groups._group_scans``, kept per curves and level, runs
+``procedures._fbc_scan`` (domain capped just below min_i phi_i(0.5)) once
+per fold and gives the thresholds and the leave-one-out counts together;
 ``groups._loo_weights`` turns the counts into weights, as for groups.
+Without covariates a fitted curve would be strictly increasing and decide
+nothing, so nothing is fitted and each fold runs its BC scan.
 
 The fit maximises the log-likelihood by L-BFGS-B over the box
 [-36, 36] of every coefficient, from two fixed starts.  Its objective is
@@ -39,15 +41,18 @@ the objective stays finite.
 
 Weight modes: ``unit`` (all ones) and ``cheap`` (the cross-fold
 leave-one-out counts at the realised data, the default).  The e-BH
-guarantee of the cross-fitted procedure asks each weight's cross-fold count
-to bound its supremum over replacements of p_i; ``cheap`` evaluates the
-count at the realised p_i only, so that bound is checked empirically (by
-the null e-value budget), not by construction.
+guarantee asks each weight's cross-fold count to bound its supremum over
+replacements of p_i.  Without covariates ``cheap`` is scenario (i)'s
+grouped ``adaptive`` scheme, valid by construction.  With covariates the
+other folds' curves are fitted on p_i, and ``cheap`` evaluates the count
+at the realised p_i only, so the bound is checked empirically (by the null
+e-value budget), not by construction.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,11 +62,11 @@ from .errors import ConfigurationError, InputError
 from .groups import (
     GroupPartition,
     _check_thresholds,
+    _group_scans,
     _loo_weights,
-    _scan_groups,
     group_evalues,
 )
-from .procedures import _check_alpha, _fbc_scan, _lookup, _Memo, as_pvalues, ebh_select
+from .procedures import _check_alpha, _lookup, _Memo, as_pvalues, ebh_select
 
 __all__ = [
     "RejectionCurves",
@@ -139,6 +144,8 @@ def _design(covars, n: Optional[int] = None, d: Optional[int] = None) -> np.ndar
     finite covariates (a 1-d array is one column; None is no column, which
     needs ``n``).  ``n`` and ``d``, when given, fix the number of rows and
     of covariate columns."""
+    if covars is None and n is None:
+        raise InputError("no covariates: the number of rows is needed, so pass an (n, 0) array")
     x = np.empty((n, 0)) if covars is None else np.asarray(covars, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
@@ -294,12 +301,15 @@ def cross_fit(pvals, covars, part: GroupPartition):
     """Fit each fold's rejection curves on the complementary folds.
 
     Returns the assembled :class:`RejectionCurves` for all n hypotheses and
-    the per-fold models.
+    the per-fold models, or ``(None, [])`` without a covariate column
+    (``covars`` None or an (n, 0) array), where nothing is fitted.
     """
     memo = _Memo.of(pvals, check=as_pvalues, part=part)
     _check_folds(part.n_groups)
     p = memo.data
     x = _design(covars, p.size)[:, 1:]  # the checked covariates
+    if x.shape[1] == 0:
+        return None, []
     pi, kappa = np.empty((2, p.size))
     models = []
     for g in range(part.n_groups):
@@ -314,43 +324,38 @@ def cross_fit(pvals, covars, part: GroupPartition):
     return RejectionCurves(pi, kappa), models
 
 
-def _fbc_folds(memo: _Memo, curves: RejectionCurves, alpha: float):
-    """:func:`groups._scan_groups` with each fold's fbc scan at level ``alpha``,
-    on the memo of validated p-values and their folds.  A memo keeps it per
-    curves and level: the thresholds and the weights read one scan per fold."""
-    p = memo.data
-    return _scan_groups(memo.part, lambda idx: _fbc_scan(p[idx], curves[idx], alpha))
+def _check_folds(n_groups) -> None:
+    if not isinstance(n_groups, numbers.Integral) or n_groups < 2:
+        raise ConfigurationError(
+            f"cross-fitting needs a whole number of at least two folds, got {n_groups!r}"
+        )
 
 
-def _check_folds(n_groups: int) -> None:
-    if n_groups < 2:
-        raise ConfigurationError("cross-fitting needs at least two folds")
-
-
-def _fold_memo(pvals, part: GroupPartition, curves: RejectionCurves, alpha) -> _Memo:
-    """The memo of the p-values and folds, with the curves checked to cover
-    them and ``alpha`` in (0, 1) or None."""
+def _fold_memo(pvals, part: GroupPartition, curves: Optional[RejectionCurves], alpha) -> _Memo:
+    """The memo of the p-values and folds, with the curves (if any) checked
+    to cover them and ``alpha`` in (0, 1) or None."""
     memo = _Memo.of(pvals, check=as_pvalues, part=part)
-    if len(curves) != memo.size:
+    if curves is not None and len(curves) != memo.size:
         raise InputError(f"curves cover {len(curves)} hypotheses, got {memo.size} p-values")
     if alpha is not None:
         _check_alpha(alpha, "the fold level")
     return memo
 
 
-def fbc_group_threshold(pvals, part: GroupPartition, curves: RejectionCurves, alpha_fbc: float):
+def fbc_group_threshold(pvals, part: GroupPartition, curves, alpha_fbc: float):
     """Flexible mirror-count threshold of each fold at level ``alpha_fbc``.
 
-    The per-fold domain cap sits just below min_i phi_i(0.5).  Returns one
-    :class:`ThresholdResult` per fold with global indices.
+    The per-fold domain cap sits just below min_i phi_i(0.5); ``curves``
+    None means each fold's BC scan, ``groupwise_bc_thresholds`` on the
+    folds.  Returns one :class:`ThresholdResult` per fold with global indices.
     """
-    return _fold_memo(pvals, part, curves, alpha_fbc)(_fbc_folds, curves, alpha_fbc)[0]
+    return _fold_memo(pvals, part, curves, alpha_fbc)(_group_scans, curves, alpha_fbc)[0]
 
 
 def structure_weights(
     pvals,
     part: GroupPartition,
-    curves: RejectionCurves,
+    curves: Optional[RejectionCurves],
     thresholds,
     mode: str = "cheap",
     alpha: Optional[float] = None,
@@ -360,7 +365,8 @@ def structure_weights(
     member i of fold g, where ``b_i = 1 + #{j != i in g : phi_j(1 - p_j) <= T_g}``
     (1 when fold g is infeasible) and ``count_h`` is fold h's leave-one-out
     count at level ``alpha``, at the realised p-values.  ``thresholds`` come
-    from :func:`fbc_group_threshold` on the same inputs at level ``alpha``.
+    from :func:`fbc_group_threshold` on the same inputs at level ``alpha``;
+    ``curves`` None means phi_j(p) = p.
     """
     mode = _lookup(_MODES, mode, "weight mode")
     if mode == "cheap" and alpha is None:
@@ -369,8 +375,7 @@ def structure_weights(
     _check_thresholds(thresholds, part)
     if mode == "unit":
         return np.ones(memo.size)
-    counts = memo(_fbc_folds, curves, alpha)[1]
-    return _loo_weights(curves.at(1.0 - memo.data), part, thresholds, counts)
+    return _loo_weights(memo, curves, thresholds, alpha)
 
 
 def structure_pipeline(
@@ -424,7 +429,8 @@ def run_structure_adaptive(
     Hypotheses are split into ``n_groups`` random equal folds (driven by
     ``rng``), each fold's rejection curves are fitted on its complement, the
     per-fold mirror-count thresholds run at ``alpha_ebh / (1 + alpha_ebh)``,
-    and the weighted e-values are selected at ``alpha_ebh``.
+    and the weighted e-values are selected at ``alpha_ebh``.  Without
+    covariates nothing is fitted, and each fold runs its BC scan.
     """
     return structure_pipeline(
         pvals, covars, alpha_ebh, mode=mode, n_groups=n_groups, rng=rng

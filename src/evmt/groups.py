@@ -32,15 +32,15 @@ or above 1 minus the largest candidate satisfying the relaxed criterion.
 Shared per-group path
 ---------------------
 The cross-fitted folds of :mod:`evmt.adaptive` are groups of the same
-construction, with the flexible mirror-count scan in place of BC.  Both
-modules use one path: ``_scan_groups`` runs a given mirror scan once per
-group and returns the thresholds together with the leave-one-out counts,
-and ``_loo_weights`` computes ``(n / n_l) * B_i / (B_i + cross_l)`` from
-the mirror scores and the groups' counts, ``cross_l`` being the sum of the
-other groups' counts.  The BC group scans at a level are one stage of a
-``procedures._Memo`` of p and the partition.  The public functions take
-that memo in place of the p-values, so every grouped method of a campaign
-replicate reads the same scans.
+construction, with the flexible mirror-count scan of fitted curves in place
+of BC, or BC itself when there are no covariates.  ``_group_scans``, a
+stage of a ``procedures._Memo`` of p and the partition keyed by the curves
+(None for BC) and the level, runs each group's scan and returns the
+thresholds with the leave-one-out counts; ``_loo_weights`` computes
+``(n / n_l) * B_i / (B_i + cross_l)`` from the mirror scores and those
+counts, ``cross_l`` being the sum of the other groups' counts.  The public
+functions take the memo in place of the p-values, so the grouped methods of
+a campaign replicate, and the stages of a cross-fitted run, share the scans.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .procedures import (
     _bc_scan,
     _check_alpha,
     _ebh_select,
+    _fbc_scan,
     _group_fdp_power,
     _lookup,
     _Memo,
@@ -150,19 +151,19 @@ def _check_thresholds(thresholds, part: GroupPartition) -> None:
         )
 
 
-def _scan_groups(part: GroupPartition, scan_group):
-    """One mirror scan per group: the thresholds and the leave-one-out counts.
-
-    ``scan_group(idx)`` runs the group's mirror scan (a ``_MirrorScan``)
-    from the group's ascending member indices ``idx``.  Returns a list of
-    :class:`ThresholdResult` with global indices and an array of the
-    groups' relaxed-plateau counts ``loo_count``.
-    """
+def _group_scans(memo: _Memo, curves, alpha: float):
+    """Stage: each group's BC scan at level ``alpha`` (the fbc scan on the
+    group's curves, when given), as a list of :class:`ThresholdResult` with
+    global indices and an array of the groups' relaxed-plateau counts."""
+    p, part = memo.data, memo.part
     results = []
     counts = np.zeros(part.n_groups)
     for l in range(part.n_groups):
         idx = part.indices(l)
-        scan = scan_group(idx)
+        if curves is None:
+            scan = _bc_scan(_Memo(p[idx]), alpha)
+        else:
+            scan = _fbc_scan(p[idx], curves[idx], alpha)
         results.append(
             ThresholdResult(scan.threshold, scan.m_at_T, idx[scan.rejected_mask], scan.feasible)
         )
@@ -170,25 +171,17 @@ def _scan_groups(part: GroupPartition, scan_group):
     return results, counts
 
 
-def _bc_groups(memo: _Memo, alpha: float):
-    """:func:`_scan_groups` with each group's BC scan at level ``alpha``, on
-    the memo of validated p-values and their partition.
-
-    Thresholds and counts are small, so a memo keeps them per level: every
-    grouped method of a campaign replicate reads one scan per group.
-    """
-    p = memo.data
-    return _scan_groups(memo.part, lambda idx: _bc_scan(_Memo(p[idx]), alpha))
-
-
-def _loo_weights(mirror: np.ndarray, part: GroupPartition, thresholds, counts) -> np.ndarray:
+def _loo_weights(memo: _Memo, curves, thresholds, alpha: float) -> np.ndarray:
     """Leave-one-out weights ``(n / n_l) * b_i / (b_i + cross_l)``.
 
     ``b_i = 1 + #{j != i in group l : mirror_j <= T_l}`` (1 when group l is
-    infeasible) counts on the stored mirror scores, as the threshold scans
-    did.  ``cross_l = counts.sum() - counts[l]`` is the other groups'
-    leave-one-out count.
+    infeasible) counts on the stored mirror scores, ``1 - p`` or
+    ``curves.at(1 - p)``, as the scans did; ``cross_l`` is the other groups'
+    total leave-one-out count from :func:`_group_scans` at ``alpha``.
     """
+    part = memo.part
+    counts = memo(_group_scans, curves, alpha)[1]
+    mirror = 1.0 - memo.data if curves is None else curves.at(1.0 - memo.data)
     n = mirror.size
     total = counts.sum()
     w = np.empty(n)
@@ -210,7 +203,7 @@ def groupwise_bc_thresholds(pvals, part: GroupPartition, alpha: float):
     ``rejected`` fields hold global hypothesis indices.
     """
     memo = _Memo.of(pvals, check=as_pvalues, part=part)
-    return memo(_bc_groups, _check_alpha(alpha))[0]
+    return memo(_group_scans, None, _check_alpha(alpha))[0]
 
 
 def assemble_weights(
@@ -231,13 +224,9 @@ def assemble_weights(
         return np.ones(n)
     if scheme == "size_adjusted":
         return (n / (part.n_groups * part.sizes))[part.labels]
-    if alpha is None:
-        raise ConfigurationError("adaptive weights need the threshold level alpha")
-    alpha = _check_alpha(alpha)
     # the censored thresholds T_{l,j} can be feasible even when the
     # group's base threshold is not, so the count is taken unconditionally
-    counts = memo(_bc_groups, alpha)[1]
-    return _loo_weights(1.0 - memo.data, part, thresholds, counts)
+    return _loo_weights(memo, None, thresholds, _check_alpha(alpha))
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,15 @@ def as_evalues(values) -> np.ndarray:
 
 def _check_alpha(alpha: float, name: str = "alpha") -> float:
     """The one check of a level: ``alpha`` must lie in (0, 1), which NaN
-    does not; ``name`` names it in the message."""
-    if not (0.0 < alpha < 1.0):
+    and None do not; ``name`` names it in the message."""
+    if alpha is None or not (0.0 < alpha < 1.0):
         raise ConfigurationError(f"{name} must lie in (0, 1), got {alpha}")
     return float(alpha)
+
+
+def _check_storey_lambda(storey_lambda: float) -> None:
+    if not (0.0 <= storey_lambda < 1.0):
+        raise ConfigurationError(f"storey_lambda must lie in [0, 1), got {storey_lambda}")
 
 
 def _lookup(table: dict, key: str, what: str) -> str:
@@ -131,10 +136,8 @@ class ProcedureSpec:
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown procedure kind {self.kind!r}")
         _check_alpha(self.alpha)
-        if self.kind == "storey" and not (0.0 <= self.storey_lambda < 1.0):
-            raise ConfigurationError(
-                f"storey_lambda must lie in [0, 1), got {self.storey_lambda}"
-            )
+        if self.kind == "storey":
+            _check_storey_lambda(self.storey_lambda)
         if self.kind == "fbc" and self.rejection_functions is None:
             raise ConfigurationError("fbc requires rejection_functions")
 
@@ -427,10 +430,7 @@ def _stepup_scan(memo: _Memo, alpha: float, scale: float) -> ThresholdResult:
 def storey_pi0(pvals, storey_lambda: float) -> float:
     """Estimate of the null proportion, ``(1 + n - #{p <= lambda}) / ((1 - lambda) n)``."""
     memo = _Memo.of(pvals, check=as_pvalues)
-    if not (0.0 <= storey_lambda < 1.0):
-        raise ConfigurationError(
-            f"storey_lambda must lie in [0, 1), got {storey_lambda}"
-        )
+    _check_storey_lambda(storey_lambda)
     n = memo.size
     r_lam = int(np.count_nonzero(memo.data <= storey_lambda))
     return (1.0 + n - r_lam) / ((1.0 - storey_lambda) * n)

@@ -25,8 +25,8 @@ from evmt.adaptive import (
     structure_pipeline,
     structure_weights,
 )
-from evmt import adaptive, procedures
-from evmt.groups import GroupPartition, group_evalues
+from evmt import adaptive, groups, procedures
+from evmt.groups import GroupPartition, assemble_weights, group_evalues, groupwise_bc_thresholds
 from evmt.simulate import SimulationConfig, generate
 
 from oracles import (
@@ -256,6 +256,14 @@ def test_em_preconditions():
         fit_lfdr_em([0.5, 2.0], None)
 
 
+def test_model_without_covariates_needs_the_row_count():
+    model = fit_lfdr_em(np.linspace(0.01, 0.99, 50))
+    for predict in (model.pi, model.kappa, model.curves):
+        with pytest.raises(InputError, match="number of rows"):
+            predict(None)
+    assert len(model.curves(np.empty((7, 0)))) == 7
+
+
 # ---------------------------------------------------------------------------
 # cross-fitting
 
@@ -288,13 +296,12 @@ def test_cross_fit_ignores_own_group_pvalues():
 
 
 def test_cross_fit_folds_agree_on_uniform_data():
+    # cross_fit fits nothing without covariates, so each fold's fit is made here
     rng = np.random.default_rng(17)
     p = rng.uniform(size=10000)
     part = GroupPartition(labels=rng.permutation(np.arange(10000) % 2), n_groups=2)
-    curves, _ = cross_fit(p, None, part)
+    f0, f1 = (fit_lfdr_em(np.delete(p, part.indices(g))).curves(np.empty((1, 0))) for g in (0, 1))
     grid = np.linspace(0.001, 0.999, 50)
-    f0 = curves[part.indices(0)[:1]]
-    f1 = curves[part.indices(1)[:1]]
     gap = np.max(np.abs(f0.at(grid[:, None]).ravel() - f1.at(grid[:, None]).ravel()))
     assert gap < 0.05
 
@@ -309,7 +316,20 @@ def test_cross_fit_requires_two_folds_and_enough_data():
         cross_fit(p, x, part)  # complement of size 4 < 2 (d + 1) = 8
 
 
-@pytest.mark.parametrize("n_groups", [0, 1])
+def test_cross_fit_fits_nothing_without_covariates(monkeypatch):
+    fits = _count_calls(monkeypatch, adaptive, "fit_lfdr_em")
+    p = np.linspace(0.01, 0.99, 8)
+    part = GroupPartition(labels=np.arange(8) % 2, n_groups=2)
+    for covars in (None, np.empty((8, 0))):
+        assert cross_fit(p, covars, part) == (None, [])
+    with pytest.raises(InputError):
+        cross_fit(p, np.empty((9, 0)), part)
+    with pytest.raises(ConfigurationError, match="at least two folds"):
+        cross_fit(p, None, GroupPartition(labels=np.zeros(8, dtype=int), n_groups=1))
+    assert fits == []
+
+
+@pytest.mark.parametrize("n_groups", [0, 1, 2.5])
 def test_pipeline_checks_the_fold_count_first(n_groups):
     p = np.linspace(0.01, 0.99, 8)
     with warnings.catch_warnings():
@@ -584,14 +604,36 @@ def test_fdr_control_without_covariate_information():
     assert fdps.mean() <= 0.1 + 3 * max(se, 1e-12)
 
 
-def test_null_evalue_budget_for_unit_and_cheap():
+def _budget_instance(rng, covars):
+    """(p, covariates, null mask) of one replicate of a null-budget check.
+
+    ``None``: 60 uniform p-values.  ``"strong"``: a stress case for the
+    fitted counts, n = 30 with one covariate that drives both the signal
+    density and the signal strength, so the other folds' curves move with
+    each fold's p-values."""
+    if covars is None:
+        n = 60
+        return rng.uniform(size=n), None, np.ones(n, dtype=bool)
+    n = 30
+    x = rng.normal(size=n)
+    theta = rng.uniform(size=n) < expit(-1.0 + 2.0 * x)
+    p = norm.sf(rng.normal(theta * (1.5 + 1.5 * expit(2.0 * x)), 1.0))
+    return p, x[:, None], ~theta
+
+
+@pytest.mark.parametrize("covars", [None, "strong"])
+def test_null_evalue_budget_for_unit_and_cheap(covars):
+    # the null e-values of a valid weighting sum to at most n in expectation;
+    # with covariates the cheap counts go through the fit and have no
+    # guarantee by construction (see the adaptive docstring)
     rng = np.random.default_rng(47)
-    n, reps = 60, 400
+    reps = 400
     sums = {"unit": [], "cheap": []}
     for _ in range(reps):
-        p = rng.uniform(size=n)
+        p, x, null = _budget_instance(rng, covars)
+        n = p.size
         pipe = structure_pipeline(
-            p, None, 0.2, rng=np.random.default_rng(int(rng.integers(1 << 31))),
+            p, x, 0.2, rng=np.random.default_rng(int(rng.integers(1 << 31))),
         )
         part, curves, thr = pipe["partition"], pipe["curves"], pipe["thresholds"]
         for mode in sums:
@@ -601,7 +643,7 @@ def test_null_evalue_budget_for_unit_and_cheap():
                 res = thr[g]
                 if res.feasible:
                     e[res.rejected] = part.sizes[g] * w[res.rejected] / res.m_at_T
-            sums[mode].append(e.sum())
+            sums[mode].append(e[null].sum())
     for mode, vals in sums.items():
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / np.sqrt(reps)
@@ -625,8 +667,11 @@ def _count_calls(monkeypatch, owner, name):
 def test_pipeline_scans_each_fold_once(monkeypatch, G):
     # every mirror scan ends in procedures._run_scan, and the fold scans
     # run only inside the two public fold functions
-    calls = {"_run_scan": _count_calls(monkeypatch, procedures, "_run_scan")}
-    for name in ("_fbc_scan", "fbc_group_threshold", "structure_weights"):
+    calls = {
+        "_run_scan": _count_calls(monkeypatch, procedures, "_run_scan"),
+        "_fbc_scan": _count_calls(monkeypatch, groups, "_fbc_scan"),
+    }
+    for name in ("fbc_group_threshold", "structure_weights"):
         calls[name] = _count_calls(monkeypatch, adaptive, name)
     rng = np.random.default_rng(67)
     p, x, _ = struct_instance(rng, n=120)
@@ -662,8 +707,12 @@ def test_prop_pipeline_equals_its_public_stages(n, G, d, shrink, alpha, seed):
     thr = fbc_group_threshold(p, part, curves, alpha_fbc)
     for mode, pipe in pipes.items():
         assert np.array_equal(pipe["partition"].labels, part.labels)
-        assert pipe["curves"].pi.tobytes() == curves.pi.tobytes()
-        assert pipe["curves"].kappa.tobytes() == curves.kappa.tobytes()
+        if d == 0:
+            assert pipe["curves"] is None and curves is None
+        else:
+            assert pipe["curves"].pi.tobytes() == curves.pi.tobytes()
+            assert pipe["curves"].kappa.tobytes() == curves.kappa.tobytes()
+        assert len(pipe["models"]) == len(models)
         for a, b in zip(pipe["models"], models):
             assert a.beta_pi.tobytes() == b.beta_pi.tobytes()
             assert a.beta_kappa.tobytes() == b.beta_kappa.tobytes()
@@ -676,3 +725,49 @@ def test_prop_pipeline_equals_its_public_stages(n, G, d, shrink, alpha, seed):
         e = group_evalues(p, part, thr, w)
         assert pipe["evalues"].tobytes() == e.tobytes(), mode
         assert np.array_equal(pipe["rejected"], ebh_select(e, alpha)), mode
+
+
+def _assert_grouped_path(p, alpha, G, seed):
+    """Without covariates, the pipeline in both modes is the grouped path on
+    its fold partition at the fold level, bit for bit."""
+    for mode, scheme in (("unit", "unit"), ("cheap", "adaptive")):
+        pipe = structure_pipeline(p, None, alpha, mode=mode, n_groups=G, rng=np.random.default_rng(seed))
+        part, alpha_fbc = pipe["partition"], pipe["alpha_fbc"]
+        thr = groupwise_bc_thresholds(p, part, alpha_fbc)
+        w = assemble_weights(p, part, thr, scheme, alpha_fbc)
+        e = group_evalues(p, part, thr, w)
+        assert np.array_equal(pipe["rejected"], ebh_select(e, alpha)), mode
+        for a, b in zip(pipe["thresholds"], thr, strict=True):
+            assert (a.threshold, a.m_at_T, a.feasible) == (b.threshold, b.m_at_T, b.feasible)
+            assert np.array_equal(a.rejected, b.rejected)
+        assert pipe["weights"].tobytes() == w.tobytes(), mode
+        assert pipe["evalues"].tobytes() == e.tobytes(), mode
+        assert pipe["curves"] is None and pipe["models"] == []
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(12, 300),
+    G=st.integers(2, 4),
+    shrink=st.sampled_from([1.0, 0.05, 1e-3]),
+    decimals=st.sampled_from([None, 2, 3]),
+    alpha=st.floats(0.05, 0.5),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_prop_pipeline_without_covariates_is_the_grouped_path(n, G, shrink, decimals, alpha, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(size=n)
+    p[: n // 4] *= shrink
+    if decimals is not None:
+        p = np.round(p, decimals)
+    _assert_grouped_path(p, alpha, G, seed)
+
+
+def test_pipeline_without_covariates_keeps_ties_of_the_stored_pvalues():
+    # p rounded to 3 decimals: a fitted curve, evaluated in floating point,
+    # could merge a rejection score with a mirror score that are distinct as
+    # stored; the grouped path compares the stored values
+    rng = np.random.default_rng(4)
+    theta = rng.uniform(size=3000) < 0.2
+    p = np.round(norm.sf(rng.normal(2.5 * theta, 1.0)), 3)
+    _assert_grouped_path(p, 0.1, 2, 4)

@@ -743,8 +743,9 @@ def test_import_does_not_load_scipy_optimize_or_stats():
     assert run.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command", ["bh", "hybrid", "groups", "ebh", "knockoff-combine"])
+@pytest.mark.parametrize("command", ["bh", "hybrid", "groups", "ebh", "knockoff-combine", "adaptive"])
 def test_data_commands_load_no_scipy(tmp_path, command):
+    # the input has no covariate column, so adaptive fits nothing
     write_csv(tmp_path / "g.csv", ["pvalue", "group", "evalue"],
               [(0.001, "a", 30.0), (0.5, "b", 0.0), (0.02, " a ", 1.0), (0.9, "b", 0.5)])
     write_csv(tmp_path / "w.csv", ["w"], [(3.0,), (-1.0,), (2.0,)])

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -225,6 +226,15 @@ def test_prop_storey_with_ties_at_lambda_matches_brute_force(p, alpha, pick):
 def test_storey_pi0_rejects_lambda_one():
     with pytest.raises(ConfigurationError):
         storey_pi0([0.5, 0.5], 1.0)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5, -0.1, float("nan")])
+def test_spec_and_estimate_refuse_the_same_storey_lambda(lam):
+    message = re.escape(f"storey_lambda must lie in [0, 1), got {lam}")
+    with pytest.raises(ConfigurationError, match=message):
+        ProcedureSpec(kind="storey", alpha=0.05, storey_lambda=lam)
+    with pytest.raises(ConfigurationError, match=message):
+        storey_pi0([0.5, 0.5], lam)
 
 
 def test_storey_threshold_matches_brute_force():

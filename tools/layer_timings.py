@@ -7,7 +7,11 @@ S1-like instance per n: the S1 generator with 5 % non-nulls, seed 3.
 
 Times ``adaptive.structure_pipeline`` (cheap weights, two folds: the
 cross-fit, one fbc scan per fold and the weights) on one STRUCT instance
-per n = 10^3 ... 10^5, seed 3.
+per n = 10^3 ... 10^5, seed 3.  The ``structure_pipeline_no_covariates``
+row runs the same pipeline on the p-values of the STRUCT instance with
+n = 60 (the size of acceptance criterion 08's pipelines) and n = 10^5, seed
+3, without their covariates: nothing is fitted, and each fold runs its BC
+scan.
 
 Times the CLI's I/O on a CSV built like the benchmark's ``cli-1m`` input
 (seed 941, n rows, labels ``g000`` ... ``g999``): ``cli.read_table`` without
@@ -75,6 +79,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from campaigns import PLANS, config  # noqa: E402  the benchmark's campaign plans
 
 ALPHA = 0.1
+NO_COVARIATE_SIZES = {"60": 60, "1e5": 10**5}
 BUDGET_S = 1.0
 EXPONENTS = range(3, 7)  # n = 10^3 ... 10^6
 STRUCT_EXPONENTS = range(3, 6)  # n = 10^3 ... 10^5
@@ -150,6 +155,12 @@ def adaptive_layers(out):
             inst.pvals, inst.covars, ALPHA, mode="cheap", rng=np.random.default_rng(0)
         ))
         out.setdefault("structure_pipeline_cheap", {})[f"1e{e}"] = round(seconds, 6)
+    for key, n in NO_COVARIATE_SIZES.items():
+        p = generate(SimulationConfig(setting="STRUCT", parameters={"n": n}, seed=3), 0).pvals
+        seconds = best_of(lambda: structure_pipeline(
+            p, None, ALPHA, mode="cheap", rng=np.random.default_rng(0)
+        ))
+        out.setdefault("structure_pipeline_no_covariates", {})[key] = round(seconds, 6)
 
 
 def fit_layer(out):
