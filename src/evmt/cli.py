@@ -55,12 +55,23 @@ from .simulate import SimulationConfig, run_campaign
 
 _SPECIAL_COLUMNS = ("pvalue", "group", "truth", "evalue")
 
+# each setting's campaign methods; ``grouped`` and ``scores`` also name the
+# sets that the grouped and the score settings share
 _DEFAULT_METHODS = {
     "grouped": ["BC_Com", "BC_Sep", "eBH_1", "eBH_2", "eBH_Ada"],
     "scores": ["BH", "ST", "BC", "eBH_Ave", "eBH_Ada", "fast_eBH_Ada"],
     "STRUCT": ["BH", "eBH_FBC"],
     "KNOCK_SYNTH": ["KO_1", "KO_2", "KO_Hybrid"],
     "ALLNULL": ["BH", "ST", "BC"],
+}
+_DEFAULT_METHODS.update(dict.fromkeys(("E1", "E2", "F1", "F2", "F3"), _DEFAULT_METHODS["grouped"]))
+_DEFAULT_METHODS.update(dict.fromkeys(("S1", "S2"), _DEFAULT_METHODS["scores"]))
+
+# each weighted subcommand's table of --weights spellings and its default
+_WEIGHTS = {
+    "groups": (groups._SCHEMES, "adaptive"),
+    "hybrid": (hybrid._MODES, "adaptive"),
+    "adaptive": (adaptive._MODES, "cheap"),
 }
 
 
@@ -69,25 +80,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="evmt",
         description="FDR procedures, e-value aggregation and simulation campaigns",
     )
-    parser.add_argument(
-        "subcommand",
-        choices=[
-            "bh", "storey", "bc", "fbc", "ebh", "groups", "hybrid",
-            "adaptive", "knockoff-combine", "simulate",
-        ],
-    )
+    parser.add_argument("subcommand", choices=list(_RUNNERS))
     parser.add_argument("--input", action="append", default=None, metavar="PATH",
                         help="input CSV (repeat for knockoff-combine)")
     parser.add_argument("--alpha", type=float, default=None,
                         help="target FDR level (default 0.05)")
-    parser.add_argument("--weights", default=None,
-                        help="unit|size_adjusted|adaptive (groups; size is an alias "
-                             "of size_adjusted), averaged|adaptive (hybrid; fast and "
-                             "fast_adaptive are aliases of adaptive), unit|cheap (adaptive)")
+    parser.add_argument("--weights", default=None, help="; ".join(
+        f"{command}: " + "|".join(dict.fromkeys(table.values())) + f" (default {default}"
+        + "".join(f", {key} = {name}" for key, name in table.items() if key != name) + ")"
+        for command, (table, default) in _WEIGHTS.items()
+    ))
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, metavar="PATH")
     parser.add_argument("--reps", type=int, default=None)
     parser.add_argument("--setting", default=None)
+    parser.set_defaults(drawn_seed=None)
     return parser
 
 
@@ -267,17 +274,31 @@ def _require(table, column, path):
     return table[column]
 
 
-def _pick(table, value, default, what):
-    """``--weights`` read in the table of spellings of the procedure ``what``
-    (``default`` when not given)."""
-    if value is None:
+def _pick(args):
+    """``--weights`` read in the subcommand's table of spellings (its default
+    when not given)."""
+    table, default = _WEIGHTS[args.subcommand]
+    if args.weights is None:
         return default
     try:
-        return _lookup(table, value, "weight mode")
+        return _lookup(table, args.weights, "weight mode")
     except ConfigurationError:
         raise ConfigurationError(
-            f"--weights for {what} must be one of {sorted(table)}, got {value!r}"
+            f"--weights for {args.subcommand} must be one of {sorted(table)}, got {args.weights!r}"
         ) from None
+
+
+def _seed(args, given=None) -> int:
+    """The run's seed: ``--seed`` (non-negative, as numpy needs), else ``given``
+    (a config file's), else a fresh one, kept in ``args.drawn_seed`` for
+    ``main`` to print once the run has passed every check."""
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be a non-negative integer, got {args.seed}")
+        return args.seed
+    if given is None:
+        given = args.drawn_seed = secrets.randbits(31)
+    return given
 
 
 def _metrics(summary, rejected, truth, partition=None):
@@ -351,153 +372,95 @@ def _write_outputs(args, evalues, weights, rejected, summary):
     return 0
 
 
+# A runner reads its input, adds its own fields to the summary and returns
+# ``(evalues, weights, rejected, truth, partition)``; ``simulate``'s returns
+# its report.
+
+
 def _single_table(args, **options):
     if not args.input or len(args.input) != 1:
         raise InputError("this subcommand needs exactly one --input CSV")
     return read_table(args.input[0], **options), args.input[0]
 
 
-def _cmd_threshold(args, kind):
-    table, path = _single_table(args)
-    p = _require(table, "pvalue", path)
-    spec = ProcedureSpec(kind=kind, alpha=args.alpha)
-    res = solve_threshold(p, spec)
-    evalues = procedure_to_evalues(p, spec, res)
-    summary = {
-        "command": kind,
-        "alpha": args.alpha,
-        "feasible": res.feasible,
-        "threshold": res.threshold,
-        "false_rejection_estimate": res.m_at_T,
-    }
-    _metrics(summary, res.rejected, table.get("truth"))
-    return _write_outputs(args, evalues, np.ones(p.size), res.rejected, summary)
+def _run_threshold(args, summary):
+    """bh, storey, bc or fbc.
 
-
-def _cmd_fbc(args):
-    """The fbc procedure with one mixture fit's curves, fitted on the masked
-    p-values ``min(p_i, 1 - p_i)`` (the masking of AdaPT, Lei and Fithian,
-    2018) and applied to p itself.
-
-    The mirror count bounds the false rejections by swapping each null p_i
-    with 1 - p_i.  The masked vector is the same on both sides of a swap, so
-    the fit, and with it every curve, is too.  Given the masked vector, an
-    independent null p_i that is symmetric about 1/2 (uniform, say) is
-    either of the two with equal chance, independently across the nulls, so
-    it is a rejection score ``phi_i(p_i) <= t`` or a mirror score
-    ``phi_i(1 - p_i) <= t`` with equal chance: the swap of BC's argument
-    holds conditionally on the curves.  Curves fitted on p itself see which
-    side was observed; on global-null data with covariates they let the FDR
-    exceed the level.
+    fbc runs with one mixture fit's curves, fitted on the masked p-values
+    ``min(p_i, 1 - p_i)`` (the masking of AdaPT, Lei and Fithian, 2018) and
+    applied to p itself.  The mirror count bounds the false rejections by
+    swapping each null p_i with 1 - p_i.  The masked vector is the same on
+    both sides of a swap, so the fit, and with it every curve, is too.
+    Given the masked vector, an independent null p_i that is symmetric about
+    1/2 (uniform, say) is either of the two with equal chance, independently
+    across the nulls, so it is a rejection score ``phi_i(p_i) <= t`` or a
+    mirror score ``phi_i(1 - p_i) <= t`` with equal chance: the swap of BC's
+    argument holds conditionally on the curves.  Curves fitted on p itself
+    see which side was observed; on global-null data with covariates they
+    let the FDR exceed the level.
     """
     table, path = _single_table(args)
     p = _require(table, "pvalue", path)
-    covars = _covariates(table)
-    model = fit_lfdr_em(np.minimum(p, 1.0 - p), covars)
-    curves = model.curves(covars if covars is not None else np.empty((p.size, 0)))
-    spec = ProcedureSpec(kind="fbc", alpha=args.alpha, rejection_functions=curves)
+    curves = None
+    if args.subcommand == "fbc":
+        covars = _covariates(table)
+        model = fit_lfdr_em(np.minimum(p, 1.0 - p), covars)
+        curves = model.curves(covars if covars is not None else np.empty((p.size, 0)))
+    spec = ProcedureSpec(kind=args.subcommand, alpha=args.alpha, rejection_functions=curves)
     res = solve_threshold(p, spec)
-    evalues = procedure_to_evalues(p, spec, res)
-    summary = {
-        "command": "fbc",
-        "alpha": args.alpha,
-        "feasible": res.feasible,
-        "threshold": res.threshold,
-        "false_rejection_estimate": res.m_at_T,
-        "model_converged": model.converged,
-    }
-    _metrics(summary, res.rejected, table.get("truth"))
-    return _write_outputs(args, evalues, np.ones(p.size), res.rejected, summary)
+    summary.update(feasible=res.feasible, threshold=res.threshold, false_rejection_estimate=res.m_at_T)
+    if curves is not None:
+        summary["model_converged"] = model.converged
+    return procedure_to_evalues(p, spec, res), np.ones(p.size), res.rejected, table.get("truth"), None
 
 
-def _cmd_ebh(args):
+def _run_ebh(args, summary):
     table, path = _single_table(args)
     e = as_evalues(_require(table, "evalue", path))
-    rejected = ebh_select(e, args.alpha)
-    summary = {"command": "ebh", "alpha": args.alpha}
-    _metrics(summary, rejected, table.get("truth"))
-    return _write_outputs(args, e, np.ones(e.size), rejected, summary)
+    return e, np.ones(e.size), ebh_select(e, args.alpha), table.get("truth"), None
 
 
-def _cmd_groups(args):
+def _run_groups(args, summary):
     table, path = _single_table(args, labels=True)
     p = _require(table, "pvalue", path)
     part = GroupPartition.from_labels(_require(table, "group", path))
     del table["group"]  # one string per row; the partition holds the codes
-    scheme = _pick(groups._SCHEMES, args.weights, "adaptive", "groups")
-    report = run_grouped_ebh(p, part, args.alpha, scheme=scheme)
-    summary = {
-        "command": "groups",
-        "alpha": args.alpha,
-        "scheme": report.scheme,
-        "thresholds": [
-            {
-                "group": part.names[l] if part.names else l + 1,
-                "threshold": report.thresholds[l].threshold,
-                "feasible": report.thresholds[l].feasible,
-                "group_rejections": int(report.thresholds[l].rejected.size),
-            }
-            for l in range(part.n_groups)
-        ],
-    }
-    _metrics(summary, report.rejected, table.get("truth"), part)
-    return _write_outputs(args, report.evalues, report.weights, report.rejected, summary)
+    report = run_grouped_ebh(p, part, args.alpha, scheme=_pick(args))
+    summary["scheme"] = report.scheme
+    summary["thresholds"] = [
+        {"group": part.names[l] if part.names else l + 1, "threshold": res.threshold,
+         "feasible": res.feasible, "group_rejections": int(res.rejected.size)}
+        for l, res in enumerate(report.thresholds)
+    ]
+    return report.evalues, report.weights, report.rejected, table.get("truth"), part
 
 
-def _cmd_hybrid(args):
+def _run_hybrid(args, summary):
     table, path = _single_table(args)
     p = _require(table, "pvalue", path)
-    mode = _pick(hybrid._MODES, args.weights, "adaptive", "hybrid")
-    config = HybridConfig(alpha_ebh=args.alpha, weight_mode=mode)
+    config = HybridConfig(alpha_ebh=args.alpha, weight_mode=_pick(args))
     evalues, w_bh, w_bc = _hybrid_evalues(p, config)
-    rejected = ebh_select(evalues, args.alpha)
-    summary = {
-        "command": "hybrid",
-        "alpha": args.alpha,
-        "weight_mode": mode,
-        "alpha_bh": config.alpha_bh,
-        "alpha_bc": config.alpha_bc,
-    }
-    _metrics(summary, rejected, table.get("truth"))
-    return _write_outputs(args, evalues, w_bh + w_bc, rejected, summary)
+    summary.update(weight_mode=config.weight_mode, alpha_bh=config.alpha_bh, alpha_bc=config.alpha_bc)
+    return evalues, w_bh + w_bc, ebh_select(evalues, args.alpha), table.get("truth"), None
 
 
-def _check_seed(seed):
-    """The ``--seed`` option, which numpy's generators need non-negative."""
-    if seed is not None and seed < 0:
-        raise ConfigurationError(f"--seed must be a non-negative integer, got {seed}")
-    return seed
-
-
-def _cmd_adaptive(args):
+def _run_adaptive(args, summary):
     table, path = _single_table(args)
     p = _require(table, "pvalue", path)
     covars = _covariates(table)
-    mode = _pick(adaptive._MODES, args.weights, "cheap", "adaptive")
-    seed = _check_seed(args.seed)
-    if seed is None:
-        seed = secrets.randbits(31)
-        print(f"seed = {seed}")
-    pipe = structure_pipeline(
-        p, covars, args.alpha, mode=mode, rng=np.random.default_rng(seed)
-    )
-    summary = {
-        "command": "adaptive",
-        "alpha": args.alpha,
-        "weight_mode": mode,
-        "seed": seed,
-        "fold_level": pipe["alpha_fbc"],
-        "thresholds": [
-            {"fold": g + 1, "threshold": t.threshold, "feasible": t.feasible}
-            for g, t in enumerate(pipe["thresholds"])
-        ],
-        "models": [
-            {"fold": g + 1, "converged": m.converged, "n_iter": m.n_iter, "loglik": m.loglik}
-            for g, m in enumerate(pipe["models"])
-        ],
-    }
-    _metrics(summary, pipe["rejected"], table.get("truth"))
-    return _write_outputs(args, pipe["evalues"], pipe["weights"], pipe["rejected"], summary)
+    mode = _pick(args)
+    seed = _seed(args)
+    pipe = structure_pipeline(p, covars, args.alpha, mode=mode, rng=np.random.default_rng(seed))
+    summary.update(weight_mode=mode, seed=seed, fold_level=pipe["alpha_fbc"])
+    summary["thresholds"] = [
+        {"fold": g + 1, "threshold": t.threshold, "feasible": t.feasible}
+        for g, t in enumerate(pipe["thresholds"])
+    ]
+    summary["models"] = [
+        {"fold": g + 1, "converged": m.converged, "n_iter": m.n_iter, "loglik": m.loglik}
+        for g, m in enumerate(pipe["models"])
+    ]
+    return pipe["evalues"], pipe["weights"], pipe["rejected"], table.get("truth"), None
 
 
 def _read_stat_column(path) -> np.ndarray:
@@ -507,26 +470,18 @@ def _read_stat_column(path) -> np.ndarray:
     return next(iter(table.values()))
 
 
-def _cmd_knockoff(args):
+def _run_knockoff(args, summary):
     if not args.input or len(args.input) != 2:
         raise InputError("knockoff-combine needs exactly two --input CSV files")
-    w_a = _read_stat_column(args.input[0])
-    w_b = _read_stat_column(args.input[1])
-    if w_a.size != w_b.size:
-        raise InputError("the two statistic files must have the same number of rows")
+    w_a, w_b = [_read_stat_column(path) for path in args.input]
     alpha_ko = args.alpha / 2.0
     evalues = _combined_evalues(w_a, w_b, alpha_ko, 0.5, 0.5)
-    rejected = ebh_select(evalues, args.alpha)
-    summary = {
-        "command": "knockoff-combine",
-        "alpha": args.alpha,
-        "alpha_per_family": alpha_ko,
-        "combination_weights": [0.5, 0.5],
-    }
-    return _write_outputs(args, evalues, np.full(w_a.size, 1.0), rejected, summary)
+    summary.update(alpha_per_family=alpha_ko, combination_weights=[0.5, 0.5])
+    return evalues, np.ones(evalues.size), ebh_select(evalues, args.alpha), None, None
 
 
-def _cmd_simulate(args):
+def _run_simulate(args, summary):
+    """The campaign's report; the summary is not used."""
     overrides = {}
     if args.input:
         if len(args.input) != 1:
@@ -538,53 +493,50 @@ def _cmd_simulate(args):
         raise ConfigurationError("simulate needs --setting or a config file")
     if args.reps is not None:
         overrides["replications"] = args.reps
-    if args.seed is not None:
-        overrides["seed"] = _check_seed(args.seed)
-    elif "seed" not in overrides:
-        seed = secrets.randbits(31)
-        print(f"seed = {seed}")
-        overrides["seed"] = seed
+    overrides["seed"] = _seed(args, overrides.get("seed"))
     if args.alpha is not None:
         overrides["target_alpha"] = args.alpha
     config = SimulationConfig(**overrides)
+    return run_campaign(config, _DEFAULT_METHODS[config.setting])
 
-    setting = config.setting
-    if setting in ("E1", "E2", "F1", "F2", "F3"):
-        methods = _DEFAULT_METHODS["grouped"]
-    elif setting in ("S1", "S2"):
-        methods = _DEFAULT_METHODS["scores"]
-    else:
-        methods = _DEFAULT_METHODS[setting]
-    report = run_campaign(config, methods)
-    out = Path(args.out) if args.out else Path("evmt_metrics.csv")
-    report.to_csv(out)
-    print(report.to_json())
-    return 0
+
+_RUNNERS = {
+    "bh": _run_threshold,
+    "storey": _run_threshold,
+    "bc": _run_threshold,
+    "fbc": _run_threshold,
+    "ebh": _run_ebh,
+    "groups": _run_groups,
+    "hybrid": _run_hybrid,
+    "adaptive": _run_adaptive,
+    "knockoff-combine": _run_knockoff,
+    "simulate": _run_simulate,
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code.
+
+    A data command's summary starts as ``{"command", "alpha"}``; ``main``
+    adds the metrics to what its runner returns and writes the table and the
+    summary.  A seed drawn for the run is printed just before the summary or
+    report, so a run that fails a check prints nothing to stdout.
+    """
+    args = build_parser().parse_args(argv)
     if args.alpha is None and args.subcommand != "simulate":
         args.alpha = 0.05
+    summary = {"command": args.subcommand, "alpha": args.alpha}
     try:
-        if args.subcommand in ("bh", "bc"):
-            return _cmd_threshold(args, args.subcommand)
-        if args.subcommand == "storey":
-            return _cmd_threshold(args, "storey")
-        if args.subcommand == "fbc":
-            return _cmd_fbc(args)
-        if args.subcommand == "ebh":
-            return _cmd_ebh(args)
-        if args.subcommand == "groups":
-            return _cmd_groups(args)
-        if args.subcommand == "hybrid":
-            return _cmd_hybrid(args)
-        if args.subcommand == "adaptive":
-            return _cmd_adaptive(args)
-        if args.subcommand == "knockoff-combine":
-            return _cmd_knockoff(args)
-        return _cmd_simulate(args)
+        result = _RUNNERS[args.subcommand](args, summary)
+        if args.drawn_seed is not None:
+            print(f"seed = {args.drawn_seed}")
+        if args.subcommand == "simulate":
+            result.to_csv(Path(args.out) if args.out else Path("evmt_metrics.csv"))
+            print(result.to_json())
+            return 0
+        evalues, weights, rejected, truth, partition = result
+        _metrics(summary, rejected, truth, partition)
+        return _write_outputs(args, evalues, weights, rejected, summary)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

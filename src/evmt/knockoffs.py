@@ -91,8 +91,6 @@ def combine_and_select(
     ``alpha_ebh``.  Returns sorted 0-based indices of selected features.
     """
     memo_a, memo_b = _Memo.of(stats_a, check=as_stats), _Memo.of(stats_b, check=as_stats)
-    if memo_a.size != memo_b.size:
-        raise InputError("the two statistic vectors must have equal length")
     _check_alpha(alpha_ebh, "alpha_ebh")
     if not (w1 >= 0.0 and w2 >= 0.0 and w1 + w2 <= 1.0 + 1e-12):  # NaN fails too
         raise ConfigurationError("combination weights must be nonnegative with sum <= 1")
@@ -104,5 +102,11 @@ def combine_and_select(
 
 def _combined_evalues(stats_a, stats_b, alpha_ko: float, w1, w2) -> np.ndarray:
     """``w1 * e_a + w2 * e_b``, each family's e-values at level ``alpha_ko``;
-    each family is an array of statistics or a memo of validated ones."""
-    return w1 * knockoff_evalues(stats_a, alpha_ko) + w2 * knockoff_evalues(stats_b, alpha_ko)
+    each family is an array of statistics or a memo of validated ones, and
+    the two must have the same length."""
+    memo_a, memo_b = _Memo.of(stats_a, check=as_stats), _Memo.of(stats_b, check=as_stats)
+    if memo_a.size != memo_b.size:
+        raise InputError(
+            f"the two statistic vectors must have equal length, got {memo_a.size} and {memo_b.size}"
+        )
+    return w1 * knockoff_evalues(memo_a, alpha_ko) + w2 * knockoff_evalues(memo_b, alpha_ko)

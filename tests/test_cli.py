@@ -1,7 +1,9 @@
 import argparse
 import csv
+import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmt import GroupPartition, InputError, cli
+from evmt import GroupPartition, InputError, adaptive, cli, groups, hybrid
 from evmt.cli import main, read_table
 from evmt.simulate import toy_two_group
 from oracles import rejection_table_lines
@@ -218,6 +220,13 @@ def test_weights_take_the_library_spellings(tmp_path, toy_csv, command, spelling
     assert written[0] == written[1]
 
 
+def test_weights_help_names_every_spelling():
+    help_text = " ".join(cli.build_parser().format_help().split())
+    for table in (groups._SCHEMES, hybrid._MODES, adaptive._MODES):
+        for key in table:
+            assert re.search(rf"\b{key}\b", help_text), key
+
+
 def test_hybrid_command(tmp_path):
     rng = np.random.default_rng(11)
     p = rng.uniform(size=400)
@@ -248,6 +257,17 @@ def test_knockoff_combine(tmp_path):
     assert summary["n_rejected"] > 0
     # one file only -> input error
     assert run_cli(["knockoff-combine", "--input", fa]) == 2
+
+
+def test_knockoff_combine_refuses_files_of_unequal_length(tmp_path, capsys):
+    rng = np.random.default_rng(17)
+    fa, fb = tmp_path / "wa.csv", tmp_path / "wb.csv"
+    write_csv(fa, ["w"], [(repr(x),) for x in rng.normal(size=150).tolist()])
+    write_csv(fb, ["w"], [(repr(x),) for x in rng.normal(size=149).tolist()])
+    out = tmp_path / "ko.csv"
+    assert run_cli(["knockoff-combine", "--input", fa, "--input", fb, "--out", out]) == 2
+    assert "equal length, got 150 and 149" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("columns", [["w", "group"], ["group"]])
@@ -330,6 +350,35 @@ def test_adaptive_negative_seed_exit_3(tmp_path, capsys):
     write_csv(path, ["pvalue", "x"], [(0.01, 0.5), (0.6, -1.0), (0.3, 0.2)])
     assert run_cli(["adaptive", "--input", path, "--seed", -5, "--out", tmp_path / "r.csv"]) == 3
     assert "--seed" in capsys.readouterr().err
+
+
+def test_adaptive_prints_no_seed_when_a_check_fails(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["pvalue", "x"], [(0.01, 0.5), (0.6, -1.0), (0.3, 0.2)])
+    out = tmp_path / "r.csv"
+    assert run_cli(["adaptive", "--input", path, "--alpha", 1.5, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--reps", 0], ["--alpha", 1.5]])
+def test_simulate_prints_no_seed_when_a_check_fails(tmp_path, capsys, flags):
+    out = tmp_path / "m.csv"
+    assert run_cli(["simulate", "--setting", "S1", *flags, "--out", out]) == 3
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_drawn_seed_is_printed_just_before_the_summary(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    write_csv(path, ["pvalue"], [(0.01,), (0.6,), (0.3,), (0.002,)])
+    with mock.patch.object(cli.secrets, "randbits", return_value=321):
+        assert run_cli(["adaptive", "--input", path, "--out", tmp_path / "r.csv"]) == 0
+    first, summary = capsys.readouterr().out.split("\n", 1)
+    assert first == "seed = 321"
+    assert json.loads(summary)["seed"] == 321
 
 
 def test_simulate_negative_seed_in_config_file_exit_3(tmp_path, capsys):
@@ -771,3 +820,77 @@ def test_model_and_simulate_commands_run_in_a_fresh_process(tmp_path):
                          "--seed", 1, "--out", "m.csv"], cwd=tmp_path)
     assert sim.returncode == 0, sim.stderr
     assert (tmp_path / "m.csv").exists()
+
+
+def _pinned_inputs(directory):
+    """The inputs of the pinned CLI runs: 300 rows in four labelled groups with
+    ``truth``, an ``evalue`` column and two covariates, the same rows without
+    the covariates, and two statistic files; every float written with ``repr``."""
+    rng = np.random.default_rng(20231204)
+    n = 300
+    group = rng.integers(0, 4, size=n)
+    x = rng.normal(size=(n, 2))
+    truth = rng.uniform(size=n) < np.array([0.05, 0.15, 0.3, 0.5])[group] * (1.0 + 0.5 * (x[:, 0] > 0))
+    z = rng.normal(size=n) + truth * (2.0 + np.abs(x[:, 1]))
+    p = [0.5 * math.erfc(v / math.sqrt(2.0)) for v in z.tolist()]
+    e = np.where(truth, rng.uniform(0.0, 400.0, size=n), rng.exponential(size=n))
+    labels = np.array(["north", "east", "south", "west"])[group]
+    rows = list(zip(map(repr, p), labels, truth.astype(int), map(repr, e.tolist()),
+                    map(repr, x[:, 0].tolist()), map(repr, x[:, 1].tolist())))
+    write_csv(directory / "cov.csv", ["pvalue", "group", "truth", "evalue", "x1", "x2"], rows)
+    write_csv(directory / "plain.csv", ["pvalue", "group", "truth", "evalue"], [r[:4] for r in rows])
+    for name in ("wa", "wb"):
+        w = rng.choice([-1.0, 1.0], n) * np.abs(rng.normal(size=n))
+        w[: n // 6] = np.abs(rng.normal(3.5, 1.0, size=n // 6))
+        write_csv(directory / f"{name}.csv", ["w"], [(repr(v),) for v in w.tolist()])
+
+
+def _pinned_runs():
+    """Name and arguments of each pinned run: every data command on the inputs
+    with and without covariates, under every ``--weights`` spelling it takes."""
+    weights = {
+        "groups": [None, "unit", "size", "size_adjusted", "adaptive"],
+        "hybrid": [None, "averaged", "adaptive", "fast", "fast_adaptive"],
+        "adaptive": [None, "unit", "cheap"],
+    }
+    runs = {}
+    for data in ("cov", "plain"):
+        for command in ("bh", "storey", "bc", "fbc", "ebh", "groups", "hybrid", "adaptive"):
+            for spelling in weights.get(command, [None]):
+                args = [command, "--input", f"{data}.csv", "--alpha", "0.1"]
+                if spelling is not None:
+                    args += ["--weights", spelling]
+                if command == "adaptive":
+                    args += ["--seed", "7"]
+                runs[" ".join(args)] = args
+    for alpha in ("0.1", "0.3"):
+        runs[f"knockoff-combine {alpha}"] = ["knockoff-combine", "--input", "wa.csv",
+                                             "--input", "wb.csv", "--alpha", alpha]
+    runs["groups bad weights"] = ["groups", "--input", "cov.csv", "--weights", "cheap"]
+    runs["bh bad alpha"] = ["bh", "--input", "cov.csv", "--alpha", "1.5"]
+    return runs
+
+
+def _cli_outputs(directory, monkeypatch):
+    """Exit code, SHA-256 of the rejection table and JSON summary (without its
+    ``rejections_csv``) of each pinned run."""
+    _pinned_inputs(directory)
+    monkeypatch.chdir(directory)
+    outputs = {}
+    for name, args in _pinned_runs().items():
+        out = directory / "res.csv"
+        out.unlink(missing_ok=True)
+        out.with_suffix(".json").unlink(missing_ok=True)
+        code = main([*args, "--out", str(out)])
+        table = summary = None
+        if out.exists():
+            table = hashlib.sha256(out.read_bytes()).hexdigest()
+            summary = json.loads(out.with_suffix(".json").read_text())
+            del summary["rejections_csv"]
+        outputs[name] = {"code": code, "table_sha256": table, "summary": summary}
+    return outputs
+
+
+def test_cli_outputs_are_unchanged(tmp_path, monkeypatch, capsys):
+    expected = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+    assert _cli_outputs(tmp_path, monkeypatch) == expected

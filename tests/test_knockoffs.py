@@ -91,7 +91,7 @@ def test_combination_validation():
     for w1, w2 in ((float("nan"), 0.5), (0.5, float("nan"))):
         with pytest.raises(ConfigurationError):
             combine_and_select([1.0, -1.0], [1.0, -1.0], 0.2, w1=w1, w2=w2)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="equal length, got 2 and 1"):
         combine_and_select([1.0, -1.0], [1.0], 0.2)
 
 
