@@ -20,7 +20,8 @@ matrix, one row per line, whose padding one mask drops before a single
 write.
 
 Exit codes: 0 success, 2 input error (unreadable file, bad column), 3
-configuration error (bad level, wrong weight scheme for a subcommand).
+configuration error (bad level, wrong weight scheme for a subcommand, an
+option the subcommand does not read).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .hybrid import HybridConfig, _hybrid_evalues
 from .knockoffs import _combined_evalues
 from .procedures import (
     ProcedureSpec,
+    _check_alpha,
     _group_fdp_power,
     _lookup,
     as_evalues,
@@ -513,24 +515,42 @@ _RUNNERS = {
     "simulate": _run_simulate,
 }
 
+# the options each subcommand reads; ``main`` refuses any other that is given
+_DATA_OPTIONS = ("input", "alpha", "out")
+_READS = {
+    **dict.fromkeys(("bh", "storey", "bc", "fbc", "ebh", "knockoff-combine"), _DATA_OPTIONS),
+    "groups": (*_DATA_OPTIONS, "weights"),
+    "hybrid": (*_DATA_OPTIONS, "weights"),
+    "adaptive": (*_DATA_OPTIONS, "weights", "seed"),
+    "simulate": (*_DATA_OPTIONS, "seed", "reps", "setting"),
+}
+_OPTIONS = tuple(dict.fromkeys(name for names in _READS.values() for name in names))
+
 
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
-    A data command's summary starts as ``{"command", "alpha"}``; ``main``
-    adds the metrics to what its runner returns and writes the table and the
-    summary.  A seed drawn for the run is printed just before the summary or
-    report, so a run that fails a check prints nothing to stdout.
+    A data command's level is checked, and an option that the subcommand
+    does not read (see ``_READS``) refused, before any input is read.  Its
+    summary starts as ``{"command", "alpha"}``; ``main`` adds the metrics to
+    what its runner returns and writes the table and the summary.  A seed
+    drawn for the run is printed just before the summary or report, so a
+    run that fails a check prints nothing to stdout.
     """
     args = build_parser().parse_args(argv)
-    if args.alpha is None and args.subcommand != "simulate":
-        args.alpha = 0.05
-    summary = {"command": args.subcommand, "alpha": args.alpha}
+    command = args.subcommand
     try:
-        result = _RUNNERS[args.subcommand](args, summary)
+        if command != "simulate":
+            args.alpha = _check_alpha(0.05 if args.alpha is None else args.alpha)
+        unread = [f"--{name}" for name in _OPTIONS
+                  if getattr(args, name) is not None and name not in _READS[command]]
+        if unread:
+            raise ConfigurationError(f"{command} does not read {', '.join(unread)}")
+        summary = {"command": command, "alpha": args.alpha}
+        result = _RUNNERS[command](args, summary)
         if args.drawn_seed is not None:
             print(f"seed = {args.drawn_seed}")
-        if args.subcommand == "simulate":
+        if command == "simulate":
             result.to_csv(Path(args.out) if args.out else Path("evmt_metrics.csv"))
             print(result.to_json())
             return 0

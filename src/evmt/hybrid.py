@@ -90,21 +90,24 @@ rejection below p~_i and, when p_i > 1/2, removes i's own mirror from p~_i
 on; everywhere else the counting functions are those of the base mirror
 scan.  Each zeroed criterion is therefore a splice of two fixed arrays over
 the base grid, and its last passing grid point (T0_i for ``b_i``, the
-zeroed relaxed plateau for ``s_i``) is one vectorised lookup from i's grid
-position.
+zeroed relaxed plateau for ``s_i``) is read from i's grid position: from
+p~_i on it is the last passing point of the whole array, one index for all
+i, and below p~_i a running maximum over a prefix of the grid.
 
 Cost.  The mirror-count grid and its counts come from the base scan of p,
 which sorts p once; the sorted p and the grid are level-free stages of a
 ``procedures._Memo``, which the BH e-values read too.  The public functions
 take the memo in place of the p-values, so in a campaign replicate the
-other methods on p read the same stages.  Every other leave-one-out
-quantity is read off one ordered view: the censored vector
-(p~_1, ..., p~_n), argsorted once.  Its ascending values and ranks give
-``t_bh_loo``.  Its values below 1/2 are the grid's scores (p~_i = p_i a
-rejection score, p~_i = 1 - p_i a mirror score), so a hypothesis's grid
-position is the number of distinct censored values below its own, a
-running total read back by rank.  Nothing is searched per hypothesis: the
-adaptive weights run in O(n log n) for the two sorts and O(n) after them.
+other methods on p read the same stages.  The leave-one-out thresholds add
+one sort of the censored vector (p~_1, ..., p~_n), by value only, and one
+pass of its step-up criterion, which gives ``M`` and the last unshifted
+feasible rank.  Everything per hypothesis is computed only where a weight
+is read: a hypothesis's rank in the sorted censored vector and its grid
+position are two binary searches, and the running maxima cover only the
+prefix up to the largest rank or position asked for.  The blend asks for
+``w_bh`` only where the BH e-value is nonzero, so past the two sorts its
+cost is O(n) vector passes plus O(R log n) for the R BH rejections;
+:func:`adaptive_weights` asks for every hypothesis, in O(n log n).
 """
 
 from __future__ import annotations
@@ -120,8 +123,8 @@ from .procedures import (
     _bc_scan,
     _check_alpha,
     _ebh_select,
-    _last_at_or_after,
     _last_at_or_before,
+    _last_true,
     _lookup,
     _Memo,
     _MirrorScan,
@@ -206,27 +209,28 @@ def _base_evalues(memo: _Memo, kind: str, alpha: float) -> np.ndarray:
     return _to_evalues(memo.size, solve_threshold(memo, ProcedureSpec(kind=kind, alpha=alpha)))
 
 
-def _bh_loo_vector(s: np.ndarray, ranks: np.ndarray, alpha: float) -> np.ndarray:
-    """Step-up threshold of the censored vector with entry i zeroed, for all i.
+def _bh_loo(loo: "LooThresholds", censored: np.ndarray) -> np.ndarray:
+    """Step-up threshold of the censored vector with one entry zeroed, for
+    the entries of values ``censored``.
 
-    ``s`` is the censored vector in ascending order and ``ranks[i]`` the
-    position of entry i in ``s``, both from the one ordered view that
-    :func:`compute_loo_thresholds` builds.  Equal entries may take their
-    ranks in any order: zeroing any one of them leaves the same values.
-    Zeroing entry i shifts the sorted order: the modified order statistics
-    are 0, s_1, ..., s_{r_i - 1}, s_{r_i + 1}, ..., s_n where r_i is the rank
-    of the removed entry, so per-rank feasibility splits into a shifted
-    prefix and an unshifted suffix that are precomputed once.
+    Zeroing an entry of rank r in the ascending censored vector s shifts
+    the sorted order: the modified order statistics are 0, s_0, ...,
+    s_{r - 1}, s_{r + 1}, ..., s_{n - 1}, so feasibility at rank k reads
+    ``s_{k - 1}`` (the shifted prefix, with position 0 always feasible)
+    below r and ``s_k`` (unshifted) above it.  The last unshifted feasible
+    rank is one index for all entries, so only the shifted prefix up to the
+    largest rank asked for is built.  An entry's rank is the first position
+    of its value in s: equal entries may take any of their ranks, as
+    zeroing any one of them leaves the same values.
     """
+    s, alpha = loo._sorted, loo.alpha_bh
     n = s.size
-    thresh = np.arange(1, n + 1) * alpha / n
-
-    shifted = np.empty(n, dtype=bool)
-    shifted[0] = True  # position 1 holds the zeroed entry
-    shifted[1:] = s[:-1] <= thresh[1:]
-    khat = 1 + np.maximum(
-        _last_at_or_before(shifted, ranks), _last_at_or_after(s <= thresh, ranks + 1)
-    )
+    ranks = s.searchsorted(censored, "left")
+    last = int(ranks.max(initial=0))
+    shifted = np.empty(last + 1, dtype=bool)
+    shifted[0] = True  # position 0 holds the zeroed entry
+    shifted[1:] = s[:last] <= np.arange(2, last + 2) * alpha / n
+    khat = 1 + np.where(loo._ok_last > ranks, loo._ok_last, _last_at_or_before(shifted, ranks))
     return khat * alpha / n
 
 
@@ -237,25 +241,42 @@ class LooThresholds:
     All mirror comparisons run on the stored mirror scores
     ``mirror = 1 - p`` (exact for p >= 0.5), so counts agree bit-for-bit
     with the threshold scans that produced them.  Besides the base mirror
-    scan of p, everything here is read off one ordered view, the censored
-    vector ``min(p, 1 - p)`` sorted once: the step-up thresholds and each
-    hypothesis's position in the mirror-count grid, whose scores are the
-    censored ones below 1/2.  The censored mirror-count thresholds
+    scan of p, the weights read one ordered view, the censored vector
+    ``min(p, 1 - p)`` sorted once, and two indices of its step-up scan.
+    Per-hypothesis quantities are computed only for the hypotheses whose
+    weight is asked for: the step-up threshold ``t_bh_loo[i]`` from i's
+    rank in the sorted view, and i's position in the mirror-count grid,
+    whose scores are the censored ones below 1/2, by a binary search of the
+    grid.  The properties :attr:`t_bh_loo` and :attr:`_pos` compute both
+    for every hypothesis.  The censored mirror-count thresholds
     ``t_bc_loo`` of the module docstring are not stored: the weights read
-    their zeroed counterparts off ``_scan`` at ``_pos``.
+    their zeroed counterparts off ``_scan`` at the grid position.
     """
 
     pvals: np.ndarray
     mirror: np.ndarray
     alpha_bh: float
     alpha_bc: float
-    t_bh_loo: np.ndarray
+    # M = max_j t_bh_loo[j]
+    t_bh_max: float
     # base mirror scan: T_bc with its mirror count, the candidate grid,
     # counts, both criteria and the relaxed plateau that every
     # leave-one-out lookup reads
     _scan: _MirrorScan
-    # grid position of each censored score, #{k : cands[k] < min(p_i, 1 - p_i)}
-    _pos: np.ndarray
+    # the censored vector min(p, 1 - p) in ascending order, and the last
+    # rank k with s_k <= (k + 1) alpha_bh / n (-1 when none)
+    _sorted: np.ndarray
+    _ok_last: int
+
+    @property
+    def t_bh_loo(self) -> np.ndarray:
+        """Step-up threshold of the censored vector with entry i zeroed, for all i."""
+        return _bh_loo(self, np.minimum(self.pvals, self.mirror))
+
+    @property
+    def _pos(self) -> np.ndarray:
+        """Grid position of each censored score, #{k : cands[k] < min(p_i, 1 - p_i)}."""
+        return self._scan.grid.cands.searchsorted(np.minimum(self.pvals, self.mirror), "left")
 
 
 def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresholds:
@@ -269,28 +290,21 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
     # of its grid do not add to the n-length arrays below
     scan = _bc_scan(memo, alpha_bc)
     mirror = 1.0 - p
-    censored = np.minimum(p, mirror)
-    order = censored.argsort()
-    s = censored[order]
-    ranks = np.empty(n, dtype=np.intp)
-    ranks[order] = np.arange(n)
-    t_bh_loo = _bh_loo_vector(s, ranks, alpha_bh)
-
-    # The mirror-count grid is the censored scores below 1/2: there p < 1/2
-    # is a rejection score and 1 - p < 1/2 (that is, p > 1/2) a mirror
-    # score, and every other score lies at or above 1/2.  A score's grid
-    # position is the number of distinct scores below it.
-    distinct = np.concatenate(([True], s[1:] != s[:-1]))
-    pos = (distinct.cumsum() - 1)[ranks]
-
+    s = np.sort(np.minimum(p, mirror))
+    thresh = np.arange(1, n + 1) * alpha_bh / n
+    ok_last = _last_true(s <= thresh)
+    # t_bh_loo[j] is largest for the entry of rank 0, which keeps every
+    # unshifted rank, or of rank n - 1, which keeps every shifted one
+    shifted_last = 1 + _last_true(s[:-1] <= thresh[1:])
     return LooThresholds(
         pvals=p,
         mirror=mirror,
         alpha_bh=alpha_bh,
         alpha_bc=alpha_bc,
-        t_bh_loo=t_bh_loo,
+        t_bh_max=(1 + max(ok_last, shifted_last)) * alpha_bh / n,
         _scan=scan,
-        _pos=pos,
+        _sorted=s,
+        _ok_last=ok_last,
     )
 
 
@@ -309,16 +323,17 @@ def _bc_weight(loo: LooThresholds) -> np.ndarray:
     scan = loo._scan
     # 1 + d_i: the base mirror count m(T_bc) less i's own mirror (1 when infeasible)
     x = scan.m_at_T - (loo.mirror <= scan.threshold) if scan.feasible else np.ones(n)
-    return _phi(x, n * float(loo.t_bh_loo.max()))
+    return _phi(x, n * loo.t_bh_max)
 
 
-def _bh_weight(loo: LooThresholds) -> np.ndarray:
-    """w_bh_i = 1 - phi_{n t_bh_loo[i]}(c_i) with c_i = max(s_i, b_i), for all i.
+def _bh_weight(loo: LooThresholds, at: np.ndarray) -> np.ndarray:
+    """w_bh_i = 1 - phi_{n t_bh_loo[i]}(c_i) with c_i = max(s_i, b_i), for i in ``at``.
 
     Zeroing p_i adds one rejection below p~_i and, when p_i > 1/2, removes
     i's mirror from p~_i on; elsewhere the counts are those of the base
     grid.  Each zeroed criterion is therefore a splice of two fixed arrays
-    over that grid, and its last passing index k_i is one lookup:
+    over that grid, and its last passing index k_i is one lookup from i's
+    grid position:
 
     * T0_i (for b_i): (1 + A) / (R + 1) below p~_i; from p~_i on, the base
       criterion when p_i < 1/2 and the relaxed A / (R + 1) when p_i > 1/2.
@@ -326,32 +341,51 @@ def _bh_weight(loo: LooThresholds) -> np.ndarray:
       p~_i on, A / (R + 1) when p_i < 1/2 and (A - 1) / (R + 2) when
       p_i > 1/2.
 
-    Either count is ``n_mir[k_i]`` less i's own mirror when it lies at or
-    below ``cands[k_i]``.
+    From p~_i on, the last passing index is that of the whole array, one
+    index for all i; below p~_i it is a running maximum read at the grid
+    position, so only the prefix up to the largest position in ``at`` is
+    built.  Either count is ``n_mir[k_i]`` less i's own mirror when it lies
+    at or below ``cands[k_i]``.
     """
     scan = loo._scan
     cands, n_rej, n_mir = scan.grid.cands, scan.grid.n_rej, scan.grid.n_mir
-    n = loo.pvals.size
-    if cands.size == 0:
-        return np.ones(n)
     a = loo.alpha_bc
-    big = loo.pvals > 0.5
-    pos = loo._pos
+    if scan.mstar is not None:
+        # Zeroing p_i must not shrink the relaxed plateau.  When all three
+        # masks of the zeroed plateau hold at the base plateau's index k*,
+        # k_i >= k* for every i, wherever p~_i falls.
+        top = scan.k_relaxed
+        if not (
+            top >= 0
+            and cands[top] == scan.mstar
+            and n_mir[top] / (n_rej[top] + 2.0) <= a
+            and scan.relaxed[top]
+            and (n_mir[top] - 1.0) / (n_rej[top] + 2.0) <= a
+        ):
+            raise InvariantError("zeroing must not shrink the relaxed plateau")
+    if cands.size == 0:
+        return np.ones(at.size)
+    p, mirror = loo.pvals[at], loo.mirror[at]
+    big = p > 0.5
+    censored = np.minimum(p, mirror)
+    pos = cands.searchsorted(censored, "left")
+    # the below masks are read at pos - 1 only
+    stop = int(pos.max(initial=0))
+    r, m = n_rej[:stop], n_mir[:stop]
+    k_big = _last_true((n_mir - 1.0) / (n_rej + 2.0) <= a) if big.any() else -1
 
-    def zeroed(below, above_small, above_big):
-        k = np.where(big, _last_at_or_after(above_big, pos), _last_at_or_after(above_small, pos))
-        return np.where(k >= 0, k, _last_at_or_before(below, pos - 1))
+    def zeroed(below, last_small, last_big):
+        last = np.where(big, last_big, last_small)
+        return np.where(last >= pos, last, _last_at_or_before(below, pos - 1))
 
     def count(k):
-        return np.where(k >= 0, n_mir[k] - (loo.mirror <= cands[k]), 0)
+        return np.where(k >= 0, n_mir[k] - (mirror <= cands[k]), 0)
 
-    k0 = zeroed((1.0 + n_mir) / (n_rej + 1.0) <= a, scan.feas, scan.relaxed)
+    k0 = zeroed((1.0 + m) / (r + 1.0) <= a, scan.k_feas, scan.k_relaxed)
     b = np.where(k0 >= 0, 1.0 + count(k0), 0.0)
-    k = zeroed(n_mir / (n_rej + 2.0) <= a, scan.relaxed, (n_mir - 1.0) / (n_rej + 2.0) <= a)
-    if scan.mstar is not None and np.any((k < 0) | (cands[k] < scan.mstar)):
-        raise InvariantError("zeroing must not shrink the relaxed plateau")
+    k = zeroed(m / (r + 2.0) <= a, scan.k_relaxed, k_big)
     c = np.maximum(count(k), b)
-    return 1.0 - _phi(c, n * loo.t_bh_loo)
+    return 1.0 - _phi(c, loo.pvals.size * _bh_loo(loo, censored))
 
 
 def adaptive_weights(pvals, loo: LooThresholds):
@@ -359,7 +393,7 @@ def adaptive_weights(pvals, loo: LooThresholds):
     p = as_pvalues(pvals)
     if p.size != loo.pvals.size:
         raise ConfigurationError("loo thresholds were computed for a different input")
-    return _bh_weight(loo), _bc_weight(loo)
+    return _bh_weight(loo, np.arange(p.size)), _bc_weight(loo)
 
 
 # older name of the adaptive weights
@@ -383,7 +417,9 @@ def _hybrid_evalues(pvals, config: HybridConfig):
         if scan.feasible:
             e_bc[scan.rejected_mask] = n / scan.m_at_T
         # a weight multiplying a zero e-value never matters; report it as 0
-        w_bh = np.where(e_bh > 0, _bh_weight(loo), 0.0)
+        at = np.flatnonzero(e_bh > 0)
+        w_bh = np.zeros(n)
+        w_bh[at] = _bh_weight(loo, at)
         w_bc = _bc_weight(loo)
     return w_bh * e_bh + w_bc * e_bc, w_bh, w_bc
 

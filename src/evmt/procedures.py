@@ -292,6 +292,10 @@ class _MirrorScan:
     # their own leave-one-out threshold reaches (None and 0 when empty).
     mstar: Optional[float]
     loo_count: int
+    # grid indices of the last candidates where ``feas`` and ``relaxed``
+    # hold, that is of ``threshold`` and ``mstar`` (-1 when none)
+    k_feas: int
+    k_relaxed: int
 
 
 def _last_at_or_before(mask: np.ndarray, pos) -> np.ndarray:
@@ -307,12 +311,6 @@ def _last_true(mask: np.ndarray) -> int:
     """Last index j with mask[j] (-1 when none)."""
     hits = np.flatnonzero(mask)
     return int(hits[-1]) if hits.size else -1
-
-
-def _last_at_or_after(mask: np.ndarray, pos) -> np.ndarray:
-    """Last index j >= pos with mask[j], elementwise over pos (-1 where none)."""
-    last = _last_true(mask)
-    return np.where(last >= np.asarray(pos), last, -1)
 
 
 def _mirror_scan(u, v, alpha, t_max=None, inclusive=False) -> _MirrorScan:
@@ -394,17 +392,20 @@ def _run_scan(u, grid: _MirrorGrid, alpha) -> _MirrorScan:
     cands, n_rej, n_mir = grid.cands, grid.n_rej, grid.n_mir
     feas = (1.0 + n_mir) / np.maximum(n_rej, 1) <= alpha
     relaxed = n_mir / (n_rej + 1.0) <= alpha
-    k = _last_true(feas)
-    if k >= 0:
-        threshold, m_at, feasible = float(cands[k]), 1.0 + float(n_mir[k]), True
+    k_feas = _last_true(feas)
+    if k_feas >= 0:
+        threshold, m_at, feasible = float(cands[k_feas]), 1.0 + float(n_mir[k_feas]), True
         rejected_mask = u <= threshold
     else:
         threshold, m_at, feasible = None, 0.0, False
         rejected_mask = np.zeros(u.size, dtype=bool)
-    k = _last_true(relaxed)
-    mstar, loo_count = (float(cands[k]), int(n_mir[k])) if k >= 0 else (None, 0)
+    k_relaxed = _last_true(relaxed)
+    mstar, loo_count = (
+        (float(cands[k_relaxed]), int(n_mir[k_relaxed])) if k_relaxed >= 0 else (None, 0)
+    )
     return _MirrorScan(
         threshold, m_at, rejected_mask, feasible, grid, feas, relaxed, mstar, loo_count,
+        k_feas, k_relaxed,
     )
 
 
@@ -514,8 +515,9 @@ def _ebh_select(e: np.ndarray, alpha: float) -> np.ndarray:
     validation."""
     _check_alpha(alpha)
     n = e.size
-    es = np.sort(e)[::-1]
-    ks = np.arange(1, n + 1)
+    # a zero e-value never meets n / (k alpha) > 0, so only the positive ones are sorted
+    es = np.sort(e[e > 0])[::-1]
+    ks = np.arange(1, es.size + 1)
     ok = es >= n / (ks * alpha)
     if not ok.any():
         return np.empty(0, dtype=np.intp)

@@ -121,6 +121,49 @@ def test_bad_weights_gives_exit_3(tmp_path, toy_csv, capsys):
     assert "weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("bh", "--weights", "bogus"),
+    ("bh", "--seed", -1),
+    ("hybrid", "--setting", "S1"),
+    ("bc", "--seed", 5),
+    ("storey", "--reps", 3),
+    ("fbc", "--weights", "adaptive"),
+    ("ebh", "--seed", 1),
+    ("groups", "--seed", 1),
+    ("adaptive", "--reps", 2),
+    ("knockoff-combine", "--weights", "adaptive"),
+    ("simulate", "--weights", "adaptive"),
+])
+def test_commands_refuse_options_they_do_not_read(tmp_path, toy_csv, capsys, command, option, value):
+    out = tmp_path / "res.csv"
+    inputs = ["--input", toy_csv] * (2 if command == "knockoff-combine" else 1)
+    if command == "simulate":
+        inputs = ["--setting", "S1", "--seed", 1]
+    assert run_cli([command, *inputs, option, value, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert f"{command} does not read {option}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_options_each_command_reads_are_accepted(tmp_path, toy_csv):
+    # every option of a command's row in the table gets past the check
+    out = tmp_path / "res.csv"
+    assert run_cli(["adaptive", "--input", toy_csv, "--weights", "unit", "--seed", 2, "--out", out]) == 0
+    assert run_cli(["hybrid", "--input", toy_csv, "--weights", "averaged", "--out", out]) == 0
+    assert set(cli._OPTIONS) == {a.dest for a in cli.build_parser()._actions} - {"help", "subcommand"}
+
+
+def test_level_is_checked_before_the_input_is_read_or_fitted(tmp_path, capsys, monkeypatch):
+    # a bad level exits 3 before the file is opened and before fbc fits its curves
+    assert run_cli(["fbc", "--input", tmp_path / "nope.csv", "--alpha", 1.5]) == 3
+    assert "alpha must lie in (0, 1), got 1.5" in capsys.readouterr().err
+    path = tmp_path / "cov.csv"
+    write_csv(path, ["pvalue", "x1"], [(0.01, 0.3), (0.5, -1.0), (0.9, 2.0)])
+    monkeypatch.setattr(cli, "fit_lfdr_em", mock.Mock(side_effect=AssertionError("fitted")))
+    assert run_cli(["fbc", "--input", path, "--alpha", 0.0]) == 3
+    assert "alpha must lie in (0, 1), got 0.0" in capsys.readouterr().err
+
+
 def test_missing_file_gives_exit_2(tmp_path):
     assert run_cli(["bh", "--input", tmp_path / "nope.csv"]) == 2
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from evmt import ConfigurationError, InvariantError, ebh_select, fdp_power
 from evmt.hybrid import (
     HybridConfig,
+    _bh_weight,
     _hybrid_evalues,
     adaptive_weights,
     bc_evalues,
@@ -305,6 +306,52 @@ def test_invariant_checks_survive_optimisation():
     grown = replace(loo, _scan=replace(loo._scan, mstar=float(loo._scan.grid.cands[-1]) + 1.0))
     with pytest.raises(InvariantError):
         adaptive_weights(p, grown)
+
+
+def test_invariant_guard_fires_for_one_hypothesis():
+    # the guard is one check on the grid: it fires whichever hypotheses,
+    # one or none, the weights are asked for
+    p = np.array([0.001, 0.002, 0.003, 0.004, 0.9, 0.95])
+    loo = compute_loo_thresholds(p, 0.4, 0.4)
+    cands, k = loo._scan.grid.cands, loo._scan.k_relaxed
+    assert k >= 1
+    for mstar in (float(cands[-1]) + 1.0, float(cands[k - 1])):
+        corrupt = replace(loo, _scan=replace(loo._scan, mstar=mstar))
+        for at in [[i] for i in range(p.size)] + [[]]:
+            with pytest.raises(InvariantError, match="relaxed plateau"):
+                _bh_weight(corrupt, np.array(at, dtype=np.intp))
+
+
+_BLEND_PVALUES = st.lists(EDGE | _TIED | st.floats(0.0, 1.0), min_size=1, max_size=25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=_BLEND_PVALUES,
+    alpha=st.floats(0.01, 0.5),
+    a_bh=st.none() | st.floats(0.005, 0.7),
+    a_bc=st.none() | st.floats(0.05, 0.7),
+    data=st.data(),
+)
+def test_prop_blend_weights_are_the_adaptive_weights_on_the_bh_rejections(p, alpha, a_bh, a_bc, data):
+    # the blend evaluates the BH weight only where a BH e-value is nonzero;
+    # there, and at any other subset, it equals the weight over every index
+    q = np.array(p)
+    cfg = HybridConfig(alpha_ebh=alpha, alpha_bh=a_bh, alpha_bc=a_bc)
+    _, w_bh, w_bc = _hybrid_evalues(q, cfg)
+    loo = compute_loo_thresholds(q, cfg.alpha_bh, cfg.alpha_bc)
+    want_bh, want_bc = adaptive_weights(q, loo)
+    rejected = bh_evalues(q, cfg.alpha_bh) > 0
+    assert w_bh.tobytes() == np.where(rejected, want_bh, 0.0).tobytes()
+    assert w_bc.tobytes() == want_bc.tobytes()
+    assert loo.t_bh_max == loo.t_bh_loo.max()
+    at = np.array(data.draw(st.lists(st.integers(0, q.size - 1), max_size=q.size)), dtype=np.intp)
+    assert np.array_equal(_bh_weight(loo, at), want_bh[at])
+    if q.size <= 12:
+        brute_bh, brute_bc = brute_adaptive_weights(p, cfg.alpha_bh, cfg.alpha_bc)
+        assert np.array_equal(want_bh, brute_bh)
+        assert np.array_equal(w_bh, np.where(rejected, brute_bh, 0.0))
+        assert np.array_equal(w_bc, brute_bc)
 
 
 def test_bh_weight_is_zero_without_bh_evalue():

@@ -342,6 +342,23 @@ def test_ebh_matches_brute_force():
         assert set(ebh_select(e, alpha)) == brute_ebh(list(e), alpha)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_prop_ebh_matches_brute_force_on_mostly_zero_evalues_with_ties(data):
+    # e-BH sorts only the positive e-values; draw vectors that are mostly
+    # zero, with copies of the cutoff n / (k alpha) and its neighbours
+    n = data.draw(st.integers(1, 40))
+    alpha = data.draw(st.floats(0.01, 0.99))
+    cut = n / (data.draw(st.integers(1, n)) * alpha)
+    values = st.sampled_from([cut, np.nextafter(cut, 0.0), np.nextafter(cut, np.inf), 2.0 * cut, 1.0])
+    e = np.zeros(n)
+    for i, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), values), max_size=max(1, n // 4))):
+        e[i] = v
+    got = ebh_select(e, alpha)
+    assert set(got) == brute_ebh(list(e), alpha)
+    assert np.array_equal(got, np.sort(got))
+
+
 def test_ebh_tie_absorption():
     # two equal values straddling the formal cutoff are both rejected
     e = [8.0, 8.0, 0.0, 0.0]

@@ -1,9 +1,12 @@
 """In-process timings of the sort-bound layers and the CLI's I/O at n = 10^3 ... 10^6.
 
-Times ``procedures._bc_scan``, ``hybrid.compute_loo_thresholds``,
-``hybrid._hybrid_evalues`` (adaptive weights) and
-``groups.run_grouped_ebh`` (adaptive scheme, L = 1000 equal groups) on one
-S1-like instance per n: the S1 generator with 5 % non-nulls, seed 3.
+Times ``procedures.solve_threshold`` (``bh``), ``procedures._bc_scan``,
+``hybrid.compute_loo_thresholds``, ``hybrid._hybrid_evalues`` (adaptive
+weights) and ``groups.run_grouped_ebh`` (adaptive scheme, L = 1000 equal
+groups) on one S1-like instance per n: the S1 generator with 5 % non-nulls,
+seed 3.  Each call gets the p-values, so it validates them and sorts them
+afresh.  The ``ebh_select`` row selects on the adaptive blend's e-values of
+the same instance, which are zero off the base rejections.
 
 Times ``adaptive.structure_pipeline`` (cheap weights, two folds: the
 cross-fit, one fbc scan per fold and the weights) on one STRUCT instance
@@ -72,7 +75,13 @@ from evmt import adaptive, cli, simulate
 from evmt.adaptive import fit_lfdr_em, structure_pipeline
 from evmt.groups import GroupPartition, run_grouped_ebh
 from evmt.hybrid import HybridConfig, _hybrid_evalues, compute_loo_thresholds
-from evmt.procedures import ProcedureSpec, _bc_scan, procedure_to_evalues, solve_threshold
+from evmt.procedures import (
+    ProcedureSpec,
+    _bc_scan,
+    ebh_select,
+    procedure_to_evalues,
+    solve_threshold,
+)
 from evmt.simulate import SimulationConfig, generate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -130,22 +139,26 @@ def write_table(out, evalues, weights, rejected):
 
 def sort_layers(out):
     a_base = ALPHA / (1.0 + ALPHA)
-    exact = HybridConfig(alpha_ebh=ALPHA, weight_mode="adaptive")
+    adaptive_blend = HybridConfig(alpha_ebh=ALPHA, weight_mode="adaptive")
+    bh = ProcedureSpec(kind="bh", alpha=a_base)
     layers = {
-        "_bc_scan": lambda p, part: _bc_scan(p, a_base),
-        "compute_loo_thresholds": lambda p, part: compute_loo_thresholds(p, a_base, a_base),
-        "_hybrid_evalues_exact": lambda p, part: _hybrid_evalues(p, exact),
-        "run_grouped_ebh_L1000": lambda p, part: run_grouped_ebh(p, part, ALPHA, "adaptive"),
+        "solve_threshold_bh": lambda p, part, e: solve_threshold(p, bh),
+        "_bc_scan": lambda p, part, e: _bc_scan(p, a_base),
+        "compute_loo_thresholds": lambda p, part, e: compute_loo_thresholds(p, a_base, a_base),
+        "_hybrid_evalues_adaptive": lambda p, part, e: _hybrid_evalues(p, adaptive_blend),
+        "ebh_select": lambda p, part, e: ebh_select(e, ALPHA),
+        "run_grouped_ebh_L1000": lambda p, part, e: run_grouped_ebh(p, part, ALPHA, "adaptive"),
     }
-    for e in EXPONENTS:
-        n = 10**e
+    for k in EXPONENTS:
+        n = 10**k
         config = SimulationConfig(
             setting="S1", parameters={"n": n, "n_alt": n // 20, "mu": 0.4, "sigma": 1.0}, seed=3
         )
         p = generate(config, 0).pvals
         part = GroupPartition.from_sizes([n // 1000] * 1000)
+        e = _hybrid_evalues(p, adaptive_blend)[0]
         for name, fn in layers.items():
-            out.setdefault(name, {})[f"1e{e}"] = round(best_of(lambda: fn(p, part)), 6)
+            out.setdefault(name, {})[f"1e{k}"] = round(best_of(lambda: fn(p, part, e)), 6)
 
 
 def adaptive_layers(out):
