@@ -242,12 +242,12 @@ class LooThresholds:
     ``mirror = 1 - p`` (exact for p >= 0.5), so counts agree bit-for-bit
     with the threshold scans that produced them.  Besides the base mirror
     scan of p, the weights read one ordered view, the censored vector
-    ``min(p, 1 - p)`` sorted once, and two indices of its step-up scan.
-    Per-hypothesis quantities are computed only for the hypotheses whose
-    weight is asked for: the step-up threshold ``t_bh_loo[i]`` from i's
-    rank in the sorted view, and i's position in the mirror-count grid,
-    whose scores are the censored ones below 1/2, by a binary search of the
-    grid.  The properties :attr:`t_bh_loo` and :attr:`_pos` compute both
+    ``min(p, 1 - p)`` sorted once, with two results of its step-up scan:
+    the last unshifted feasible rank and ``M``.  Per-hypothesis quantities
+    are computed only for the hypotheses whose weight is asked for: the
+    step-up threshold ``t_bh_loo[i]`` from i's rank in the sorted view, and
+    i's position in the mirror-count grid, whose scores are the censored
+    ones below 1/2, by a binary search of the grid.  The properties :attr:`t_bh_loo` and :attr:`_pos` compute both
     for every hypothesis.  The censored mirror-count thresholds
     ``t_bc_loo`` of the module docstring are not stored: the weights read
     their zeroed counterparts off ``_scan`` at the grid position.
