@@ -79,6 +79,9 @@ __all__ = [
 ]
 
 P_FLOOR = 1e-15
+# fitted pi predictions are winsorized into [EPS1, 1 - EPS2]
+EPS1 = 0.1
+EPS2 = 1e-5
 _BOX = 36.0  # the L-BFGS-B box on every coefficient
 _DENS_FLOOR = np.finfo(np.float64).tiny  # an underflowed density counts as this
 
@@ -111,14 +114,12 @@ class RejectionCurves:
 class LfdrModel:
     """Fitted mixture parameters with logistic links.
 
-    ``pi`` predictions are winsorized into [eps1, 1 - eps2]; ``kappa``
+    ``pi`` predictions are winsorized into [EPS1, 1 - EPS2]; ``kappa``
     predictions are left untouched.
     """
 
     beta_pi: np.ndarray
     beta_kappa: np.ndarray
-    eps1: float = 0.1
-    eps2: float = 1e-5
     loglik: float = math.nan
     converged: bool = True
     n_iter: int = 0
@@ -127,7 +128,7 @@ class LfdrModel:
         from scipy.special import expit
 
         z = _design(covars, d=self.beta_pi.size - 1)
-        return np.clip(expit(z @ self.beta_pi), self.eps1, 1.0 - self.eps2)
+        return np.clip(expit(z @ self.beta_pi), EPS1, 1.0 - EPS2)
 
     def kappa(self, covars) -> np.ndarray:
         from scipy.special import expit
@@ -234,12 +235,7 @@ def _ascend(z, ell, beta_pi, beta_kappa):
     return theta[:d1], theta[d1:], float(-f), bool(res.success), int(res.nit)
 
 
-def fit_lfdr_em(
-    pvals,
-    covars=None,
-    eps1: float = 0.1,
-    eps2: float = 1e-5,
-) -> LfdrModel:
+def fit_lfdr_em(pvals, covars=None) -> LfdrModel:
     """Fit the two-group mixture by maximising its likelihood directly.
 
     A bounded L-BFGS-B ascent on the observed-data log-likelihood runs from
@@ -258,8 +254,6 @@ def fit_lfdr_em(
     pvals, covars : array_like
         P-values in [0, 1] (zeros are clamped to 1e-15) and an optional
         (n, d) covariate matrix.
-    eps1, eps2 : float
-        Winsorization of the fitted ``pi`` into [eps1, 1 - eps2].
 
     Returns
     -------
@@ -289,8 +283,6 @@ def fit_lfdr_em(
     return LfdrModel(
         beta_pi=beta_pi,
         beta_kappa=beta_kappa,
-        eps1=eps1,
-        eps2=eps2,
         loglik=ll,
         converged=success,
         n_iter=nit,

@@ -245,12 +245,13 @@ class LooThresholds:
     ``min(p, 1 - p)`` sorted once, with two results of its step-up scan:
     the last unshifted feasible rank and ``M``.  Per-hypothesis quantities
     are computed only for the hypotheses whose weight is asked for: the
-    step-up threshold ``t_bh_loo[i]`` from i's rank in the sorted view, and
-    i's position in the mirror-count grid, whose scores are the censored
-    ones below 1/2, by a binary search of the grid.  The properties :attr:`t_bh_loo` and :attr:`_pos` compute both
-    for every hypothesis.  The censored mirror-count thresholds
-    ``t_bc_loo`` of the module docstring are not stored: the weights read
-    their zeroed counterparts off ``_scan`` at the grid position.
+    step-up threshold ``t_bh_loo[i]`` from i's rank in the sorted view
+    (:func:`_bh_loo`), and i's position in the mirror-count grid, whose
+    scores are the censored ones below 1/2, by a binary search of the grid.
+    Neither is stored for every hypothesis.  The censored mirror-count
+    thresholds ``t_bc_loo`` of the module docstring are not stored either:
+    the weights read their zeroed counterparts off ``_scan`` at the grid
+    position.
     """
 
     pvals: np.ndarray
@@ -259,24 +260,14 @@ class LooThresholds:
     alpha_bc: float
     # M = max_j t_bh_loo[j]
     t_bh_max: float
-    # base mirror scan: T_bc with its mirror count, the candidate grid,
-    # counts, both criteria and the relaxed plateau that every
-    # leave-one-out lookup reads
+    # base mirror scan: T_bc with its mirror count, the candidate grid and
+    # counts, the last indices of both criteria and the relaxed plateau
+    # that every leave-one-out lookup reads
     _scan: _MirrorScan
     # the censored vector min(p, 1 - p) in ascending order, and the last
     # rank k with s_k <= (k + 1) alpha_bh / n (-1 when none)
     _sorted: np.ndarray
     _ok_last: int
-
-    @property
-    def t_bh_loo(self) -> np.ndarray:
-        """Step-up threshold of the censored vector with entry i zeroed, for all i."""
-        return _bh_loo(self, np.minimum(self.pvals, self.mirror))
-
-    @property
-    def _pos(self) -> np.ndarray:
-        """Grid position of each censored score, #{k : cands[k] < min(p_i, 1 - p_i)}."""
-        return self._scan.grid.cands.searchsorted(np.minimum(self.pvals, self.mirror), "left")
 
 
 def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresholds:
@@ -359,7 +350,7 @@ def _bh_weight(loo: LooThresholds, at: np.ndarray) -> np.ndarray:
             top >= 0
             and cands[top] == scan.mstar
             and n_mir[top] / (n_rej[top] + 2.0) <= a
-            and scan.relaxed[top]
+            and n_mir[top] / (n_rej[top] + 1.0) <= a
             and (n_mir[top] - 1.0) / (n_rej[top] + 2.0) <= a
         ):
             raise InvariantError("zeroing must not shrink the relaxed plateau")

@@ -16,11 +16,16 @@ makes the e-value step-up selector reproduce it exactly, and two e-value
 vectors from different statistic families combine by a fixed convex mix
 before a single selection pass.
 
-The candidates and the ratio at each depend on the statistics alone; the
-level only picks the first feasible candidate.  So the ratio is counted
-once per statistic vector (a level-free stage of ``procedures._Memo``) and
-selections at several levels read it: the public functions take the memo
-of a family's statistics in place of the statistics themselves.
+Selection is a mirror-count scan (``procedures._run_scan``), the one that
+BC runs on p-values: rejection scores ``-W_j``, mirror scores ``W_j`` and
+the grid capped below 0, so the candidates are the ``-|W_j|`` of the nonzero
+``W_j``.  At a candidate ``s`` the scan counts ``#{W_j >= -s}`` rejections
+and ``#{W_j <= s}`` mirrors; its last feasible candidate ``s*`` gives
+``T = -s*``.  The grid depends on the statistics alone and is built once
+per statistic vector from one sort (a level-free stage of
+``procedures._Memo``); selections at several levels read their criterion
+off it, so the public functions take the memo of a family's statistics in
+place of the statistics themselves.
 """
 
 from __future__ import annotations
@@ -28,7 +33,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .procedures import ThresholdResult, _as_vector, _check_alpha, _ebh_select, _Memo, _to_evalues
+from .procedures import (
+    ThresholdResult,
+    _as_vector,
+    _check_alpha,
+    _ebh_select,
+    _Memo,
+    _run_scan,
+    _sorted,
+    _sorted_grid,
+    _to_evalues,
+)
 
 __all__ = ["knockoff_threshold", "knockoff_evalues", "combine_and_select"]
 
@@ -38,17 +53,13 @@ def as_stats(values) -> np.ndarray:
     return _as_vector(values, "statistics")
 
 
-def _sign_counts(memo: _Memo):
-    """Level-free stage: the candidate magnitudes ``t`` (the distinct
-    nonzero ``|W_j|``, ascending), ``#{W_j <= -t}`` and the sign-imbalance
-    ratio ``(1 + #{W_j <= -t}) / max(1, #{W_j >= t})``."""
-    w = memo.data
-    cands = np.unique(np.abs(w))
-    cands = cands[cands > 0.0]
-    ws = np.sort(w)
-    neg = np.searchsorted(ws, -cands, side="right")
-    pos = w.size - np.searchsorted(ws, cands, side="left")
-    return cands, neg, (1.0 + neg) / np.maximum(pos, 1)
+def _knockoff_grid(memo: _Memo):
+    """Level-free stage: the mirror grid of rejection scores ``-W`` and
+    mirror scores ``W`` below 0.  Negation is exact, so the ascending
+    statistics, negated and read backwards, are the ascending rejection
+    scores."""
+    s = memo(_sorted)
+    return _sorted_grid((-s)[::-1], s, 0.0, False)
 
 
 def knockoff_threshold(stats, alpha: float) -> ThresholdResult:
@@ -59,14 +70,9 @@ def knockoff_threshold(stats, alpha: float) -> ThresholdResult:
     """
     memo = _Memo.of(stats, check=as_stats)
     _check_alpha(alpha)
-    cands, neg, ratio = memo(_sign_counts)
-    feas = ratio <= alpha
-    if not feas.any():
-        return ThresholdResult(None, 0.0, np.empty(0, dtype=np.intp), False)
-    k = int(np.nonzero(feas)[0][0])
-    t = float(cands[k])
-    rejected = np.nonzero(memo.data >= t)[0]
-    return ThresholdResult(t, 1.0 + float(neg[k]), rejected, True)
+    scan = _run_scan(-memo.data, memo(_knockoff_grid), alpha)
+    threshold = None if scan.threshold is None else -scan.threshold
+    return ThresholdResult(threshold, scan.m_at_T, np.nonzero(scan.rejected_mask)[0], scan.feasible)
 
 
 def knockoff_evalues(stats, alpha: float) -> np.ndarray:

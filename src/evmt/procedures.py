@@ -201,12 +201,13 @@ class _Memo:
 
     ``memo(stage, *key)`` returns ``stage(memo, *key)`` and keeps it under
     ``(stage, *key)``.  Most stages are level-free, a function of the data
-    alone: the sorted p-values, a mirror scan's candidate grid with its
-    counts, the sign counts of knockoff statistics.  A procedure reads its
-    level criterion off them, so methods that run on the same data at
-    different levels share one build.  The rest are small results keyed by
-    stage and level (per-group thresholds and counts, per-fold ones also by
-    curves, rejection index sets); no level-dependent n-array is kept.
+    alone: the sorted data, a mirror scan's candidate grid with its counts
+    (of p-values for BC, of signed statistics for knockoffs).  A procedure
+    reads its level criterion off them, so methods that run on the same
+    data at different levels share one build.  The rest are small results
+    keyed by stage and level (per-group thresholds and counts, per-fold ones
+    also by curves, rejection index sets); no level-dependent n-array is
+    kept.
 
     ``data`` is the validated vector (p-values or signed statistics) and
     ``part`` its partition into groups or folds, if any.  The public
@@ -273,10 +274,10 @@ class _MirrorGrid:
 class _MirrorScan:
     """Internal result of one mirror-count threshold scan.
 
-    Keeps the level-free ``grid`` and both criteria over it at the scan's
-    level: ``feas`` is the count criterion ``(1 + A) / max(R, 1) <= alpha``
-    and ``relaxed`` the criterion ``A / (R + 1) <= alpha`` that holds after
-    one mirror move.
+    Keeps the level-free ``grid`` and where two criteria over it last hold
+    at the scan's level: the count criterion ``(1 + A) / max(R, 1) <=
+    alpha``, which gives the threshold, and the relaxed criterion
+    ``A / (R + 1) <= alpha`` that holds after one mirror move.
     """
 
     threshold: Optional[float]
@@ -284,16 +285,15 @@ class _MirrorScan:
     rejected_mask: np.ndarray
     feasible: bool
     grid: _MirrorGrid
-    feas: np.ndarray
-    relaxed: np.ndarray
-    # The relaxed plateau: the largest candidate where ``relaxed`` holds, the
-    # common leave-one-out threshold of every score that clears it, and
-    # loo_count = #{v <= mstar}, the number of hypotheses whose mirror score
-    # their own leave-one-out threshold reaches (None and 0 when empty).
+    # The relaxed plateau: the largest candidate where the relaxed criterion
+    # holds, the common leave-one-out threshold of every score that clears
+    # it, and loo_count = #{v <= mstar}, the number of hypotheses whose
+    # mirror score their own leave-one-out threshold reaches (None and 0
+    # when empty).
     mstar: Optional[float]
     loo_count: int
-    # grid indices of the last candidates where ``feas`` and ``relaxed``
-    # hold, that is of ``threshold`` and ``mstar`` (-1 when none)
+    # grid indices of the last candidates where the count and the relaxed
+    # criterion hold, that is of ``threshold`` and ``mstar`` (-1 when none)
     k_feas: int
     k_relaxed: int
 
@@ -390,22 +390,19 @@ def _run_scan(u, grid: _MirrorGrid, alpha) -> _MirrorScan:
     ``alpha``, the threshold and the relaxed plateau.  ``u`` holds the
     rejection scores of every hypothesis."""
     cands, n_rej, n_mir = grid.cands, grid.n_rej, grid.n_mir
-    feas = (1.0 + n_mir) / np.maximum(n_rej, 1) <= alpha
-    relaxed = n_mir / (n_rej + 1.0) <= alpha
-    k_feas = _last_true(feas)
+    k_feas = _last_true((1.0 + n_mir) / np.maximum(n_rej, 1) <= alpha)
     if k_feas >= 0:
         threshold, m_at, feasible = float(cands[k_feas]), 1.0 + float(n_mir[k_feas]), True
         rejected_mask = u <= threshold
     else:
         threshold, m_at, feasible = None, 0.0, False
         rejected_mask = np.zeros(u.size, dtype=bool)
-    k_relaxed = _last_true(relaxed)
+    k_relaxed = _last_true(n_mir / (n_rej + 1.0) <= alpha)
     mstar, loo_count = (
         (float(cands[k_relaxed]), int(n_mir[k_relaxed])) if k_relaxed >= 0 else (None, 0)
     )
     return _MirrorScan(
-        threshold, m_at, rejected_mask, feasible, grid, feas, relaxed, mstar, loo_count,
-        k_feas, k_relaxed,
+        threshold, m_at, rejected_mask, feasible, grid, mstar, loo_count, k_feas, k_relaxed
     )
 
 

@@ -10,12 +10,12 @@ The methods of one replicate share one memo (``procedures._Memo``).  It
 validates the p-values and the partition once, and holds the level-free
 scans every method reads its level criterion off: the sorted p-values and
 the BC grid for BH, Storey, BC and both hybrid blends, the per-group scans
-for the grouped methods, the sign counts of each knockoff family for
-``KO_1``, ``KO_2`` and ``KO_Hybrid``.  The runners call the public
-functions, which take the memo in place of the data.  Methods that share a
-runner needing no randomness (``BC`` and ``BC_Com``; ``eBH_Ada`` and
-``fast_eBH_Ada`` on an instance without groups) share one run of it.  The
-memo goes with the replicate.
+for the grouped methods, the sorted statistics and mirror grid of each
+knockoff family for ``KO_1``, ``KO_2`` and ``KO_Hybrid``.  The runners call
+the public functions, which take the memo in place of the data.  Methods
+that share a runner needing no randomness (``BC`` and ``BC_Com``;
+``eBH_Ada`` and ``fast_eBH_Ada`` on an instance without groups) share one
+run of it.  The memo goes with the replicate.
 
 Settings
 --------

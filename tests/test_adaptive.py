@@ -96,7 +96,7 @@ def test_em_constant_covariate_still_finite():
     model = fit_lfdr_em(p, x)
     pi = model.pi(x)
     assert np.all(np.isfinite(pi))
-    assert np.all((pi >= model.eps1) & (pi <= 1.0 - model.eps2))
+    assert np.all((pi >= adaptive.EPS1) & (pi <= 1.0 - adaptive.EPS2))
 
 
 def test_em_is_deterministic():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from evmt import ConfigurationError, InvariantError, ebh_select, fdp_power
 from evmt.hybrid import (
     HybridConfig,
+    _bh_loo,
     _bh_weight,
     _hybrid_evalues,
     adaptive_weights,
@@ -26,6 +27,16 @@ from oracles import (
     brute_bh,
     random_pvalues,
 )
+
+
+def t_bh_loo(loo):
+    """Step-up threshold of the censored vector with entry i zeroed, for all i."""
+    return _bh_loo(loo, np.minimum(loo.pvals, loo.mirror))
+
+
+def grid_positions(loo):
+    """Grid position of each censored score, #{k : cands[k] < min(p_i, 1 - p_i)}."""
+    return loo._scan.grid.cands.searchsorted(np.minimum(loo.pvals, loo.mirror), "left")
 
 
 def brute_bh_plateau(values, alpha):
@@ -162,10 +173,11 @@ def test_bh_loo_vector_matches_brute_force():
         alpha = float(rng.uniform(0.02, 0.5))
         loo = compute_loo_thresholds(p, alpha, alpha)
         censored = np.minimum(p, 1.0 - p)
+        t = t_bh_loo(loo)
         for i in range(p.size):
             mod = censored.copy()
             mod[i] = 0.0
-            assert loo.t_bh_loo[i] == pytest.approx(brute_bh_plateau(mod, alpha))
+            assert t[i] == pytest.approx(brute_bh_plateau(mod, alpha))
 
 
 def test_bc_loo_vector_matches_brute_force():
@@ -206,11 +218,13 @@ def test_prop_loo_thresholds_equal_their_definitions(p, a_bh, a_bc):
     q = np.array(p)
     loo = compute_loo_thresholds(q, a_bh, a_bc)
     censored = np.minimum(q, 1.0 - q)
+    t = t_bh_loo(loo)
     for i in range(q.size):
         zeroed = censored.copy()
         zeroed[i] = 0.0
-        assert loo.t_bh_loo[i] == brute_bh_plateau(zeroed, a_bh)
-    assert np.array_equal(loo._pos, np.searchsorted(loo._scan.grid.cands, censored, side="left"))
+        assert t[i] == brute_bh_plateau(zeroed, a_bh)
+    cands = loo._scan.grid.cands
+    assert grid_positions(loo).tolist() == [int(np.sum(cands < c)) for c in censored]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +358,7 @@ def test_prop_blend_weights_are_the_adaptive_weights_on_the_bh_rejections(p, alp
     rejected = bh_evalues(q, cfg.alpha_bh) > 0
     assert w_bh.tobytes() == np.where(rejected, want_bh, 0.0).tobytes()
     assert w_bc.tobytes() == want_bc.tobytes()
-    assert loo.t_bh_max == loo.t_bh_loo.max()
+    assert loo.t_bh_max == t_bh_loo(loo).max()
     at = np.array(data.draw(st.lists(st.integers(0, q.size - 1), max_size=q.size)), dtype=np.intp)
     assert np.array_equal(_bh_weight(loo, at), want_bh[at])
     if q.size <= 12:

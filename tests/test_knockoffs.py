@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evmt import ConfigurationError, InputError, ebh_select, fdp_power
 from evmt.knockoffs import combine_and_select, knockoff_evalues, knockoff_threshold
@@ -54,6 +56,37 @@ def test_threshold_matches_brute_force():
             assert not res.feasible
         else:
             assert res.threshold == pytest.approx(want)
+
+
+# Statistics that tie, with both zeros among them: balanced signs, mostly
+# positive ones (where most selections are feasible) and vectors with no
+# positive entry; levels at which a count ratio can equal the level exactly.
+_TIED_NEGATIVE = [-3.0, -2.0, -1.0, -0.5, -0.0]
+_TIED_STATS = (
+    st.lists(st.sampled_from(_TIED_NEGATIVE + [0.0, 0.5, 1.0, 2.0, 3.0]), min_size=1, max_size=30)
+    | st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, 2.0, 3.0, 3.0]), min_size=1, max_size=30)
+    | st.lists(st.sampled_from(_TIED_NEGATIVE), min_size=1, max_size=10)
+)
+_LEVELS = st.sampled_from([1.0 / 3.0, 0.5, 0.25, 0.2, 0.1]) | st.floats(0.01, 0.99)
+
+
+@settings(max_examples=400, deadline=None)
+@given(w=_TIED_STATS, alpha=_LEVELS)
+def test_prop_threshold_and_evalues_equal_their_definitions(w, alpha):
+    res = knockoff_threshold(w, alpha)
+    e = knockoff_evalues(w, alpha)
+    t = brute_knockoff_threshold(w, alpha)
+    if t is None:
+        assert not res.feasible and res.threshold is None and res.m_at_T == 0.0
+        assert res.rejected.size == 0 and not e.any()
+        return
+    m = 1.0 + sum(1 for x in w if x <= -t)
+    rejected = [j for j, x in enumerate(w) if x >= t]
+    assert res.feasible and res.threshold == t and not np.signbit(res.threshold)
+    assert res.m_at_T == m
+    assert res.rejected.tolist() == rejected
+    want = [len(w) / m if j in rejected else 0.0 for j in range(len(w))]
+    assert e.tolist() == want
 
 
 def test_zero_statistics_are_not_candidates():

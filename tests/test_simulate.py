@@ -351,14 +351,15 @@ def _count_stage_builds(monkeypatch, stages):
         ("S1", SCORES, {"_sorted": 1, "_bc_grid": 1}),
         # BC_Com scans all of p, the grouped methods each group's share
         ("E1", GROUPED + ["eBH_Ave", "fast_eBH_Ada"], {"_sorted": 3, "_bc_grid": 3, "_group_scans": 1}),
-        ("KNOCK_SYNTH", ["KO_1", "KO_2", "KO_Hybrid"], {"_sign_counts": 2}),
+        # one sort and one mirror grid per knockoff family
+        ("KNOCK_SYNTH", ["KO_1", "KO_2", "KO_Hybrid"], {"_sorted": 2, "_knockoff_grid": 2}),
     ],
 )
 def test_each_level_free_stage_runs_once_per_replicate(monkeypatch, setting, methods, per_replicate):
     monkeypatch.delenv("EVMT_THREADS", raising=False)
     builds = _count_stage_builds(monkeypatch, [
         (procedures, "_sorted"), (procedures, "_bc_grid"),
-        (groups, "_group_scans"), (knockoffs, "_sign_counts"),
+        (groups, "_group_scans"), (knockoffs, "_knockoff_grid"),
     ])
     reps = 6
     run_campaign(SimulationConfig(setting=setting, replications=reps, seed=5), methods)

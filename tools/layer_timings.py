@@ -8,6 +8,12 @@ seed 3.  Each call gets the p-values, so it validates them and sorts them
 afresh.  The ``ebh_select`` row selects on the adaptive blend's e-values of
 the same instance, which are zero off the base rejections.
 
+The ``knockoff_threshold`` row selects one statistic family at the two
+levels of a KNOCK_SYNTH replicate, ``KO_ALPHAS``, on one memo: a KNOCK_SYNTH
+instance with p = n statistics and n / 20 planted ones, seed 3, family A.
+Each call wraps the statistics in a fresh memo, so it validates and sorts
+them and builds their mirror grid afresh.
+
 Times ``adaptive.structure_pipeline`` (cheap weights, two folds: the
 cross-fit, one fbc scan per fold and the weights) on one STRUCT instance
 per n = 10^3 ... 10^5, seed 3.  The ``structure_pipeline_no_covariates``
@@ -75,9 +81,11 @@ from evmt import adaptive, cli, simulate
 from evmt.adaptive import fit_lfdr_em, structure_pipeline
 from evmt.groups import GroupPartition, run_grouped_ebh
 from evmt.hybrid import HybridConfig, _hybrid_evalues, compute_loo_thresholds
+from evmt.knockoffs import as_stats, knockoff_threshold
 from evmt.procedures import (
     ProcedureSpec,
     _bc_scan,
+    _Memo,
     ebh_select,
     procedure_to_evalues,
     solve_threshold,
@@ -88,6 +96,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from campaigns import PLANS, config  # noqa: E402  the benchmark's campaign plans
 
 ALPHA = 0.1
+KO_ALPHAS = (0.2, 0.1)  # KNOCK_SYNTH's level and its KO_Hybrid family level
 NO_COVARIATE_SIZES = {"60": 60, "1e5": 10**5}
 BUDGET_S = 1.0
 EXPONENTS = range(3, 7)  # n = 10^3 ... 10^6
@@ -159,6 +168,19 @@ def sort_layers(out):
         e = _hybrid_evalues(p, adaptive_blend)[0]
         for name, fn in layers.items():
             out.setdefault(name, {})[f"1e{k}"] = round(best_of(lambda: fn(p, part, e)), 6)
+
+
+def knockoff_layer(out):
+    def select(w):
+        memo = _Memo.of(w, check=as_stats)
+        for alpha in KO_ALPHAS:
+            knockoff_threshold(memo, alpha)
+
+    for k in EXPONENTS:
+        n = 10**k
+        config = SimulationConfig(setting="KNOCK_SYNTH", parameters={"p": n, "n_alt": n // 20}, seed=3)
+        w = generate(config, 0).stats_a
+        out.setdefault("knockoff_threshold", {})[f"1e{k}"] = round(best_of(lambda: select(w)), 6)
 
 
 def adaptive_layers(out):
@@ -249,6 +271,7 @@ def main():
     out = {}
     cold_start(out)
     sort_layers(out)
+    knockoff_layer(out)
     adaptive_layers(out)
     fit_layer(out)
     replicate_layer(out)
