@@ -115,7 +115,8 @@ class LfdrModel:
     """Fitted mixture parameters with logistic links.
 
     ``pi`` predictions are winsorized into [EPS1, 1 - EPS2]; ``kappa``
-    predictions are left untouched.
+    predictions are left untouched.  ``start`` names the start of
+    :func:`fit_lfdr_em` whose fit won, ``"default"`` or ``"edge"``.
     """
 
     beta_pi: np.ndarray
@@ -123,6 +124,7 @@ class LfdrModel:
     loglik: float = math.nan
     converged: bool = True
     n_iter: int = 0
+    start: str = "default"
 
     def pi(self, covars) -> np.ndarray:
         from scipy.special import expit
@@ -258,8 +260,9 @@ def fit_lfdr_em(pvals, covars=None) -> LfdrModel:
     Returns
     -------
     LfdrModel
-        Best-likelihood parameters; ``converged`` and ``n_iter`` are the
-        winning start's L-BFGS-B success flag and iteration count.
+        Best-likelihood parameters; ``converged``, ``n_iter`` and ``start``
+        are the winning start's L-BFGS-B success flag, its iteration count
+        and its name.  On equal log-likelihoods the default start wins.
     """
     p = np.maximum(as_pvalues(pvals), P_FLOOR)
     ell = -np.log(p)
@@ -275,17 +278,19 @@ def fit_lfdr_em(pvals, covars=None) -> LfdrModel:
     from scipy.special import logit
 
     fits = []
-    for pi0, kappa0 in ((0.9, 0.5), (0.99, 0.01)):
+    for start, pi0, kappa0 in (("default", 0.9, 0.5), ("edge", 0.99, 0.01)):
         a0, b0 = np.zeros(d + 1), np.zeros(d + 1)
         a0[0], b0[0] = logit(pi0), logit(kappa0)
-        fits.append(_ascend(z, ell, a0, b0))
-    beta_pi, beta_kappa, ll, success, nit = max(fits, key=lambda fit: fit[2])
+        fits.append((*_ascend(z, ell, a0, b0), start))
+    # max keeps the first of equal fits, the default start's
+    beta_pi, beta_kappa, ll, success, nit, start = max(fits, key=lambda fit: fit[2])
     return LfdrModel(
         beta_pi=beta_pi,
         beta_kappa=beta_kappa,
         loglik=ll,
         converged=success,
         n_iter=nit,
+        start=start,
     )
 
 

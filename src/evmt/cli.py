@@ -45,11 +45,10 @@ from .knockoffs import _combined_evalues
 from .procedures import (
     ProcedureSpec,
     _check_alpha,
-    _group_fdp_power,
     _lookup,
+    _Truth,
     as_evalues,
     ebh_select,
-    fdp_power,
     procedure_to_evalues,
     solve_threshold,
 )
@@ -306,11 +305,9 @@ def _seed(args, given=None) -> int:
 def _metrics(summary, rejected, truth, partition=None):
     if truth is None:
         return
-    theta = truth.astype(int)
-    fdp, power = fdp_power(rejected, theta)
+    fdp, power, g_fdp, g_power = _Truth(truth, partition).score(rejected)
     summary["metrics"] = {"fdp": fdp, "power": power}
     if partition is not None:
-        g_fdp, g_power = _group_fdp_power(rejected, theta, partition.labels, partition.n_groups)
         names = partition.names or range(1, partition.n_groups + 1)
         summary["metrics"]["groups"] = [
             {"group": label, "fdp": f, "power": w}

@@ -57,11 +57,11 @@ from .procedures import (
     _check_alpha,
     _ebh_select,
     _fbc_scan,
-    _group_fdp_power,
     _lookup,
     _Memo,
+    _relaxed_plateau,
+    _Truth,
     as_pvalues,
-    fdp_power,
 )
 
 __all__ = [
@@ -91,7 +91,10 @@ class GroupPartition:
     names: Optional[tuple] = None
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.intp)
+        # a read-only view: a partition may be shared, as by the replicates
+        # of a campaign, and its other fields are derived from the codes
+        labels = np.asarray(self.labels, dtype=np.intp).view()
+        labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1 or labels.size == 0:
             raise ConfigurationError("partition labels must form a non-empty 1-d array")
@@ -102,6 +105,7 @@ class GroupPartition:
         counts = np.bincount(labels, minlength=self.n_groups)
         if np.any(counts == 0):
             raise ConfigurationError("every group must contain at least one hypothesis")
+        counts.flags.writeable = False
         object.__setattr__(self, "_sizes", counts)
         # the members of group l, ascending, are order[starts[l]:starts[l + 1]];
         # numpy's stable sort of codes that fit in 16 bits is a radix sort
@@ -154,7 +158,9 @@ def _check_thresholds(thresholds, part: GroupPartition) -> None:
 def _group_scans(memo: _Memo, curves, alpha: float):
     """Stage: each group's BC scan at level ``alpha`` (the fbc scan on the
     group's curves, when given), as a list of :class:`ThresholdResult` with
-    global indices and an array of the groups' relaxed-plateau counts."""
+    global indices, and an array of the groups' leave-one-out counts, each
+    the ``loo_count`` of :func:`procedures._relaxed_plateau` on the group's
+    grid."""
     p, part = memo.data, memo.part
     results = []
     counts = np.zeros(part.n_groups)
@@ -167,7 +173,7 @@ def _group_scans(memo: _Memo, curves, alpha: float):
         results.append(
             ThresholdResult(scan.threshold, scan.m_at_T, idx[scan.rejected_mask], scan.feasible)
         )
-        counts[l] = scan.loo_count
+        counts[l] = _relaxed_plateau(scan.grid, alpha)[2]
     return results, counts
 
 
@@ -296,8 +302,7 @@ def run_grouped_ebh(
 
     fdp = power = group_fdp = group_power = None
     if truth is not None:
-        fdp, power = fdp_power(rejected, truth)
-        group_fdp, group_power = _group_fdp_power(rejected, truth, part.labels, part.n_groups)
+        fdp, power, group_fdp, group_power = _Truth(truth, part).score(rejected)
     return GroupReport(
         alpha=alpha,
         scheme=scheme,

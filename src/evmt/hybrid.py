@@ -128,6 +128,7 @@ from .procedures import (
     _lookup,
     _Memo,
     _MirrorScan,
+    _relaxed_plateau,
     _to_evalues,
     as_pvalues,
     solve_threshold,
@@ -241,17 +242,18 @@ class LooThresholds:
     All mirror comparisons run on the stored mirror scores
     ``mirror = 1 - p`` (exact for p >= 0.5), so counts agree bit-for-bit
     with the threshold scans that produced them.  Besides the base mirror
-    scan of p, the weights read one ordered view, the censored vector
-    ``min(p, 1 - p)`` sorted once, with two results of its step-up scan:
-    the last unshifted feasible rank and ``M``.  Per-hypothesis quantities
-    are computed only for the hypotheses whose weight is asked for: the
-    step-up threshold ``t_bh_loo[i]`` from i's rank in the sorted view
-    (:func:`_bh_loo`), and i's position in the mirror-count grid, whose
-    scores are the censored ones below 1/2, by a binary search of the grid.
-    Neither is stored for every hypothesis.  The censored mirror-count
-    thresholds ``t_bc_loo`` of the module docstring are not stored either:
-    the weights read their zeroed counterparts off ``_scan`` at the grid
-    position.
+    scan of p and its relaxed plateau (:func:`procedures._relaxed_plateau`,
+    computed here because the weights read it), the weights read one
+    ordered view, the censored vector ``min(p, 1 - p)`` sorted once, with
+    two results of its step-up scan: the last unshifted feasible rank and
+    ``M``.  Per-hypothesis quantities are computed only for the hypotheses
+    whose weight is asked for: the step-up threshold ``t_bh_loo[i]`` from
+    i's rank in the sorted view (:func:`_bh_loo`), and i's position in the
+    mirror-count grid, whose scores are the censored ones below 1/2, by a
+    binary search of the grid.  Neither is stored for every hypothesis.
+    The censored mirror-count thresholds ``t_bc_loo`` of the module
+    docstring are not stored either: the weights read their zeroed
+    counterparts off ``_scan`` at the grid position.
     """
 
     pvals: np.ndarray
@@ -261,9 +263,12 @@ class LooThresholds:
     # M = max_j t_bh_loo[j]
     t_bh_max: float
     # base mirror scan: T_bc with its mirror count, the candidate grid and
-    # counts, the last indices of both criteria and the relaxed plateau
-    # that every leave-one-out lookup reads
+    # counts, and the last index of the count criterion
     _scan: _MirrorScan
+    # the relaxed plateau of that scan, its grid index (-1 when none) and
+    # candidate (None when none), which every leave-one-out lookup reads
+    _k_relaxed: int
+    _mstar: Optional[float]
     # the censored vector min(p, 1 - p) in ascending order, and the last
     # rank k with s_k <= (k + 1) alpha_bh / n (-1 when none)
     _sorted: np.ndarray
@@ -280,6 +285,7 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
     # the mirror scan first, so that the transient arrays of a first build
     # of its grid do not add to the n-length arrays below
     scan = _bc_scan(memo, alpha_bc)
+    k_relaxed, mstar, _ = _relaxed_plateau(scan.grid, alpha_bc)
     mirror = 1.0 - p
     s = np.sort(np.minimum(p, mirror))
     thresh = np.arange(1, n + 1) * alpha_bh / n
@@ -294,6 +300,8 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
         alpha_bc=alpha_bc,
         t_bh_max=(1 + max(ok_last, shifted_last)) * alpha_bh / n,
         _scan=scan,
+        _k_relaxed=k_relaxed,
+        _mstar=mstar,
         _sorted=s,
         _ok_last=ok_last,
     )
@@ -341,14 +349,14 @@ def _bh_weight(loo: LooThresholds, at: np.ndarray) -> np.ndarray:
     scan = loo._scan
     cands, n_rej, n_mir = scan.grid.cands, scan.grid.n_rej, scan.grid.n_mir
     a = loo.alpha_bc
-    if scan.mstar is not None:
+    top = loo._k_relaxed
+    if loo._mstar is not None:
         # Zeroing p_i must not shrink the relaxed plateau.  When all three
         # masks of the zeroed plateau hold at the base plateau's index k*,
         # k_i >= k* for every i, wherever p~_i falls.
-        top = scan.k_relaxed
         if not (
             top >= 0
-            and cands[top] == scan.mstar
+            and cands[top] == loo._mstar
             and n_mir[top] / (n_rej[top] + 2.0) <= a
             and n_mir[top] / (n_rej[top] + 1.0) <= a
             and (n_mir[top] - 1.0) / (n_rej[top] + 2.0) <= a
@@ -372,9 +380,9 @@ def _bh_weight(loo: LooThresholds, at: np.ndarray) -> np.ndarray:
     def count(k):
         return np.where(k >= 0, n_mir[k] - (mirror <= cands[k]), 0)
 
-    k0 = zeroed((1.0 + m) / (r + 1.0) <= a, scan.k_feas, scan.k_relaxed)
+    k0 = zeroed((1.0 + m) / (r + 1.0) <= a, scan.k_feas, top)
     b = np.where(k0 >= 0, 1.0 + count(k0), 0.0)
-    k = zeroed(m / (r + 2.0) <= a, scan.k_relaxed, k_big)
+    k = zeroed(m / (r + 2.0) <= a, top, k_big)
     c = np.maximum(count(k), b)
     return 1.0 - _phi(c, loo.pvals.size * _bh_loo(loo, censored))
 
@@ -407,8 +415,11 @@ def _hybrid_evalues(pvals, config: HybridConfig):
         e_bc = np.zeros(n)
         if scan.feasible:
             e_bc[scan.rejected_mask] = n / scan.m_at_T
-        # a weight multiplying a zero e-value never matters; report it as 0
+        # a weight multiplying a zero e-value never matters; report it as 0.
+        # The BH rejections go in ascending p order, so that the binary
+        # searches of _bh_weight run over ascending keys; w_bh scatters by index.
         at = np.flatnonzero(e_bh > 0)
+        at = at[memo.data[at].argsort(kind="stable")]
         w_bh = np.zeros(n)
         w_bh[at] = _bh_weight(loo, at)
         w_bc = _bc_weight(loo)

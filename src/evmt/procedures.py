@@ -274,10 +274,11 @@ class _MirrorGrid:
 class _MirrorScan:
     """Internal result of one mirror-count threshold scan.
 
-    Keeps the level-free ``grid`` and where two criteria over it last hold
-    at the scan's level: the count criterion ``(1 + A) / max(R, 1) <=
-    alpha``, which gives the threshold, and the relaxed criterion
-    ``A / (R + 1) <= alpha`` that holds after one mirror move.
+    Keeps the level-free ``grid`` and where the count criterion ``(1 + A)
+    / max(R, 1) <= alpha`` last holds on it at the scan's level: the
+    threshold, its grid index ``k_feas`` (-1 when none) and the rejections.
+    The relaxed plateau over the same grid is :func:`_relaxed_plateau`,
+    which only its readers compute.
     """
 
     threshold: Optional[float]
@@ -285,17 +286,7 @@ class _MirrorScan:
     rejected_mask: np.ndarray
     feasible: bool
     grid: _MirrorGrid
-    # The relaxed plateau: the largest candidate where the relaxed criterion
-    # holds, the common leave-one-out threshold of every score that clears
-    # it, and loo_count = #{v <= mstar}, the number of hypotheses whose
-    # mirror score their own leave-one-out threshold reaches (None and 0
-    # when empty).
-    mstar: Optional[float]
-    loo_count: int
-    # grid indices of the last candidates where the count and the relaxed
-    # criterion hold, that is of ``threshold`` and ``mstar`` (-1 when none)
     k_feas: int
-    k_relaxed: int
 
 
 def _last_at_or_before(mask: np.ndarray, pos) -> np.ndarray:
@@ -386,9 +377,9 @@ def _sorted_grid(su, sv, t_max, inclusive) -> _MirrorGrid:
 
 
 def _run_scan(u, grid: _MirrorGrid, alpha) -> _MirrorScan:
-    """Level criterion of a mirror scan: both criteria over ``grid`` at
-    ``alpha``, the threshold and the relaxed plateau.  ``u`` holds the
-    rejection scores of every hypothesis."""
+    """Level criterion of a mirror scan: the count criterion over ``grid``
+    at ``alpha``, which gives the threshold.  ``u`` holds the rejection
+    scores of every hypothesis."""
     cands, n_rej, n_mir = grid.cands, grid.n_rej, grid.n_mir
     k_feas = _last_true((1.0 + n_mir) / np.maximum(n_rej, 1) <= alpha)
     if k_feas >= 0:
@@ -397,13 +388,22 @@ def _run_scan(u, grid: _MirrorGrid, alpha) -> _MirrorScan:
     else:
         threshold, m_at, feasible = None, 0.0, False
         rejected_mask = np.zeros(u.size, dtype=bool)
-    k_relaxed = _last_true(n_mir / (n_rej + 1.0) <= alpha)
-    mstar, loo_count = (
-        (float(cands[k_relaxed]), int(n_mir[k_relaxed])) if k_relaxed >= 0 else (None, 0)
-    )
-    return _MirrorScan(
-        threshold, m_at, rejected_mask, feasible, grid, mstar, loo_count, k_feas, k_relaxed
-    )
+    return _MirrorScan(threshold, m_at, rejected_mask, feasible, grid, k_feas)
+
+
+def _relaxed_plateau(grid: _MirrorGrid, alpha):
+    """The relaxed plateau of a mirror scan at ``alpha``: the last grid index
+    ``k_relaxed`` where the relaxed criterion ``A / (R + 1) <= alpha``
+    holds, which is the criterion after one mirror move, its candidate
+    ``mstar``, the common leave-one-out threshold of every score that clears
+    it, and ``loo_count = #{v <= mstar}``, the number of hypotheses whose
+    mirror score their own leave-one-out threshold reaches.  Returns
+    ``(k_relaxed, mstar, loo_count)``, which is ``(-1, None, 0)`` when the
+    criterion holds nowhere."""
+    k = _last_true(grid.n_mir / (grid.n_rej + 1.0) <= alpha)
+    if k < 0:
+        return -1, None, 0
+    return k, float(grid.cands[k]), int(grid.n_mir[k])
 
 
 def _stepup_scan(memo: _Memo, alpha: float, scale: float) -> ThresholdResult:
@@ -542,29 +542,47 @@ def fdp_power(rejected, truth) -> tuple[float, float]:
         ``#false rejections / max(1, #rejections)`` and
         ``#true rejections / max(1, #non-nulls)``.
     """
-    theta = np.asarray(truth)
-    if theta.ndim != 1:
-        raise InputError("truth must be a 1-d indicator vector")
+    prepared = _Truth(truth)
     rej = np.asarray(rejected, dtype=np.intp)
-    if rej.size and (rej.min() < 0 or rej.max() >= theta.size):
+    if rej.size and (rej.min() < 0 or rej.max() >= prepared.mask.size):
         raise InputError("rejected indices out of range for truth vector")
-    n_rej = rej.size
-    n_true = int(np.count_nonzero(theta[rej])) if n_rej else 0
-    fdp = (n_rej - n_true) / max(1, n_rej)
-    power = n_true / max(1, int(np.count_nonzero(theta)))
-    return float(fdp), float(power)
+    return prepared.score(rej)[:2]
 
 
-def _group_fdp_power(rejected, truth, labels, n_groups):
-    """Per-group FDP and power: entry l is :func:`fdp_power` within group l.
+class _Truth:
+    """Ground truth prepared once for scoring any number of rejection sets:
+    the non-null mask and count and, with a partition, each group's
+    non-null count.  :meth:`score` is the one FDP/power kernel, for
+    :func:`fdp_power`, the grouped report, the CLI metrics and each
+    campaign replicate."""
 
-    ``labels`` holds each hypothesis's group code in 0..n_groups-1.  Returns
-    two float arrays of length ``n_groups``.
-    """
-    theta = np.asarray(truth) != 0
-    hit = np.zeros(theta.size, dtype=bool)
-    hit[np.asarray(rejected, dtype=np.intp)] = True
-    n_rej = np.bincount(labels[hit], minlength=n_groups)
-    n_true = np.bincount(labels[hit & theta], minlength=n_groups)
-    n_alt = np.bincount(labels[theta], minlength=n_groups)
-    return (n_rej - n_true) / np.maximum(n_rej, 1), n_true / np.maximum(n_alt, 1)
+    __slots__ = ("mask", "n_alt", "labels", "n_groups", "group_alt")
+
+    def __init__(self, truth, part=None):
+        theta = np.asarray(truth)
+        if theta.ndim != 1:
+            raise InputError("truth must be a 1-d indicator vector")
+        self.mask = theta != 0
+        self.n_alt = int(np.count_nonzero(self.mask))
+        self.labels = self.n_groups = self.group_alt = None
+        if part is not None:
+            if part.n != theta.size:
+                raise InputError(f"partition covers {part.n} hypotheses, got {theta.size} truth values")
+            self.labels, self.n_groups = part.labels, part.n_groups
+            self.group_alt = np.bincount(self.labels[self.mask], minlength=self.n_groups)
+
+    def score(self, rejected: np.ndarray):
+        """``(fdp, power, group_fdp, group_power)`` of the 0-based indices
+        ``rejected``, each FDP ``#false / max(1, #rejections)`` and each power
+        ``#true / max(1, #non-nulls)``; the per-group arrays are None without
+        a partition."""
+        hits = self.mask[rejected]
+        n_rej = hits.size
+        n_true = int(np.count_nonzero(hits))
+        fdp, power = (n_rej - n_true) / max(1, n_rej), n_true / max(1, self.n_alt)
+        if self.labels is None:
+            return fdp, power, None, None
+        at = self.labels[rejected]
+        g_rej = np.bincount(at, minlength=self.n_groups)
+        g_true = np.bincount(at[hits], minlength=self.n_groups)
+        return fdp, power, (g_rej - g_true) / np.maximum(g_rej, 1), g_true / np.maximum(self.group_alt, 1)

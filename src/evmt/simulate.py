@@ -15,7 +15,9 @@ knockoff family for ``KO_1``, ``KO_2`` and ``KO_Hybrid``.  The runners call
 the public functions, which take the memo in place of the data.  Methods
 that share a runner needing no randomness (``BC`` and ``BC_Com``;
 ``eBH_Ada`` and ``fast_eBH_Ada`` on an instance without groups) share one
-run of it.  The memo goes with the replicate.
+run of it.  The memo goes with the replicate.  The replicate's truth is
+prepared once (``procedures._Truth``), and every method's FDP and power are
+read from it; the replicates of a grouped setting share one partition.
 
 Settings
 --------
@@ -32,6 +34,7 @@ Settings
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 import numbers
@@ -47,9 +50,7 @@ from .errors import ConfigurationError, InputError
 from .groups import GroupPartition, groupwise_bc_thresholds, run_grouped_ebh
 from .hybrid import HybridConfig, run_hybrid
 from .knockoffs import as_stats, combine_and_select, knockoff_threshold
-from .procedures import (
-    ProcedureSpec, _check_alpha, _group_fdp_power, _Memo, as_pvalues, fdp_power, solve_threshold,
-)
+from .procedures import ProcedureSpec, _check_alpha, _Memo, _Truth, as_pvalues, solve_threshold
 
 __all__ = [
     "SimulationConfig",
@@ -279,6 +280,20 @@ def _replicate_rng(seed: int, replicate: int, lane: int = 0) -> np.random.Genera
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, replicate, lane])))
 
 
+@functools.lru_cache(maxsize=16)
+def _blocks(sizes: tuple) -> GroupPartition:
+    """The partition into consecutive blocks of ``sizes``, built once per
+    tuple of sizes and shared by the replicates of a grouped setting (a
+    partition is immutable: its arrays are read-only)."""
+    return GroupPartition.from_sizes(sizes)
+
+
+# the two signs of KNOCK_SYNTH's null statistics: indexing this with
+# rng.integers(0, 2, size) draws what rng.choice(_SIGNS, size) draws, from
+# the same stream, without choice's checks
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
     """Draw one replicate; deterministic given (config, seed, index)."""
     rng = _replicate_rng(config.seed, replicate_index)
@@ -297,7 +312,7 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
         return SimInstance(
             pvals=np.concatenate(chunks),
             truth=np.concatenate([np.arange(n) < na for n, na in sizes]).astype(int),
-            partition=GroupPartition.from_sizes([n for n, _ in sizes]),
+            partition=_blocks(tuple(n for n, _ in sizes)),
         )
 
     if setting in ("S1", "S2"):
@@ -326,10 +341,10 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
 
     if setting == "KNOCK_SYNTH":
         p, na = int(params["p"]), int(params["n_alt"])
-        signs = rng.choice([-1.0, 1.0], size=p)
+        signs = _SIGNS[rng.integers(0, 2, size=p)]
         w_a = signs * np.abs(rng.normal(size=p))
         w_a[:na] = np.abs(rng.normal(params["mu"], 1.0, size=na))
-        w_b = rng.choice([-1.0, 1.0], size=p) * np.abs(rng.normal(size=p))
+        w_b = _SIGNS[rng.integers(0, 2, size=p)] * np.abs(rng.normal(size=p))
         truth = np.zeros(p, dtype=int)
         truth[:na] = 1
         return SimInstance(pvals=None, truth=truth, stats_a=w_a, stats_b=w_b)
@@ -337,7 +352,7 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
     # ALLNULL
     n = int(params["n"])
     sizes = params.get("group_sizes")
-    part = GroupPartition.from_sizes([int(s) for s in sizes]) if sizes else None
+    part = _blocks(tuple(int(s) for s in sizes)) if sizes else None
     covars = rng.normal(size=(n, int(params["d"]))) if params.get("d") else None
     return SimInstance(
         pvals=rng.uniform(size=n), truth=np.zeros(n, dtype=int),
@@ -464,14 +479,13 @@ def _run_methods(instance: SimInstance, alpha: float, methods, seed: int, replic
 
 def _replicate_metrics(config: SimulationConfig, replicate: int, methods) -> dict:
     instance = generate(config, replicate)
-    part = instance.partition
     rejections = _run_methods(instance, config.target_alpha, methods, config.seed, replicate)
+    truth = _Truth(instance.truth, instance.partition)
     out = {}
     for name, rejected in rejections.items():
-        fdp, power = fdp_power(rejected, instance.truth)
+        fdp, power, gf, gp = truth.score(rejected)
         record = {"fdp": fdp, "power": power}
-        if part is not None:
-            gf, gp = _group_fdp_power(rejected, instance.truth, part.labels, part.n_groups)
+        if gf is not None:
             record["group_fdp"] = gf.tolist()
             record["group_power"] = gp.tolist()
         out[name] = record

@@ -108,6 +108,17 @@ def brute_bc_loo_threshold(p, alpha, j):
     return brute_bc_threshold(q, alpha)
 
 
+def brute_loo_mirror_count(p, alpha):
+    """D* = #{j : p_j >= 1 - t_bc_loo[j]}: the hypotheses whose mirror their
+    own BC threshold with p_j censored to min(p_j, 1 - p_j) reaches."""
+    count = 0
+    for j, x in enumerate(p):
+        t = brute_bc_loo_threshold(list(p), alpha, j)
+        if t is not None and 1.0 - x <= t:
+            count += 1
+    return count
+
+
 def brute_bc_zeroed_loo_threshold(p, alpha, j, i):
     """BC threshold with p_i set to 0 and p_j mirrored (j != i)."""
     q = list(p)

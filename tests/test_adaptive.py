@@ -99,6 +99,29 @@ def test_em_constant_covariate_still_finite():
     assert np.all((pi >= adaptive.EPS1) & (pi <= 1.0 - adaptive.EPS2))
 
 
+@pytest.mark.parametrize("seed, winner, loser", [(12, "default", "edge"), (13, "edge", "default")])
+def test_fit_records_the_start_that_won(monkeypatch, seed, winner, loser):
+    # 60 uniform p-values and one noise covariate: the two starts end more
+    # than 1 apart in log-likelihood, once each way
+    rng = np.random.default_rng(seed)
+    p, x = rng.uniform(size=60), rng.normal(size=(60, 1))
+    ends = []
+    ascend = adaptive._ascend
+    monkeypatch.setattr(adaptive, "_ascend", lambda *a: ends.append(ascend(*a)) or ends[-1])
+    model = fit_lfdr_em(p, x)
+    by_start = dict(zip(("default", "edge"), (fit[2] for fit in ends)))
+    assert model.start == winner
+    assert model.loglik == by_start[winner] > by_start[loser] + 1.0
+
+
+def test_fit_gives_a_tie_to_the_default_start(monkeypatch):
+    # two equally good ends: max keeps the first, the default start's
+    monkeypatch.setattr(adaptive, "_ascend", lambda z, ell, a0, b0: (a0, b0, 0.0, True, 1))
+    model = fit_lfdr_em(np.linspace(0.01, 0.99, 20))
+    assert model.start == "default"
+    assert model.beta_pi[0] == pytest.approx(np.log(0.9 / 0.1))
+
+
 def test_em_is_deterministic():
     rng = np.random.default_rng(61)
     p, x = sample_working_model(rng, 2000, np.array([1.0, 0.5]), np.array([0.3, -0.4]))

@@ -11,7 +11,7 @@ from evmt.groups import (
     groupwise_bc_thresholds,
     run_grouped_ebh,
 )
-from evmt.procedures import _bc_scan
+from evmt.procedures import _bc_scan, _relaxed_plateau
 
 from oracles import brute_bc_loo_threshold, brute_bc_threshold, random_pvalues
 
@@ -137,7 +137,7 @@ def test_loo_exceed_count_equals_per_index_brute_force():
             t_j = brute_bc_loo_threshold(list(q), alpha, j)
             if t_j is not None and 1.0 - q[j] <= t_j:
                 want += 1
-        assert _bc_scan(q, alpha).loo_count == want
+        assert _relaxed_plateau(_bc_scan(q, alpha).grid, alpha)[2] == want
 
 
 def test_prop_loo_threshold_identity_probes():

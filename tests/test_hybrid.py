@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from evmt.hybrid import (
     fast_adaptive_weights,
     run_hybrid,
 )
+from evmt.procedures import _relaxed_plateau
 
 from oracles import (
     EDGE,
@@ -25,6 +29,7 @@ from oracles import (
     brute_bc_threshold,
     brute_bc_zeroed_loo_threshold,
     brute_bh,
+    brute_loo_mirror_count,
     random_pvalues,
 )
 
@@ -65,16 +70,6 @@ def brute_own_mirror_bound(p, alpha_bc, i):
     if t0 is None:
         return 0
     return 1 + sum(1 for j, x in enumerate(p) if j != i and 1.0 - x <= t0)
-
-
-def brute_loo_mirror_count(p, alpha_bc):
-    """D* = #{j : p_j >= 1 - t_bc_loo[j]}."""
-    count = 0
-    for j, x in enumerate(p):
-        t = brute_bc_loo_threshold(list(p), alpha_bc, j)
-        if t is not None and 1.0 - x <= t:
-            count += 1
-    return count
 
 
 def brute_adaptive_weights(p, alpha_bh, alpha_bc):
@@ -182,13 +177,16 @@ def test_bh_loo_vector_matches_brute_force():
 
 def test_bc_loo_vector_matches_brute_force():
     # D* = #{j : p_j >= 1 - t_bc_loo[j]} is the mirror count at the relaxed
-    # plateau of the scan the leave-one-out thresholds hold
+    # plateau of the scan the leave-one-out thresholds hold, whose index and
+    # candidate they keep
     rng = np.random.default_rng(5)
     for _ in range(120):
         p = random_pvalues(rng, int(rng.integers(2, 35)))
         alpha = float(rng.uniform(0.05, 0.6))
         loo = compute_loo_thresholds(p, alpha, alpha)
-        assert loo._scan.loo_count == brute_loo_mirror_count(list(p), alpha)
+        k, mstar, count = _relaxed_plateau(loo._scan.grid, alpha)
+        assert (loo._k_relaxed, loo._mstar) == (k, mstar)
+        assert count == brute_loo_mirror_count(list(p), alpha)
 
 
 def test_bc_loo2_monotone_and_exact():
@@ -315,11 +313,34 @@ def test_invariant_checks_survive_optimisation():
     # the guard is an explicit check, not an assert that python -O strips
     p = np.array([0.001, 0.002, 0.003, 0.004, 0.9, 0.95])
     loo = compute_loo_thresholds(p, 0.4, 0.4)
-    assert loo._scan.mstar is not None
+    assert loo._mstar is not None
     # a base plateau beyond the grid: every zeroed plateau seems to shrink it
-    grown = replace(loo, _scan=replace(loo._scan, mstar=float(loo._scan.grid.cands[-1]) + 1.0))
+    grown = replace(loo, _mstar=float(loo._scan.grid.cands[-1]) + 1.0)
     with pytest.raises(InvariantError):
         adaptive_weights(p, grown)
+    # under -O it still fires for each corrupt plateau, for every single
+    # hypothesis and for none
+    code = (
+        "from dataclasses import replace\n"
+        "import numpy as np\n"
+        "from evmt import InvariantError\n"
+        "from evmt.hybrid import _bh_weight, compute_loo_thresholds\n"
+        "p = np.array([0.001, 0.002, 0.003, 0.004, 0.9, 0.95])\n"
+        "loo = compute_loo_thresholds(p, 0.4, 0.4)\n"
+        "cands, k = loo._scan.grid.cands, loo._k_relaxed\n"
+        "fired = 0\n"
+        "for mstar in (float(cands[-1]) + 1.0, float(cands[k - 1])):\n"
+        "    for at in [[i] for i in range(p.size)] + [[]]:\n"
+        "        try:\n"
+        "            _bh_weight(replace(loo, _mstar=mstar), np.array(at, dtype=np.intp))\n"
+        "        except InvariantError:\n"
+        "            fired += 1\n"
+        "raise SystemExit(0 if fired == 2 * (p.size + 1) else 1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert run.returncode == 0
 
 
 def test_invariant_guard_fires_for_one_hypothesis():
@@ -327,10 +348,10 @@ def test_invariant_guard_fires_for_one_hypothesis():
     # one or none, the weights are asked for
     p = np.array([0.001, 0.002, 0.003, 0.004, 0.9, 0.95])
     loo = compute_loo_thresholds(p, 0.4, 0.4)
-    cands, k = loo._scan.grid.cands, loo._scan.k_relaxed
+    cands, k = loo._scan.grid.cands, loo._k_relaxed
     assert k >= 1
     for mstar in (float(cands[-1]) + 1.0, float(cands[k - 1])):
-        corrupt = replace(loo, _scan=replace(loo._scan, mstar=mstar))
+        corrupt = replace(loo, _mstar=mstar)
         for at in [[i] for i in range(p.size)] + [[]]:
             with pytest.raises(InvariantError, match="relaxed plateau"):
                 _bh_weight(corrupt, np.array(at, dtype=np.intp))

@@ -2,6 +2,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,17 @@ from evmt import (
     solve_threshold,
     storey_pi0,
 )
-from evmt.procedures import _bc_scan, _group_fdp_power, _mirror_scan
+from evmt.groups import GroupPartition, _group_scans
+from evmt.knockoffs import _knockoff_grid
+from evmt.procedures import (
+    _bc_grid,
+    _bc_scan,
+    _Memo,
+    _mirror_scan,
+    _relaxed_plateau,
+    _run_scan,
+    _Truth,
+)
 
 from oracles import (
     EDGE,
@@ -28,7 +39,10 @@ from oracles import (
     brute_bc_threshold,
     brute_bh,
     brute_ebh,
+    brute_fbc_loo_count,
     brute_fbc_threshold,
+    brute_knockoff_threshold,
+    brute_loo_mirror_count,
     brute_storey,
     random_pvalues,
 )
@@ -478,17 +492,142 @@ def test_permutation_equivariance(kind):
         )
 
 
+def labelled(labels, n_groups):
+    """The two fields of a partition that the FDP/power kernel reads, and its
+    size, for label sets with empty groups, which GroupPartition refuses."""
+    return SimpleNamespace(labels=labels, n_groups=n_groups, n=labels.size)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1), st.booleans()), min_size=1, max_size=40)
 )
 def test_prop_group_fdp_power_matches_per_group_loop(rows):
-    labels = np.array([r[0] for r in rows])
+    labels = np.array([r[0] for r in rows], dtype=np.intp)
     truth = np.array([r[1] for r in rows])
     rejected = np.array([i for i, r in enumerate(rows) if r[2]], dtype=np.intp)
     n_groups = int(labels.max()) + 2  # the last group is empty
-    fdp, power = _group_fdp_power(rejected, truth, labels, n_groups)
+    _, _, fdp, power = _Truth(truth, labelled(labels, n_groups)).score(rejected)
     for l in range(n_groups):
         idx = np.flatnonzero(labels == l)
         want = fdp_power(np.flatnonzero(np.isin(idx, rejected)), truth[idx])
         assert (fdp[l], power[l]) == want
+
+
+def brute_fdp_power(rejected, truth):
+    """FDP and power of a rejection set by counting hypothesis by hypothesis."""
+    false = sum(1 for i in rejected if truth[i] == 0)
+    true = sum(1 for i in rejected if truth[i] != 0)
+    alt = sum(1 for x in truth if x != 0)
+    return false / max(1, false + true), true / max(1, alt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 3), st.sampled_from([0, 1, 1.0, 0.0]), st.booleans()),
+        min_size=1, max_size=30,
+    ),
+    null=st.booleans(),
+    none=st.booleans(),
+)
+def test_prop_fdp_power_kernel_equals_a_brute_count(rows, null, none):
+    # every scorer (fdp_power, the grouped report, the CLI metrics, each
+    # campaign replicate) runs _Truth.score; here on random rejection sets,
+    # also empty ones and all-null truth, with no, one or several groups
+    labels = np.array([r[0] for r in rows], dtype=np.intp)
+    truth = np.array([0 if null else r[1] for r in rows])
+    rejected = np.array([] if none else [i for i, r in enumerate(rows) if r[2]], dtype=np.intp)
+    want = brute_fdp_power(rejected.tolist(), truth.tolist())
+    assert _Truth(truth).score(rejected) == (*want, None, None)
+    assert fdp_power(rejected, truth) == want
+    chosen = set(rejected.tolist())
+    for part in (labelled(np.zeros_like(labels), 1), labelled(labels, int(labels.max()) + 1)):
+        fdp, power, g_fdp, g_power = _Truth(truth, part).score(rejected)
+        assert (fdp, power) == want
+        for l in range(part.n_groups):
+            idx = np.flatnonzero(part.labels == l)
+            mine = [k for k, i in enumerate(idx) if i in chosen]
+            assert (g_fdp[l], g_power[l]) == brute_fdp_power(mine, truth[idx].tolist())
+
+
+def test_fdp_power_kernel_refuses_what_fdp_power_refuses():
+    with pytest.raises(InputError, match="truth must be a 1-d indicator vector"):
+        fdp_power([0], [[0, 1]])
+    with pytest.raises(InputError, match="rejected indices out of range for truth vector"):
+        fdp_power([-1], [0, 1])
+    with pytest.raises(InputError, match="partition covers 3 hypotheses, got 2 truth values"):
+        _Truth([0, 1], GroupPartition.from_sizes([1, 2]))
+
+
+# ---------------------------------------------------------------------------
+# the split mirror scan: count criterion and relaxed plateau
+
+_TIED_SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 0.01, 0.2, 0.3, 0.7, 0.8, 0.99])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.lists(_TIED_SCORES | st.floats(0.0, 1.0), min_size=1, max_size=30),
+    scale=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=30, max_size=30),
+    w=st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 3.0]) | st.floats(-3, 3),
+               min_size=1, max_size=30),
+    alpha=st.sampled_from([0.1, 0.2, 1 / 3, 0.5]) | st.floats(0.05, 0.7),
+)
+def test_prop_count_scan_and_relaxed_plateau_equal_their_definitions(p, scale, w, alpha):
+    def check(scan, grid, threshold, rejected, loo_count):
+        assert scan.grid is grid
+        assert scan.threshold == threshold and scan.feasible == (threshold is not None)
+        assert set(np.flatnonzero(scan.rejected_mask).tolist()) == rejected
+        k = scan.k_feas
+        assert (grid.cands[k] == scan.threshold) if k >= 0 else scan.threshold is None
+        k, mstar, count = _relaxed_plateau(grid, alpha)
+        assert (grid.cands[k] == mstar) if k >= 0 else mstar is None
+        assert count == loo_count
+
+    # BC grid
+    q = np.array(p)
+    grid = _Memo(q)(_bc_grid)
+    scan = _run_scan(q, grid, alpha)
+    check(scan, grid, brute_bc_threshold(p, alpha), brute_bc_rejections(p, alpha),
+          brute_loo_mirror_count(p, alpha))
+    if scan.feasible:
+        assert scan.m_at_T == 1 + sum(1 for x in p if 1.0 - x <= scan.threshold)
+
+    # fbc grid: linear curves phi_i(x) = s_i x, capped inclusively below min_i phi_i(0.5)
+    s = np.array(scale[: q.size])
+    u, v = s * q, s * (1.0 - q)
+    t_up = (1.0 - 1e-9) * float((s * 0.5).min())
+    scan = _mirror_scan(u, v, alpha, t_max=t_up, inclusive=True)
+    t = brute_fbc_threshold(u, v, alpha, t_up)
+    check(scan, scan.grid, t, set() if t is None else set(np.flatnonzero(u <= t).tolist()),
+          brute_fbc_loo_count(u, v, alpha, t_up))
+
+    # knockoff grid: rejection scores -W, mirror scores W, capped below 0
+    x = np.array(w)
+    grid = _Memo(x)(_knockoff_grid)
+    scan = _run_scan(-x, grid, alpha)
+    t = brute_knockoff_threshold(w, alpha)
+    neg = -5e-324  # the largest double below 0: an inclusive cap there excludes 0
+    check(scan, grid, None if t is None else -t,
+          set() if t is None else {j for j, y in enumerate(w) if y >= t},
+          brute_fbc_loo_count(-x, x, alpha, neg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 2), _TIED_SCORES | st.floats(0.0, 1.0)),
+                  min_size=1, max_size=30),
+    alpha=st.sampled_from([0.2, 1 / 3, 0.5]) | st.floats(0.05, 0.7),
+)
+def test_prop_group_scan_counts_equal_a_per_group_brute_count(rows, alpha):
+    labels = np.unique([r[0] for r in rows], return_inverse=True)[1]
+    part = GroupPartition(labels=labels, n_groups=int(labels.max()) + 1)
+    p = np.array([r[1] for r in rows])
+    results, counts = _Memo(p, part)(_group_scans, None, alpha)
+    for l in range(part.n_groups):
+        idx = part.indices(l)
+        group = p[idx].tolist()
+        assert results[l].threshold == brute_bc_threshold(group, alpha)
+        assert set(results[l].rejected.tolist()) == {int(idx[k]) for k in brute_bc_rejections(group, alpha)}
+        assert counts[l] == brute_loo_mirror_count(group, alpha)

@@ -102,6 +102,60 @@ def test_knockoff_generation():
     assert np.all(inst.stats_a[:30] > 0)
 
 
+def reference_knockoff_draw(config, replicate):
+    """KNOCK_SYNTH's statistics drawn with ``rng.choice`` for the signs, as
+    ``generate`` once drew them."""
+    rng = simulate._replicate_rng(config.seed, replicate)
+    p, na = config.parameters["p"], config.parameters["n_alt"]
+    w_a = rng.choice([-1.0, 1.0], size=p) * np.abs(rng.normal(size=p))
+    w_a[:na] = np.abs(rng.normal(config.parameters["mu"], 1.0, size=na))
+    w_b = rng.choice([-1.0, 1.0], size=p) * np.abs(rng.normal(size=p))
+    return w_a, w_b
+
+
+@pytest.mark.parametrize("p", [1, 2, 200])
+def test_knockoff_signs_are_the_choice_draw(p):
+    # the signs index a fixed pair with rng.integers: the same values as
+    # rng.choice([-1.0, 1.0]), and the generator ends in the same state
+    for seed in (0, 5, 2**31 - 1):
+        config = SimulationConfig(setting="KNOCK_SYNTH", parameters={"p": p, "n_alt": min(p, 30) // 2},
+                                  seed=seed)
+        for replicate in (0, 1, 17):
+            inst = generate(config, replicate)
+            w_a, w_b = reference_knockoff_draw(config, replicate)
+            assert inst.stats_a.tobytes() == w_a.tobytes()
+            assert inst.stats_b.tobytes() == w_b.tobytes()
+            old, new = (simulate._replicate_rng(seed, replicate) for _ in range(2))
+            signs = simulate._SIGNS[new.integers(0, 2, size=p)]
+            assert signs.tobytes() == old.choice([-1.0, 1.0], size=p).tobytes()
+            assert new.random(4).tolist() == old.random(4).tolist()
+
+
+@pytest.mark.parametrize("setting, parameters", [
+    ("E1", {}),
+    ("ALLNULL", {"n": 50, "group_sizes": [20, 30]}),
+])
+def test_grouped_replicates_share_one_read_only_partition(setting, parameters):
+    config = SimulationConfig(setting=setting, parameters=parameters, seed=3)
+    a, b = generate(config, 0), generate(config, 1)
+    assert a.partition is b.partition
+    part = a.partition
+    for array in (part.labels, part.sizes, part._order):
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        part.labels[0] = 1
+    # the same sizes give the same partition as a fresh one
+    fresh = GroupPartition.from_sizes(part.sizes.tolist())
+    assert np.array_equal(part.labels, fresh.labels) and part.n_groups == fresh.n_groups
+
+
+def test_a_partition_leaves_its_labels_array_writeable():
+    codes = np.array([0, 1, 1, 0], dtype=np.intp)
+    part = GroupPartition(labels=codes, n_groups=2)
+    assert not part.labels.flags.writeable
+    assert codes.flags.writeable
+
+
 def test_campaign_reproducible_and_zero_power_under_null():
     cfg = SimulationConfig(setting="ALLNULL", parameters={"n": 80}, replications=40, seed=9)
     r1 = run_campaign(cfg, ["BH", "BC", "ST"])

@@ -8,6 +8,13 @@ seed 3.  Each call gets the p-values, so it validates them and sorts them
 afresh.  The ``ebh_select`` row selects on the adaptive blend's e-values of
 the same instance, which are zero off the base rejections.
 
+The ``_run_scan_bc`` and ``_relaxed_plateau_bc`` rows read the two
+criteria of a mirror scan off a BC grid built once, at the base level
+``ALPHA / (1 + ALPHA)``, on the S1 instance with n = 200 and n = 10^6:
+the count criterion with the threshold and rejections (every BC, fbc and
+knockoff level), and the relaxed plateau (only the hybrid's weights and
+the grouped leave-one-out counts).
+
 The ``knockoff_threshold`` row selects one statistic family at the two
 levels of a KNOCK_SYNTH replicate, ``KO_ALPHAS``, on one memo: a KNOCK_SYNTH
 instance with p = n statistics and n / 20 planted ones, seed 3, family A.
@@ -84,8 +91,11 @@ from evmt.hybrid import HybridConfig, _hybrid_evalues, compute_loo_thresholds
 from evmt.knockoffs import as_stats, knockoff_threshold
 from evmt.procedures import (
     ProcedureSpec,
+    _bc_grid,
     _bc_scan,
     _Memo,
+    _relaxed_plateau,
+    _run_scan,
     ebh_select,
     procedure_to_evalues,
     solve_threshold,
@@ -98,6 +108,7 @@ from campaigns import PLANS, config  # noqa: E402  the benchmark's campaign plan
 ALPHA = 0.1
 KO_ALPHAS = (0.2, 0.1)  # KNOCK_SYNTH's level and its KO_Hybrid family level
 NO_COVARIATE_SIZES = {"60": 60, "1e5": 10**5}
+SCAN_SIZES = {"200": 200, "1e6": 10**6}
 BUDGET_S = 1.0
 EXPONENTS = range(3, 7)  # n = 10^3 ... 10^6
 STRUCT_EXPONENTS = range(3, 6)  # n = 10^3 ... 10^5
@@ -168,6 +179,22 @@ def sort_layers(out):
         e = _hybrid_evalues(p, adaptive_blend)[0]
         for name, fn in layers.items():
             out.setdefault(name, {})[f"1e{k}"] = round(best_of(lambda: fn(p, part, e)), 6)
+
+
+def scan_layers(out):
+    a_base = ALPHA / (1.0 + ALPHA)
+    for key, n in SCAN_SIZES.items():
+        config = SimulationConfig(
+            setting="S1", parameters={"n": n, "n_alt": n // 20, "mu": 0.4, "sigma": 1.0}, seed=3
+        )
+        p = generate(config, 0).pvals
+        grid = _Memo(p)(_bc_grid)
+        layers = {
+            "_run_scan_bc": lambda: _run_scan(p, grid, a_base),
+            "_relaxed_plateau_bc": lambda: _relaxed_plateau(grid, a_base),
+        }
+        for name, fn in layers.items():
+            out.setdefault(name, {})[key] = round(best_of(fn), 9)
 
 
 def knockoff_layer(out):
@@ -271,6 +298,7 @@ def main():
     out = {}
     cold_start(out)
     sort_layers(out)
+    scan_layers(out)
     knockoff_layer(out)
     adaptive_layers(out)
     fit_layer(out)
