@@ -4,7 +4,6 @@ rejection curves."""
 
 from .adaptive import (
     LfdrModel,
-    RejectionCurves,
     cross_fit,
     fbc_group_threshold,
     fit_lfdr_em,
@@ -33,6 +32,7 @@ from .hybrid import (
 from .knockoffs import combine_and_select, knockoff_evalues, knockoff_threshold
 from .procedures import (
     ProcedureSpec,
+    RejectionCurves,
     ThresholdResult,
     as_evalues,
     as_pvalues,

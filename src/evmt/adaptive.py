@@ -66,7 +66,8 @@ from .groups import (
     _loo_weights,
     group_evalues,
 )
-from .procedures import _check_alpha, _lookup, _Memo, as_pvalues, ebh_select
+from .procedures import P_FLOOR, RejectionCurves, as_pvalues, ebh_select
+from .procedures import _check_alpha, _check_curves, _lookup, _Memo
 
 __all__ = [
     "RejectionCurves",
@@ -78,7 +79,6 @@ __all__ = [
     "run_structure_adaptive",
 ]
 
-P_FLOOR = 1e-15
 # fitted pi predictions are winsorized into [EPS1, 1 - EPS2]
 EPS1 = 0.1
 EPS2 = 1e-5
@@ -87,27 +87,6 @@ _DENS_FLOOR = np.finfo(np.float64).tiny  # an underflowed density counts as this
 
 # each accepted spelling of a weight mode, lower case, and its canonical name
 _MODES = {"unit": "unit", "cheap": "cheap"}
-
-
-@dataclass(frozen=True, eq=False)
-class RejectionCurves:
-    """Per-hypothesis curves phi_i(p), increasing and continuous on (0, 1];
-    equal only to themselves, so that they can key a memo stage."""
-
-    pi: np.ndarray
-    kappa: np.ndarray
-
-    def at(self, p):
-        """Evaluate phi_i at p (scalar, or elementwise for a length-n array)."""
-        p = np.maximum(np.asarray(p, dtype=np.float64), P_FLOOR)
-        alt = (1.0 - self.pi) * (1.0 - self.kappa) * np.exp(-self.kappa * np.log(p))
-        return self.pi / (self.pi + alt)
-
-    def __len__(self):
-        return self.pi.size
-
-    def __getitem__(self, idx):
-        return RejectionCurves(self.pi[idx], self.kappa[idx])
 
 
 @dataclass(frozen=True)
@@ -332,8 +311,8 @@ def _fold_memo(pvals, part: GroupPartition, curves: Optional[RejectionCurves], a
     """The memo of the p-values and folds, with the curves (if any) checked
     to cover them and ``alpha`` in (0, 1) or None."""
     memo = _Memo.of(pvals, check=as_pvalues, part=part)
-    if curves is not None and len(curves) != memo.size:
-        raise InputError(f"curves cover {len(curves)} hypotheses, got {memo.size} p-values")
+    if curves is not None:
+        _check_curves(curves, memo.size)
     if alpha is not None:
         _check_alpha(alpha, "the fold level")
     return memo
@@ -343,8 +322,8 @@ def fbc_group_threshold(pvals, part: GroupPartition, curves, alpha_fbc: float):
     """Flexible mirror-count threshold of each fold at level ``alpha_fbc``.
 
     The per-fold domain cap sits just below min_i phi_i(0.5); ``curves``
-    None means each fold's BC scan, ``groupwise_bc_thresholds`` on the
-    folds.  Returns one :class:`ThresholdResult` per fold with global indices.
+    None (else :class:`RejectionCurves`) means each fold's BC scan.
+    Returns one :class:`ThresholdResult` per fold with global indices.
     """
     return _fold_memo(pvals, part, curves, alpha_fbc)(_group_scans, curves, alpha_fbc)[0]
 
@@ -363,7 +342,7 @@ def structure_weights(
     (1 when fold g is infeasible) and ``count_h`` is fold h's leave-one-out
     count at level ``alpha``, at the realised p-values.  ``thresholds`` come
     from :func:`fbc_group_threshold` on the same inputs at level ``alpha``;
-    ``curves`` None means phi_j(p) = p.
+    ``curves`` is :class:`RejectionCurves`, or None for phi_j(p) = p.
     """
     mode = _lookup(_MODES, mode, "weight mode")
     if mode == "cheap" and alpha is None:

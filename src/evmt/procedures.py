@@ -14,9 +14,9 @@ provided:
     Symmetry-based procedure counting mirrored large p-values,
     ``m(t) = 1 + #{p_i >= 1 - t}``, with threshold domain (0, 0.5).
 ``fbc``
-    Generalisation of ``bc`` with hypothesis-specific monotone rejection
-    curves ``phi_i``; rejects when ``phi_i(p_i) <= t`` and counts mirrors via
-    ``phi_i(1 - p_i) <= t``.
+    Generalisation of ``bc`` with hypothesis-specific curves ``phi_i``, one
+    :class:`RejectionCurves` (nondecreasing by its checked ranges); rejects
+    when ``phi_i(p_i) <= t`` and counts mirrors via ``phi_i(1 - p_i) <= t``.
 
 Every procedure can be converted into a vector of e-values such that the
 e-value step-up selector (:func:`ebh_select`) reproduces its rejection set
@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ConfigurationError, InputError, InvariantError
 
 __all__ = [
+    "RejectionCurves",
     "ProcedureSpec",
     "ThresholdResult",
     "as_pvalues",
@@ -50,8 +51,7 @@ __all__ = [
 
 _KINDS = ("bh", "storey", "bc", "fbc")
 
-# Probe grid for the monotonicity spot check of fbc rejection curves.
-_MONOTONE_PROBES = np.array([1e-6, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0])
+P_FLOOR = 1e-15  # rejection curves and the mixture fit read p as at least this
 
 
 def _as_vector(values, what: str) -> np.ndarray:
@@ -103,6 +103,54 @@ def _lookup(table: dict, key: str, what: str) -> str:
         raise ConfigurationError(f"unknown {what} {key!r}") from None
 
 
+@dataclass(frozen=True, eq=False)
+class RejectionCurves:
+    """Per-hypothesis rejection curves of fbc, the posterior null probability
+    ``phi_i(p) = pi_i / (pi_i + (1 - pi_i) (1 - kappa_i) p^(-kappa_i))`` at
+    p floored to ``P_FLOOR``.  Construction refuses (:class:`ConfigurationError`)
+    any pi and kappa but 1-d arrays of one length with every pi_i in (0, 1]
+    and every kappa_i in [0, 1], which NaN and +-inf are not.  Those ranges
+    make each curve nondecreasing, so the check is exact: (1 - pi_i)
+    (1 - kappa_i) >= 0, p^(-kappa_i) does not increase, and pi_i > 0 keeps
+    the denominator positive.  Both arrays are kept as read-only float64
+    views.  Curves are equal only to themselves, so they can key a memo stage.
+    """
+
+    pi: np.ndarray
+    kappa: np.ndarray
+
+    def __post_init__(self):
+        pi, kappa = np.asarray(self.pi, dtype=np.float64), np.asarray(self.kappa, dtype=np.float64)
+        if pi.ndim != 1 or pi.shape != kappa.shape:
+            raise ConfigurationError(f"curves need 1-d pi and kappa of one length, got {pi.shape}, {kappa.shape}")
+        if not (np.all((pi > 0.0) & (pi <= 1.0)) and np.all((kappa >= 0.0) & (kappa <= 1.0))):
+            raise ConfigurationError("curves need every pi in (0, 1] and every kappa in [0, 1]")
+        for name, x in (("pi", pi.view()), ("kappa", kappa.view())):
+            x.flags.writeable = False
+            object.__setattr__(self, name, x)
+
+    def at(self, p):
+        """Evaluate phi_i at p (scalar, or elementwise for a length-n array)."""
+        p = np.maximum(np.asarray(p, dtype=np.float64), P_FLOOR)
+        alt = (1.0 - self.pi) * (1.0 - self.kappa) * np.exp(-self.kappa * np.log(p))
+        return self.pi / (self.pi + alt)
+
+    def __len__(self):
+        return self.pi.size
+
+    def __getitem__(self, idx):
+        return RejectionCurves(self.pi[idx], self.kappa[idx])
+
+
+def _check_curves(curves, n: Optional[int] = None) -> None:
+    """The one check of fbc curves: :class:`RejectionCurves` (else a
+    ConfigurationError) covering ``n`` hypotheses, if given (else an InputError)."""
+    if not isinstance(curves, RejectionCurves):
+        raise ConfigurationError(f"rejection_functions must be RejectionCurves, got {type(curves).__name__}")
+    if n is not None and len(curves) != n:
+        raise InputError(f"curves cover {len(curves)} hypotheses, got {n} p-values")
+
+
 @dataclass(frozen=True)
 class ProcedureSpec:
     """Configuration of one threshold procedure.
@@ -116,11 +164,11 @@ class ProcedureSpec:
     storey_lambda : float, optional
         Tuning point in [0, 1) for the null-proportion estimate
         (``storey`` only, default 0.5).
-    rejection_functions : object, optional
-        Per-hypothesis monotone rejection curves (``fbc`` only).  Either an
-        object with an ``at(p)`` method mapping a length-n array of
-        probabilities to the n curve values ``phi_i(p_i)``, or a sequence of
-        n scalar callables.  The threshold domain ends just below
+    rejection_functions : RejectionCurves, optional
+        Per-hypothesis rejection curves (``fbc`` only, where they are
+        required).  Nothing else is accepted: their construction checks
+        pi in (0, 1] and kappa in [0, 1], which makes every curve
+        nondecreasing.  The threshold domain ends just below
         ``min_i phi_i(0.5)``.  The FDR guarantee needs curves that do not
         depend on whether p_i or 1 - p_i was observed: the mirror count
         rests on swapping the two for a null p_i, so curves fitted on p
@@ -130,7 +178,7 @@ class ProcedureSpec:
     kind: str
     alpha: float
     storey_lambda: float = 0.5
-    rejection_functions: Optional[object] = None
+    rejection_functions: Optional[RejectionCurves] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -138,8 +186,8 @@ class ProcedureSpec:
         _check_alpha(self.alpha)
         if self.kind == "storey":
             _check_storey_lambda(self.storey_lambda)
-        if self.kind == "fbc" and self.rejection_functions is None:
-            raise ConfigurationError("fbc requires rejection_functions")
+        if self.kind == "fbc" or self.rejection_functions is not None:
+            _check_curves(self.rejection_functions)
 
 
 @dataclass(frozen=True)
@@ -164,36 +212,6 @@ class ThresholdResult:
     m_at_T: float
     rejected: np.ndarray
     feasible: bool
-
-
-def _phi_at(funcs, p: np.ndarray) -> np.ndarray:
-    """Evaluate hypothesis-specific curves elementwise: out[i] = phi_i(p[i])."""
-    if hasattr(funcs, "at"):
-        return np.asarray(funcs.at(p), dtype=np.float64)
-    return np.array([float(f(x)) for f, x in zip(funcs, p)], dtype=np.float64)
-
-
-def _phi_len(funcs) -> Optional[int]:
-    if hasattr(funcs, "__len__"):
-        return len(funcs)
-    return None
-
-
-def _validate_fbc(funcs, n: int) -> None:
-    """Spot-check the length and monotonicity of fbc curves."""
-    m = _phi_len(funcs)
-    if m is not None and m != n:
-        raise ConfigurationError(
-            f"rejection_functions has length {m}, expected {n}"
-        )
-    prev = None
-    for q in _MONOTONE_PROBES:
-        vals = _phi_at(funcs, np.full(n, q))
-        if not np.all(np.isfinite(vals)):
-            raise ConfigurationError("rejection functions produced non-finite values")
-        if prev is not None and np.any(vals < prev):
-            raise ConfigurationError("rejection functions must be monotone increasing")
-        prev = vals
 
 
 class _Memo:
@@ -343,14 +361,12 @@ def _bc_scan(p, alpha: float) -> _MirrorScan:
     return _run_scan(memo.data, memo(_bc_grid), alpha)
 
 
-def _fbc_scan(p: np.ndarray, funcs, alpha: float) -> _MirrorScan:
+def _fbc_scan(p: np.ndarray, curves: RejectionCurves, alpha: float) -> _MirrorScan:
     """Mirror scan of the fbc procedure: rejection scores ``phi_i(p_i)``,
     mirror scores ``phi_i(1 - p_i)``, and the domain capped just below
     ``min_i phi_i(0.5)``."""
-    u = _phi_at(funcs, p)
-    v = _phi_at(funcs, 1.0 - p)
-    t_up = (1.0 - 1e-9) * float(_phi_at(funcs, np.full(p.size, 0.5)).min())
-    return _mirror_scan(u, v, alpha, t_max=t_up, inclusive=True)
+    t_up = (1.0 - 1e-9) * float(curves.at(0.5).min())
+    return _mirror_scan(curves.at(p), curves.at(1.0 - p), alpha, t_max=t_up, inclusive=True)
 
 
 def _sorted_grid(su, sv, t_max, inclusive) -> _MirrorGrid:
@@ -461,7 +477,7 @@ def solve_threshold(pvals, spec: ProcedureSpec) -> ThresholdResult:
     if spec.kind == "bc":
         scan = _bc_scan(memo, spec.alpha)
     else:  # fbc
-        _validate_fbc(spec.rejection_functions, n)
+        _check_curves(spec.rejection_functions, n)
         scan = _fbc_scan(p, spec.rejection_functions, spec.alpha)
     rejected = np.nonzero(scan.rejected_mask)[0]
     return ThresholdResult(scan.threshold, scan.m_at_T, rejected, scan.feasible)

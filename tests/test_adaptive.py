@@ -42,14 +42,34 @@ from oracles import (
 # curves
 
 
-def test_curves_monotone_and_bounded():
-    rng = np.random.default_rng(1)
-    curves = RejectionCurves(pi=rng.uniform(0.2, 0.9, 50), kappa=rng.uniform(0.05, 0.95, 50))
-    for _ in range(100):
-        p1, p2 = np.sort(rng.uniform(0.0, 1.0, size=2))
-        v1, v2 = curves.at(p1), curves.at(p2)
-        assert np.all(v1 <= v2)
-        assert np.all((v1 > 0.0) & (v1 < 1.0))
+_TINY = float(np.nextafter(0.0, 1.0))
+# the p every curve is read at: 0, the floor and its neighbours, both
+# neighbours of 0.5, 1, and values down to the smallest subnormal
+_EDGE_P = [0.0, _TINY, 1e-300, np.nextafter(procedures.P_FLOOR, 0.0), procedures.P_FLOOR,
+           np.nextafter(procedures.P_FLOOR, 1.0), 1e-6, np.nextafter(0.5, 0.0), 0.5,
+           np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0), 1.0]
+_PI = st.one_of(st.sampled_from([1.0, _TINY, 1e-300, 1e-5, 0.1, 1.0 - 1e-5, np.nextafter(1.0, 0.0)]),
+                st.floats(0.0, 1.0, exclude_min=True))
+_KAPPA = st.one_of(st.sampled_from([0.0, 1.0, _TINY, np.nextafter(1.0, 0.0), 0.5]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    pk=st.lists(st.tuples(_PI, _KAPPA), min_size=1, max_size=30),
+    extra=st.lists(st.floats(0.0, 1.0), max_size=40),
+)
+@example(pk=[(1.0, 0.0), (1.0, 1.0), (_TINY, 0.0), (_TINY, 1.0), (1e-300, 0.5)], extra=[])
+def test_curves_monotone_and_bounded(pk, extra):
+    # any in-range pi and kappa give curves that are finite, in [0, 1] and
+    # nondecreasing in p, which is what the range check at construction relies on
+    pi, kappa = np.array(pk).T
+    curves = RejectionCurves(pi=pi, kappa=kappa)
+    p = np.unique(np.concatenate([_EDGE_P, extra]))
+    values = curves.at(p[:, None])  # one row per p, one column per curve
+    assert values.shape == (p.size, pi.size)
+    assert np.all(np.isfinite(values))
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(np.diff(values, axis=0) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +532,22 @@ def test_fold_inputs_of_another_size_are_input_errors():
     for mode in ("unit", "cheap"):
         with pytest.raises(InputError, match="curves cover 20 hypotheses, got 30"):
             structure_weights(p, part, curves[:20], thr, mode, alpha=0.2)
+    # the fbc procedure on all hypotheses runs the same check
+    spec = ProcedureSpec(kind="fbc", alpha=0.2, rejection_functions=curves[:20])
+    with pytest.raises(InputError, match="curves cover 20 hypotheses, got 30"):
+        solve_threshold(p, spec)
+
+
+def test_fold_functions_refuse_curves_of_another_type():
+    p, part, curves = _fold_instance()
+    thr = fbc_group_threshold(p, part, curves, 0.2)
+    scalar_curves = [lambda x, c=c: c * x for c in np.linspace(0.5, 1.5, 30)]
+    for other in (scalar_curves, curves.pi, (curves.pi, curves.kappa)):
+        with pytest.raises(ConfigurationError, match="must be RejectionCurves"):
+            fbc_group_threshold(p, part, other, 0.2)
+        for mode in ("unit", "cheap"):
+            with pytest.raises(ConfigurationError, match="must be RejectionCurves"):
+                structure_weights(p, part, other, thr, mode, alpha=0.2)
 
 
 def test_fold_threshold_count_must_match_the_folds():

@@ -822,6 +822,7 @@ def _fresh_python(args, cwd=None):
         "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
         "OPENBLAS_NUM_THREADS": "1",
         "OMP_NUM_THREADS": "1",
+        "PYTHONDONTWRITEBYTECODE": "1",
     }
     return subprocess.run([sys.executable, *map(str, args)], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)

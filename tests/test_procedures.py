@@ -14,6 +14,7 @@ from evmt import (
     InputError,
     InvariantError,
     ProcedureSpec,
+    RejectionCurves,
     ThresholdResult,
     ebh_select,
     fdp_power,
@@ -48,18 +49,11 @@ from oracles import (
 )
 
 
-def lfdr_curve(pi, kappa):
-    """Monotone rejection curve used for fbc tests."""
-    def phi(p):
-        p = max(p, 1e-15)
-        return pi / (pi + (1.0 - pi) * (1.0 - kappa) * p ** (-kappa))
-    return phi
-
-
 def random_curves(rng, n):
+    """Monotone rejection curves used for fbc tests."""
     pis = rng.uniform(0.2, 0.9, size=n)
     kappas = rng.uniform(0.1, 0.9, size=n)
-    return [lfdr_curve(pi, ka) for pi, ka in zip(pis, kappas)]
+    return RejectionCurves(pis, kappas)
 
 
 def make_spec(kind, alpha, pvals=None, rng=None):
@@ -124,11 +118,37 @@ def test_invalid_spec_configuration():
         ProcedureSpec(kind="fbc", alpha=0.05)
 
 
+class _LinearCurves:
+    """Curves ``phi_i(p) = 0.4 - 0.3 p``, decreasing, with the interface
+    of :class:`RejectionCurves` but not its type."""
+
+    def __len__(self):
+        return 3
+
+    def at(self, p):
+        return np.broadcast_to(0.4 - 0.3 * np.asarray(p), (3,))
+
+
 def test_fbc_rejects_non_monotone_curves():
-    funcs = [lambda p: 0.4 - 0.3 * p] * 3
-    spec = ProcedureSpec(kind="fbc", alpha=0.05, rejection_functions=funcs)
-    with pytest.raises(ConfigurationError):
-        solve_threshold([0.1, 0.5, 0.9], spec)
+    # only RejectionCurves are accepted, and their ranges are checked when
+    # they are built: what could decrease or be non-finite never gets in
+    for other in ([lambda p: 0.4 - 0.3 * p] * 3, _LinearCurves()):
+        with pytest.raises(ConfigurationError, match="must be RejectionCurves"):
+            ProcedureSpec(kind="fbc", alpha=0.05, rejection_functions=other)
+    ok = np.array([0.5, 0.5, 0.5])
+    for bad in (0.0, -0.1, 1.0 + 1e-12, 2.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="every pi in"):
+            RejectionCurves(np.array([0.5, bad, 0.5]), ok)
+    for bad in (-1e-12, -0.5, 1.0 + 1e-12, 2.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="every kappa in"):
+            RejectionCurves(ok, np.array([0.5, 0.5, bad]))
+    for pi, kappa in ((ok, ok[:2]), (ok.reshape(1, 3), ok.reshape(1, 3)), (0.5, 0.5), (ok, ok.reshape(3, 1))):
+        with pytest.raises(ConfigurationError, match="1-d pi and kappa of one length"):
+            RejectionCurves(pi, kappa)
+    # the edges of the ranges are curves
+    edges = RejectionCurves(np.array([1.0, 5e-324, 0.3]), np.array([0.0, 1.0, 1.0]))
+    spec = ProcedureSpec(kind="fbc", alpha=0.05, rejection_functions=edges)
+    assert not solve_threshold([0.1, 0.5, 0.9], spec).feasible
 
 
 def test_fbc_matches_brute_force_grid():
@@ -140,9 +160,9 @@ def test_fbc_matches_brute_force_grid():
         alpha = float(rng.uniform(0.05, 0.6))
         spec = ProcedureSpec(kind="fbc", alpha=alpha, rejection_functions=funcs)
         res = solve_threshold(p, spec)
-        u = [f(x) for f, x in zip(funcs, p)]
-        v = [f(1.0 - x) for f, x in zip(funcs, p)]
-        t_up = (1.0 - 1e-9) * min(f(0.5) for f in funcs)
+        u = funcs.at(p).tolist()
+        v = funcs.at(1.0 - p).tolist()
+        t_up = (1.0 - 1e-9) * float(funcs.at(0.5).min())
         t_oracle = brute_fbc_threshold(u, v, alpha, t_up)
         if t_oracle is None:
             assert not res.feasible
@@ -315,7 +335,37 @@ def test_invariant_check_survives_python_optimisation():
         "raise SystemExit(1)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
-    run = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": src}, timeout=60)
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
+    assert run.returncode == 0
+
+
+def test_curve_refusals_survive_python_optimisation():
+    code = (
+        "import numpy as np\n"
+        "from evmt import ConfigurationError, InputError, ProcedureSpec, RejectionCurves, solve_threshold\n"
+        "from evmt import GroupPartition, fbc_group_threshold, structure_weights\n"
+        "ok = np.full(3, 0.5)\n"
+        "part = GroupPartition.from_sizes([1, 2])\n"
+        "calls = [lambda b=b: RejectionCurves(np.array([0.5, b, 0.5]), ok) for b in (0.0, 2.0, np.nan)]\n"
+        "calls += [lambda b=b: RejectionCurves(ok, np.array([0.5, b, 0.5])) for b in (-0.5, 2.0, np.inf)]\n"
+        "calls += [lambda: RejectionCurves(ok, ok[:2]), lambda: RejectionCurves(ok[None], ok[None])]\n"
+        "calls += [lambda: ProcedureSpec(kind='fbc', alpha=0.1, rejection_functions=[abs] * 3)]\n"
+        "calls += [lambda: fbc_group_threshold(ok, part, [abs] * 3, 0.1)]\n"
+        "calls += [lambda: structure_weights(ok, part, [abs] * 3, [None, None], 'unit')]\n"
+        "curves = RejectionCurves(ok[:2], ok[:2])\n"
+        "calls += [lambda: solve_threshold(ok, ProcedureSpec(kind='fbc', alpha=0.1, rejection_functions=curves))]\n"
+        "fired = 0\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except (ConfigurationError, InputError):\n"
+        "        fired += 1\n"
+        "raise SystemExit(0 if fired == len(calls) == 12 else 1)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=60)
     assert run.returncode == 0
 
 

@@ -16,6 +16,7 @@ from evmt import (
     HybridConfig,
     InputError,
     ProcedureSpec,
+    RejectionCurves,
     combine_and_select,
     fdp_power,
     groupwise_bc_thresholds,
@@ -595,23 +596,11 @@ def _bits(x):
     return x
 
 
-class _ScaledCurves:
-    """fbc curves ``phi_i(p) = c_i p``."""
-
-    def __init__(self, c):
-        self.c = c
-
-    def __len__(self):
-        return self.c.size
-
-    def at(self, p):
-        return self.c * p
-
-
 def _merged_calls(inst, alpha):
     """Each function that takes a memo, as ``name -> f(pvals, stats_a, stats_b)``."""
     part = inst.partition
-    curves = _ScaledCurves(np.linspace(0.5, 1.5, inst.truth.size))
+    n = inst.truth.size
+    curves = RejectionCurves(np.linspace(0.2, 0.9, n), np.linspace(0.1, 0.9, n))
     averaged = HybridConfig(alpha_ebh=alpha, weight_mode="averaged")
     adaptive = HybridConfig(alpha_ebh=alpha, weight_mode="adaptive")
     calls = {

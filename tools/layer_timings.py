@@ -8,6 +8,13 @@ seed 3.  Each call gets the p-values, so it validates them and sorts them
 afresh.  The ``ebh_select`` row selects on the adaptive blend's e-values of
 the same instance, which are zero off the base rejections.
 
+The ``solve_threshold_fbc`` row runs ``solve_threshold`` (``fbc``, at the
+base level ``ALPHA / (1 + ALPHA)``) on the same S1 instance per n, with
+curves drawn from the fixed seed ``[FBC_SEED, k]`` for n = 10^k: pi
+uniform on [0.2, 0.9] and kappa uniform on [0.1, 0.9].  Each call builds
+the ``RejectionCurves`` and the ``ProcedureSpec`` from those draws, so the
+figure includes every check of the curves.
+
 The ``_run_scan_bc`` and ``_relaxed_plateau_bc`` rows read the two
 criteria of a mirror scan off a BC grid built once, at the base level
 ``ALPHA / (1 + ALPHA)``, on the S1 instance with n = 200 and n = 10^6:
@@ -84,7 +91,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from evmt import adaptive, cli, simulate
+from evmt import RejectionCurves, adaptive, cli, simulate
 from evmt.adaptive import fit_lfdr_em, structure_pipeline
 from evmt.groups import GroupPartition, run_grouped_ebh
 from evmt.hybrid import HybridConfig, _hybrid_evalues, compute_loo_thresholds
@@ -116,6 +123,7 @@ CSV_SEED = 941
 N_LABELS = 1000
 COLD_RUNS = 7
 REPLICATE_SEED = 5
+FBC_SEED = 17
 
 
 def best_of(fn):
@@ -157,6 +165,14 @@ def write_table(out, evalues, weights, rejected):
         cli._write_outputs(argparse.Namespace(out=str(out)), evalues, weights, rejected, {})
 
 
+def s1_pvalues(n):
+    """The p-values of the S1 instance with n hypotheses, 5 % non-null, seed 3."""
+    config = SimulationConfig(
+        setting="S1", parameters={"n": n, "n_alt": n // 20, "mu": 0.4, "sigma": 1.0}, seed=3
+    )
+    return generate(config, 0).pvals
+
+
 def sort_layers(out):
     a_base = ALPHA / (1.0 + ALPHA)
     adaptive_blend = HybridConfig(alpha_ebh=ALPHA, weight_mode="adaptive")
@@ -171,23 +187,32 @@ def sort_layers(out):
     }
     for k in EXPONENTS:
         n = 10**k
-        config = SimulationConfig(
-            setting="S1", parameters={"n": n, "n_alt": n // 20, "mu": 0.4, "sigma": 1.0}, seed=3
-        )
-        p = generate(config, 0).pvals
+        p = s1_pvalues(n)
         part = GroupPartition.from_sizes([n // 1000] * 1000)
         e = _hybrid_evalues(p, adaptive_blend)[0]
         for name, fn in layers.items():
             out.setdefault(name, {})[f"1e{k}"] = round(best_of(lambda: fn(p, part, e)), 6)
 
 
+def fbc_layer(out):
+    a_base = ALPHA / (1.0 + ALPHA)
+
+    def solve(p, pi, kappa):
+        curves = RejectionCurves(pi, kappa)
+        return solve_threshold(p, ProcedureSpec(kind="fbc", alpha=a_base, rejection_functions=curves))
+
+    for k in EXPONENTS:
+        n = 10**k
+        p = s1_pvalues(n)
+        rng = np.random.default_rng([FBC_SEED, k])
+        pi, kappa = rng.uniform(0.2, 0.9, n), rng.uniform(0.1, 0.9, n)
+        out.setdefault("solve_threshold_fbc", {})[f"1e{k}"] = round(best_of(lambda: solve(p, pi, kappa)), 6)
+
+
 def scan_layers(out):
     a_base = ALPHA / (1.0 + ALPHA)
     for key, n in SCAN_SIZES.items():
-        config = SimulationConfig(
-            setting="S1", parameters={"n": n, "n_alt": n // 20, "mu": 0.4, "sigma": 1.0}, seed=3
-        )
-        p = generate(config, 0).pvals
+        p = s1_pvalues(n)
         grid = _Memo(p)(_bc_grid)
         layers = {
             "_run_scan_bc": lambda: _run_scan(p, grid, a_base),
@@ -298,6 +323,7 @@ def main():
     out = {}
     cold_start(out)
     sort_layers(out)
+    fbc_layer(out)
     scan_layers(out)
     knockoff_layer(out)
     adaptive_layers(out)
