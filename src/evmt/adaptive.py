@@ -28,7 +28,11 @@ Without covariates a fitted curve would be strictly increasing and decide
 nothing, so nothing is fitted and each fold runs its BC scan.
 
 The fit maximises the log-likelihood by L-BFGS-B over the box
-[-36, 36] of every coefficient, from two fixed starts.  Its objective is
+[-36, 36] of every coefficient, from two fixed starts.  ``_minimize`` is
+scipy's L-BFGS-B loop with ``minimize``'s defaults, written out over
+scipy's ``setulb`` step: it gives the same fits, bit for bit, as the public
+``scipy.optimize.minimize`` call without that call's per-evaluation
+wrappers, so most of a fit's time is its objective.  The objective is
 one numpy kernel (``_negloglik``) over (2, n) buffers allocated once per
 ascent.  One (2, d+1) @ (d+1, n) product gives both linear predictors u;
 the logistic is 1 / (1 + exp(-u)) in place (exactly 0 for u below about
@@ -83,6 +87,14 @@ __all__ = [
 EPS1 = 0.1
 EPS2 = 1e-5
 _BOX = 36.0  # the L-BFGS-B box on every coefficient
+# L-BFGS-B as scipy.optimize.minimize runs it by default: stored corrections,
+# factr = ftol / eps, the projected-gradient tolerance, line-search steps,
+# and one limit on iterations and on evaluations
+_LBFGSB_M = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(np.float64).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXITER = 15000
 _DENS_FLOOR = np.finfo(np.float64).tiny  # an underflowed density counts as this
 
 # each accepted spelling of a weight mode, lower case, and its canonical name
@@ -142,7 +154,20 @@ def _design(covars, n: Optional[int] = None, d: Optional[int] = None) -> np.ndar
 
 def _minimize(negobj, theta0, box):
     """L-BFGS-B minimisation of ``negobj`` (value and gradient) from
-    ``theta0`` over the box ``[-box, box]`` in every coordinate.
+    ``theta0``, clipped into the box ``[-box, box]`` of every coordinate.
+    Returns ``(x, f, nit, success)``.
+
+    This is the loop of scipy's ``_minimize_lbfgsb`` with the defaults of
+    ``scipy.optimize.minimize``, without its wrappers: it drives the private
+    ``scipy.optimize._lbfgsb.setulb`` by reverse communication.  ``negobj``
+    runs once at the clipped start and then only when ``setulb`` asks for
+    the value and gradient (task 3) at another point than the last one, as
+    the cache of scipy's ``ScalarFunction`` does; task 1 is a new iteration
+    and task 4 is convergence.  So the fits are bit-identical to
+    ``minimize(negobj, theta0, jac=True, method="L-BFGS-B",
+    bounds=Bounds(-box, box))``.  ``setulb`` is not public:
+    ``tests/test_adaptive.py::test_prop_minimize_matches_scipy_bitwise``
+    compares the two, and fails if scipy changes it.
 
     This is evmt's one rule for scipy: a function that needs it imports it
     in its own body, once per call, as here.  The objective that L-BFGS-B
@@ -151,9 +176,36 @@ def _minimize(negobj, theta0, box):
     ``scipy.special`` would take most of a fresh ``import evmt``, which the
     commands that fit no model and draw no z-scores never need.
     """
-    from scipy.optimize import Bounds, minimize
+    from scipy.optimize._lbfgsb import setulb
 
-    return minimize(negobj, theta0, jac=True, method="L-BFGS-B", bounds=Bounds(-box, box))
+    n, m = theta0.size, _LBFGSB_M
+    lower, upper = np.full(n, -box), np.full(n, box)
+    nbd = np.full(n, 2, dtype=np.int32)  # both bounds on every coordinate
+    x = np.clip(theta0, lower, upper)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    f, g = 0.0, np.zeros(n)
+    seen, (f_seen, g_seen) = x.tolist(), negobj(x)
+    nfev, nit = 1, 0
+    while True:
+        setulb(m, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+               wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        if task[0] == 3:
+            at = x.tolist()
+            if at != seen:
+                seen, (f_seen, g_seen) = at, negobj(x)
+                nfev += 1
+            f, g = f_seen, g_seen
+        elif task[0] == 1:
+            nit += 1
+            if nit >= _LBFGSB_MAXITER:
+                task[:] = 5, 504
+            elif nfev > _LBFGSB_MAXITER:
+                task[:] = 5, 502
+        else:
+            return x, f, nit, bool(task[0] == 4)
 
 
 def _negloglik(z, ell):
@@ -209,11 +261,11 @@ def _ascend(z, ell, beta_pi, beta_kappa):
     """
     negobj = _negloglik(z, ell)
     theta0 = np.concatenate([beta_pi, beta_kappa])
-    res = _minimize(negobj, theta0, _BOX)
-    f0 = negobj(theta0)[0]
-    theta, f = (res.x, res.fun) if np.isfinite(res.fun) and res.fun <= f0 else (theta0, f0)
+    x, fx, nit, success = _minimize(negobj, theta0, _BOX)
+    f0 = negobj(theta0)[0]  # at the start itself, which may lie outside the box
+    theta, f = (x, fx) if np.isfinite(fx) and fx <= f0 else (theta0, f0)
     d1 = beta_pi.size
-    return theta[:d1], theta[d1:], float(-f), bool(res.success), int(res.nit)
+    return theta[:d1], theta[d1:], float(-f), success, nit
 
 
 def fit_lfdr_em(pvals, covars=None) -> LfdrModel:

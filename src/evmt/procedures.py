@@ -108,23 +108,31 @@ class RejectionCurves:
     """Per-hypothesis rejection curves of fbc, the posterior null probability
     ``phi_i(p) = pi_i / (pi_i + (1 - pi_i) (1 - kappa_i) p^(-kappa_i))`` at
     p floored to ``P_FLOOR``.  Construction refuses (:class:`ConfigurationError`)
-    any pi and kappa but 1-d arrays of one length with every pi_i in (0, 1]
-    and every kappa_i in [0, 1], which NaN and +-inf are not.  Those ranges
-    make each curve nondecreasing, so the check is exact: (1 - pi_i)
+    any pi and kappa but 1-d arrays of real numbers (bool, integer or float;
+    not complex, strings or objects) of one length with every pi_i in
+    (0, 1] and every kappa_i in [0, 1], which NaN and +-inf are not.  Those
+    ranges make each curve nondecreasing, so the check is exact: (1 - pi_i)
     (1 - kappa_i) >= 0, p^(-kappa_i) does not increase, and pi_i > 0 keeps
     the denominator positive.  Both arrays are kept as read-only float64
-    views.  Curves are equal only to themselves, so they can key a memo stage.
+    views, also in a selection ``curves[idx]``, which is not checked again.
+    Curves are equal only to themselves, so they can key a memo stage.
     """
 
     pi: np.ndarray
     kappa: np.ndarray
 
     def __post_init__(self):
-        pi, kappa = np.asarray(self.pi, dtype=np.float64), np.asarray(self.kappa, dtype=np.float64)
+        pi, kappa = np.asarray(self.pi), np.asarray(self.kappa)
+        if pi.dtype.kind not in "biuf" or kappa.dtype.kind not in "biuf":
+            raise ConfigurationError(f"curves need real numbers, got pi of {pi.dtype} and kappa of {kappa.dtype}")
+        pi, kappa = pi.astype(np.float64, copy=False), kappa.astype(np.float64, copy=False)
         if pi.ndim != 1 or pi.shape != kappa.shape:
             raise ConfigurationError(f"curves need 1-d pi and kappa of one length, got {pi.shape}, {kappa.shape}")
         if not (np.all((pi > 0.0) & (pi <= 1.0)) and np.all((kappa >= 0.0) & (kappa <= 1.0))):
             raise ConfigurationError("curves need every pi in (0, 1] and every kappa in [0, 1]")
+        self._store(pi, kappa)
+
+    def _store(self, pi, kappa):
         for name, x in (("pi", pi.view()), ("kappa", kappa.view())):
             x.flags.writeable = False
             object.__setattr__(self, name, x)
@@ -139,7 +147,14 @@ class RejectionCurves:
         return self.pi.size
 
     def __getitem__(self, idx):
-        return RejectionCurves(self.pi[idx], self.kappa[idx])
+        """The curves of the hypotheses ``idx`` selects.  They are in range,
+        as these are, so only their shape is checked."""
+        pi, kappa = self.pi[idx], self.kappa[idx]
+        if np.ndim(pi) != 1:
+            raise ConfigurationError(f"a selection of curves must be 1-d, got shape {np.shape(pi)}")
+        part = object.__new__(RejectionCurves)
+        part._store(pi, kappa)
+        return part
 
 
 def _check_curves(curves, n: Optional[int] = None) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, minimize
 from scipy.special import expit
 
 # Scores that tie, sit on the domain's edges or next to 1/2, where 1 - p
@@ -224,3 +225,10 @@ def rejection_table_lines(evalues, weights, rejected):
     for i in range(len(evalues)):
         text += f"{i + 1},{int(mask[i])},{evalues[i]:.10g},{weights[i]:.10g}\n"
     return text
+
+
+def scipy_lbfgsb(negobj, theta0, box):
+    """The public L-BFGS-B call that ``adaptive._minimize`` reproduces:
+    scipy's defaults, ``negobj`` returning value and gradient, the box
+    ``[-box, box]`` on every coordinate."""
+    return minimize(negobj, theta0, jac=True, method="L-BFGS-B", bounds=Bounds(-box, box))

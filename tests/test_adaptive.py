@@ -35,6 +35,7 @@ from oracles import (
     grid_search_loglik,
     mixture_negloglik,
     sample_working_model,
+    scipy_lbfgsb,
 )
 
 
@@ -261,6 +262,64 @@ def test_prop_likelihood_kernel_matches_plain_formulas(case):
         if up_tol is not None and down_tol is not None:
             fd = (negobj(theta + step)[0] - negobj(theta - step)[0]) / (2 * h)
             assert abs(fd - grad[k]) <= 1e-4 * (1.0 + abs(grad[k])) + (up_tol + down_tol) / h
+
+
+def _binding_case():
+    """(z, ell, theta0) of a fit whose optimum lies beyond the box: a covariate
+    of +-0.01 separates 20 signals from 20 nulls, which asks for slopes of
+    hundreds in both links."""
+    x = np.repeat([0.01, -0.01], 20)
+    p = np.concatenate([np.linspace(1e-6, 1e-3, 20), np.linspace(0.05, 1.0, 20)])
+    return np.column_stack([np.ones(40), x]), -np.log(p), np.zeros(4)
+
+
+@st.composite
+def _fit_cases(draw):
+    """(z, ell, theta0) of a fit: d in {0, 1, 2, 3} covariates, n in 4 ... 3000
+    null, signal or tied p-values (ties at one decimal) with or without 0
+    and 1, and a start inside the box, on its faces or outside it."""
+    d, n = draw(st.sampled_from([0, 1, 2, 3])), draw(st.integers(4, 3000))
+    kind, start = draw(st.sampled_from(["null", "signal", "tied"])), draw(st.sampled_from(["in", "on", "out"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(scale=draw(st.sampled_from([0.5, 3.0])), size=(n, d))
+    p = rng.uniform(size=n)
+    if kind == "signal":
+        p[: n // 4] = rng.beta(0.1, 4.0, size=n // 4)
+    elif kind == "tied":
+        p = np.round(p, 1)
+    if draw(st.booleans()):
+        p[:2] = 0.0, 1.0
+    theta0 = rng.uniform(-5.0, 5.0, size=2 * (d + 1))
+    if start != "in":
+        edge = rng.random(theta0.size) < 0.5
+        width = 36.0 if start == "on" else rng.uniform(36.0, 80.0, size=theta0.size)
+        theta0 = np.where(edge, np.sign(rng.uniform(-1.0, 1.0, size=theta0.size)) * width, theta0)
+    z = np.hstack([np.ones((n, 1)), x])
+    return z, -np.log(np.maximum(p, adaptive.P_FLOOR)), theta0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fit_cases())
+@example(_binding_case())
+def test_prop_minimize_matches_scipy_bitwise(case):
+    # _minimize drives scipy's private setulb; the public minimize call is
+    # the reference, and a change to setulb shows here
+    z, ell, theta0 = case
+    negobj = adaptive._negloglik(z, ell)
+    x, f, nit, success = adaptive._minimize(negobj, theta0, adaptive._BOX)
+    ref = scipy_lbfgsb(negobj, theta0, adaptive._BOX)
+    assert (x.tobytes(), f, nit, success) == (ref.x.tobytes(), ref.fun, ref.nit, ref.success)
+
+
+def test_minimize_stops_on_the_box_where_the_optimum_lies_beyond_it():
+    z, ell, theta0 = _binding_case()
+    negobj = adaptive._negloglik(z, ell)
+    x, f, nit, success = adaptive._minimize(negobj, theta0, adaptive._BOX)
+    assert success and nit > 1
+    assert x[1] == -adaptive._BOX and x[3] == adaptive._BOX  # both slopes
+    # the gradient still points out of the box there
+    grad = negobj(x)[1]
+    assert grad[1] > 0.0 > grad[3]
 
 
 def test_fit_with_large_covariates_warns_nothing():

@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -145,10 +146,33 @@ def test_fbc_rejects_non_monotone_curves():
     for pi, kappa in ((ok, ok[:2]), (ok.reshape(1, 3), ok.reshape(1, 3)), (0.5, 0.5), (ok, ok.reshape(3, 1))):
         with pytest.raises(ConfigurationError, match="1-d pi and kappa of one length"):
             RejectionCurves(pi, kappa)
+    # strings, complex numbers and objects are no curves, not even where
+    # numpy could convert them
+    for pi, kappa in ((["a", "b"], [0.5, 0.5]), (ok + 0j, ok), (ok, ok.astype(complex)),
+                      (["0.5"] * 3, ok), (ok.astype(object), ok), ([0.5, None, 0.5], ok)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="curves need real numbers"):
+                RejectionCurves(pi, kappa)
     # the edges of the ranges are curves
     edges = RejectionCurves(np.array([1.0, 5e-324, 0.3]), np.array([0.0, 1.0, 1.0]))
     spec = ProcedureSpec(kind="fbc", alpha=0.05, rejection_functions=edges)
     assert not solve_threshold([0.1, 0.5, 0.9], spec).feasible
+
+
+def test_selected_curves_are_read_only_slices_of_the_arrays(monkeypatch):
+    pi, kappa = np.array([0.2, 0.5, 1.0, 0.7]), np.array([0.0, 0.3, 1.0, 0.9])
+    curves = RejectionCurves(pi, kappa)
+    # a selection of checked curves is in range: it is not checked again
+    monkeypatch.setattr(RejectionCurves, "__post_init__", lambda self: pytest.fail("checked again"))
+    for idx in (slice(1, 3), np.array([3, 0, 0]), np.array([True, False, True, True]), np.array([], dtype=int)):
+        part = curves[idx]
+        assert isinstance(part, RejectionCurves) and len(part) == pi[idx].size
+        assert np.array_equal(part.pi, pi[idx]) and np.array_equal(part.kappa, kappa[idx])
+        assert not (part.pi.flags.writeable or part.kappa.flags.writeable)
+        assert np.array_equal(part.at(0.3), curves.at(0.3)[idx])
+    with pytest.raises(ConfigurationError, match="must be 1-d"):
+        curves[0]
 
 
 def test_fbc_matches_brute_force_grid():
@@ -350,6 +374,7 @@ def test_curve_refusals_survive_python_optimisation():
         "calls = [lambda b=b: RejectionCurves(np.array([0.5, b, 0.5]), ok) for b in (0.0, 2.0, np.nan)]\n"
         "calls += [lambda b=b: RejectionCurves(ok, np.array([0.5, b, 0.5])) for b in (-0.5, 2.0, np.inf)]\n"
         "calls += [lambda: RejectionCurves(ok, ok[:2]), lambda: RejectionCurves(ok[None], ok[None])]\n"
+        "calls += [lambda: RejectionCurves(['a', 'b'], [0.5, 0.5]), lambda: RejectionCurves(ok + 0j, ok)]\n"
         "calls += [lambda: ProcedureSpec(kind='fbc', alpha=0.1, rejection_functions=[abs] * 3)]\n"
         "calls += [lambda: fbc_group_threshold(ok, part, [abs] * 3, 0.1)]\n"
         "calls += [lambda: structure_weights(ok, part, [abs] * 3, [None, None], 'unit')]\n"
@@ -361,7 +386,7 @@ def test_curve_refusals_survive_python_optimisation():
         "        call()\n"
         "    except (ConfigurationError, InputError):\n"
         "        fired += 1\n"
-        "raise SystemExit(0 if fired == len(calls) == 12 else 1)\n"
+        "raise SystemExit(0 if fired == len(calls) == 14 else 1)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}

@@ -52,8 +52,8 @@ benchmark's STRUCT replicate, and n = 10^5.  It reports seconds per fit
 (best of several), objective evaluations per fit (both starts, with the
 evaluation at each start), and the microseconds per evaluation spent
 inside the objective (``adaptive._negloglik``'s kernel) and outside it, in
-scipy's L-BFGS-B and its wrappers, from further fits with a timer around
-each evaluation.
+evmt's L-BFGS-B loop (``adaptive._minimize``) and scipy's ``setulb``
+step, from further fits with a timer around each evaluation.
 
 The ``replicate`` row times ``simulate._replicate_metrics`` on replicate 0
 of each setting of the benchmark's ``campaigns`` workload (its plan in
