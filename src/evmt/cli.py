@@ -68,20 +68,12 @@ _DEFAULT_METHODS = {
 _DEFAULT_METHODS.update(dict.fromkeys(("E1", "E2", "F1", "F2", "F3"), _DEFAULT_METHODS["grouped"]))
 _DEFAULT_METHODS.update(dict.fromkeys(("S1", "S2"), _DEFAULT_METHODS["scores"]))
 
-# each weighted subcommand's table of --weights spellings and its default
-_WEIGHTS = {
-    "groups": (groups._SCHEMES, "adaptive"),
-    "hybrid": (hybrid._MODES, "adaptive"),
-    "adaptive": (adaptive._MODES, "cheap"),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evmt",
         description="FDR procedures, e-value aggregation and simulation campaigns",
     )
-    parser.add_argument("subcommand", choices=list(_RUNNERS))
+    parser.add_argument("subcommand", choices=list(_COMMANDS))
     parser.add_argument("--input", action="append", default=None, metavar="PATH",
                         help="input CSV (repeat for knockoff-combine)")
     parser.add_argument("--alpha", type=float, default=None,
@@ -89,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--weights", default=None, help="; ".join(
         f"{command}: " + "|".join(dict.fromkeys(table.values())) + f" (default {default}"
         + "".join(f", {key} = {name}" for key, name in table.items() if key != name) + ")"
-        for command, (table, default) in _WEIGHTS.items()
+        for command, (_, _, (table, default)) in _COMMANDS.items() if table
     ))
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, metavar="PATH")
@@ -278,7 +270,7 @@ def _require(table, column, path):
 def _pick(args):
     """``--weights`` read in the subcommand's table of spellings (its default
     when not given)."""
-    table, default = _WEIGHTS[args.subcommand]
+    table, default = _COMMANDS[args.subcommand][2]
     if args.weights is None:
         return default
     try:
@@ -499,36 +491,27 @@ def _run_simulate(args, summary):
     return run_campaign(config, _DEFAULT_METHODS[config.setting])
 
 
-_RUNNERS = {
-    "bh": _run_threshold,
-    "storey": _run_threshold,
-    "bc": _run_threshold,
-    "fbc": _run_threshold,
-    "ebh": _run_ebh,
-    "groups": _run_groups,
-    "hybrid": _run_hybrid,
-    "adaptive": _run_adaptive,
-    "knockoff-combine": _run_knockoff,
-    "simulate": _run_simulate,
-}
-
-# the options each subcommand reads; ``main`` refuses any other that is given
+# each subcommand: its runner, the options it reads (``main`` refuses any
+# other that is given), and its table of --weights spellings with the default
 _DATA_OPTIONS = ("input", "alpha", "out")
-_READS = {
-    **dict.fromkeys(("bh", "storey", "bc", "fbc", "ebh", "knockoff-combine"), _DATA_OPTIONS),
-    "groups": (*_DATA_OPTIONS, "weights"),
-    "hybrid": (*_DATA_OPTIONS, "weights"),
-    "adaptive": (*_DATA_OPTIONS, "weights", "seed"),
-    "simulate": (*_DATA_OPTIONS, "seed", "reps", "setting"),
+_UNWEIGHTED = ({}, None)
+_COMMANDS = {
+    **dict.fromkeys(("bh", "storey", "bc", "fbc"), (_run_threshold, _DATA_OPTIONS, _UNWEIGHTED)),
+    "ebh": (_run_ebh, _DATA_OPTIONS, _UNWEIGHTED),
+    "groups": (_run_groups, (*_DATA_OPTIONS, "weights"), (groups._SCHEMES, "adaptive")),
+    "hybrid": (_run_hybrid, (*_DATA_OPTIONS, "weights"), (hybrid._MODES, "adaptive")),
+    "adaptive": (_run_adaptive, (*_DATA_OPTIONS, "weights", "seed"), (adaptive._MODES, "cheap")),
+    "knockoff-combine": (_run_knockoff, _DATA_OPTIONS, _UNWEIGHTED),
+    "simulate": (_run_simulate, (*_DATA_OPTIONS, "seed", "reps", "setting"), _UNWEIGHTED),
 }
-_OPTIONS = tuple(dict.fromkeys(name for names in _READS.values() for name in names))
+_OPTIONS = tuple(dict.fromkeys(name for _, reads, _ in _COMMANDS.values() for name in reads))
 
 
 def main(argv=None) -> int:
     """Run one subcommand and return its exit code.
 
     A data command's level is checked, and an option that the subcommand
-    does not read (see ``_READS``) refused, before any input is read.  Its
+    does not read (see ``_COMMANDS``) refused, before any input is read.  Its
     summary starts as ``{"command", "alpha"}``; ``main`` adds the metrics to
     what its runner returns and writes the table and the summary.  A seed
     drawn for the run is printed just before the summary or report, so a
@@ -539,12 +522,12 @@ def main(argv=None) -> int:
     try:
         if command != "simulate":
             args.alpha = _check_alpha(0.05 if args.alpha is None else args.alpha)
-        unread = [f"--{name}" for name in _OPTIONS
-                  if getattr(args, name) is not None and name not in _READS[command]]
+        runner, reads, _ = _COMMANDS[command]
+        unread = [f"--{name}" for name in _OPTIONS if getattr(args, name) is not None and name not in reads]
         if unread:
             raise ConfigurationError(f"{command} does not read {', '.join(unread)}")
         summary = {"command": command, "alpha": args.alpha}
-        result = _RUNNERS[command](args, summary)
+        result = runner(args, summary)
         if args.drawn_seed is not None:
             print(f"seed = {args.drawn_seed}")
         if command == "simulate":

@@ -45,6 +45,7 @@ a campaign replicate, and the stages of a cross-fitted run, share the scans.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -98,8 +99,10 @@ class GroupPartition:
         object.__setattr__(self, "labels", labels)
         if labels.ndim != 1 or labels.size == 0:
             raise ConfigurationError("partition labels must form a non-empty 1-d array")
-        if self.n_groups < 1:
-            raise ConfigurationError("partition needs at least one group")
+        if not isinstance(self.n_groups, numbers.Integral) or self.n_groups < 1:
+            raise ConfigurationError(
+                f"partition needs a whole number of at least one group, got {self.n_groups!r}"
+            )
         if labels.min() < 0 or labels.max() >= self.n_groups:
             raise ConfigurationError("group codes out of range")
         counts = np.bincount(labels, minlength=self.n_groups)

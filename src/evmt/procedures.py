@@ -95,12 +95,12 @@ def _check_storey_lambda(storey_lambda: float) -> None:
 
 
 def _lookup(table: dict, key: str, what: str) -> str:
-    """The canonical name of ``key``, any case, in a procedure's table of
-    spellings; ``what`` names the setting in the message."""
-    try:
-        return table[key.lower()]
-    except KeyError:
-        raise ConfigurationError(f"unknown {what} {key!r}") from None
+    """The canonical name of ``key``, a string of any case, in a procedure's
+    table of spellings; ``what`` names the setting in the message."""
+    name = table.get(key.lower()) if isinstance(key, str) else None
+    if name is None:
+        raise ConfigurationError(f"unknown {what} {key!r}")
+    return name
 
 
 @dataclass(frozen=True, eq=False)
@@ -574,7 +574,10 @@ def fdp_power(rejected, truth) -> tuple[float, float]:
         ``#true rejections / max(1, #non-nulls)``.
     """
     prepared = _Truth(truth)
-    rej = np.asarray(rejected, dtype=np.intp)
+    rej = np.asarray(rejected)
+    if rej.ndim != 1 or (rej.size and rej.dtype.kind not in "iu"):
+        raise InputError("rejected indices must form a 1-d array of integers")
+    rej = rej.astype(np.intp, copy=False)
     if rej.size and (rej.min() < 0 or rej.max() >= prepared.mask.size):
         raise InputError("rejected indices out of range for truth vector")
     return prepared.score(rej)[:2]
@@ -595,6 +598,9 @@ class _Truth:
             raise InputError("truth must be a 1-d indicator vector")
         self.mask = theta != 0
         self.n_alt = int(np.count_nonzero(self.mask))
+        # every value that is not 0 is 1 (NaN and text are neither)
+        if np.count_nonzero(theta == 1) != self.n_alt:
+            raise InputError("truth values must be 0 or 1")
         self.labels = self.n_groups = self.group_alt = None
         if part is not None:
             if part.n != theta.size:

@@ -12,10 +12,11 @@ scans every method reads its level criterion off: the sorted p-values and
 the BC grid for BH, Storey, BC and both hybrid blends, the per-group scans
 for the grouped methods, the sorted statistics and mirror grid of each
 knockoff family for ``KO_1``, ``KO_2`` and ``KO_Hybrid``.  The runners call
-the public functions, which take the memo in place of the data.  Methods
-that share a runner needing no randomness (``BC`` and ``BC_Com``;
-``eBH_Ada`` and ``fast_eBH_Ada`` on an instance without groups) share one
-run of it.  The memo goes with the replicate.  The replicate's truth is
+the public functions, which take the memo in place of the data.  Each method
+is a row ``(runner, argument)`` of the registry, and equal rows share one
+run (``BC`` and ``BC_Com``; ``eBH_Ada`` and ``fast_eBH_Ada`` on an instance
+without groups), except the cross-fitted rows, which draw from their own
+substreams.  The memo goes with the replicate.  The replicate's truth is
 prepared once (``procedures._Truth``), and every method's FDP and power are
 read from it; the replicates of a grouped setting share one partition.
 
@@ -123,7 +124,7 @@ class _BadConfig(ConfigurationError):
 
 def default_parameters(setting: str) -> dict:
     """Built-in parameter map for a setting (copy, safe to mutate)."""
-    table = _PARAMETERS.get(setting.upper())
+    table = _PARAMETERS.get(setting.upper()) if isinstance(setting, str) else None
     if table is None:
         raise _BadConfig(("setting",), f"unknown setting {setting!r}")
     return {k: copy.deepcopy(v.default) for k, v in table.items() if v.default is not None}
@@ -180,11 +181,13 @@ class SimulationConfig:
     target_alpha: Optional[float] = None
 
     def __post_init__(self):
+        params = default_parameters(self.setting)
         setting = self.setting.upper()
-        params = default_parameters(setting)
         object.__setattr__(self, "setting", setting)
         _check_value(("replications", "reps"), "replications", self.replications, _Param(int, 1), {})
         _check_value(("seed",), "seed", self.seed, _Param(int, 0), {})
+        if not isinstance(self.parameters, dict):
+            raise _BadConfig(("parameters",), f"parameters must be a table, got {self.parameters!r}", True)
         params.update(self.parameters)
         _check_table(_PARAMETERS[setting], params)
         object.__setattr__(self, "parameters", params)
@@ -390,11 +393,7 @@ def _run_threshold(rep, alpha, kind):
     return solve_threshold(rep(_pvals), ProcedureSpec(kind=kind, alpha=alpha)).rejected
 
 
-def _run_bc(rep, alpha):
-    return _run_threshold(rep, alpha, "bc")
-
-
-def _run_bc_sep(rep, alpha):
+def _run_bc_sep(rep, alpha, _):
     thresholds = groupwise_bc_thresholds(*_grouped_pvals(rep, "BC_Sep"), alpha)
     return np.sort(np.concatenate([res.rejected for res in thresholds]))
 
@@ -403,19 +402,11 @@ def _run_grouped(rep, alpha, scheme):
     return run_grouped_ebh(*_grouped_pvals(rep, f"grouped scheme {scheme}"), alpha, scheme).rejected
 
 
-def _run_hybrid_mode(rep, alpha, mode):
+def _run_hybrid(rep, alpha, mode):
     return run_hybrid(rep(_pvals), HybridConfig(alpha_ebh=alpha, weight_mode=mode))
 
 
-def _run_grouped_adaptive(rep, alpha):
-    return _run_grouped(rep, alpha, "adaptive")
-
-
-def _run_hybrid_adaptive(rep, alpha):
-    return _run_hybrid_mode(rep, alpha, "adaptive")
-
-
-def _run_struct(rep, alpha, rng, mode):
+def _run_struct(rep, alpha, mode, rng):
     covars = _need(rep.data, "covars", "eBH_FBC")
     return run_structure_adaptive(rep(_pvals), covars, alpha, mode=mode, rng=rng)
 
@@ -425,55 +416,52 @@ def _run_knockoff(rep, alpha, which):
     return knockoff_threshold(rep(_stats, which), alpha).rejected
 
 
-def _run_knockoff_hybrid(rep, alpha):
+def _run_knockoff_hybrid(rep, alpha, _):
     return combine_and_select(rep(_stats, "a"), rep(_stats, "b"), alpha)
 
 
-# name -> (needs_rng, runner); the registry order fixes each method's
+# name -> (runner, argument); the registry order fixes each method's
 # substream index, so adding methods must append, not reorder
 _METHODS = {
-    "BH": (False, lambda rep, a: _run_threshold(rep, a, "bh")),
-    "ST": (False, lambda rep, a: _run_threshold(rep, a, "storey")),
-    "BC": (False, _run_bc),
-    "BC_Com": (False, _run_bc),
-    "BC_Sep": (False, _run_bc_sep),
-    "eBH_1": (False, lambda rep, a: _run_grouped(rep, a, "unit")),
-    "eBH_2": (False, lambda rep, a: _run_grouped(rep, a, "size")),
-    "eBH_Ada": (False, _run_hybrid_adaptive),  # see _GROUPED_RUNNERS
-    "eBH_Ave": (False, lambda rep, a: _run_hybrid_mode(rep, a, "averaged")),
-    "fast_eBH_Ada": (False, _run_hybrid_adaptive),
-    "eBH_FBC": (True, lambda rep, a, rng: _run_struct(rep, a, rng, "cheap")),
-    "eBH_FBC_unit": (True, lambda rep, a, rng: _run_struct(rep, a, rng, "unit")),
-    "KO_1": (False, lambda rep, a: _run_knockoff(rep, a, "a")),
-    "KO_2": (False, lambda rep, a: _run_knockoff(rep, a, "b")),
-    "KO_Hybrid": (False, _run_knockoff_hybrid),
+    "BH": (_run_threshold, "bh"),
+    "ST": (_run_threshold, "storey"),
+    "BC": (_run_threshold, "bc"),
+    "BC_Com": (_run_threshold, "bc"),
+    "BC_Sep": (_run_bc_sep, None),
+    "eBH_1": (_run_grouped, "unit"),
+    "eBH_2": (_run_grouped, "size"),
+    "eBH_Ada": (_run_hybrid, "adaptive"),  # see _GROUPED_METHODS
+    "eBH_Ave": (_run_hybrid, "averaged"),
+    "fast_eBH_Ada": (_run_hybrid, "adaptive"),
+    "eBH_FBC": (_run_struct, "cheap"),
+    "eBH_FBC_unit": (_run_struct, "unit"),
+    "KO_1": (_run_knockoff, "a"),
+    "KO_2": (_run_knockoff, "b"),
+    "KO_Hybrid": (_run_knockoff_hybrid, None),
 }
 
-# on an instance with groups, eBH_Ada is the grouped procedure
-_GROUPED_RUNNERS = {"eBH_Ada": _run_grouped_adaptive}
-
-_METHOD_INDEX = {name: i for i, name in enumerate(_METHODS)}
+# the rows on an instance with groups, where eBH_Ada is the grouped procedure
+_GROUPED_METHODS = {**_METHODS, "eBH_Ada": (_run_grouped, "adaptive")}
 
 
 def _run_methods(instance: SimInstance, alpha: float, methods, seed: int, replicate: int) -> dict:
     """Rejections of each method on one replicate, ``{name: sorted indices}``.
 
     The replicate memo holds the memos of the validated data, and the
-    rejections of each runner that needs no random stream, keyed by runner
-    and level.
+    rejections of each row that draws no random numbers, keyed by runner,
+    level and argument: equal rows share one run.  ``_run_struct`` draws
+    from the method's own substream, so it runs once for each method.
     """
     rep = _Memo(instance)
-    part = instance.partition
+    rows = _METHODS if instance.partition is None else _GROUPED_METHODS
     out = {}
     for name in methods:
-        needs_rng, runner = _METHODS[name]
-        if part is not None:
-            runner = _GROUPED_RUNNERS.get(name, runner)
-        if needs_rng:
-            rng = _replicate_rng(seed, replicate, lane=1 + _METHOD_INDEX[name])
-            out[name] = runner(rep, alpha, rng)
+        runner, argument = rows[name]
+        if runner is _run_struct:
+            rng = _replicate_rng(seed, replicate, lane=1 + list(_METHODS).index(name))
+            out[name] = runner(rep, alpha, argument, rng)
         else:
-            out[name] = rep(runner, alpha)
+            out[name] = rep(runner, alpha, argument)
     return out
 
 
@@ -507,20 +495,14 @@ class MetricsReport:
         """Flat (setting, method, metric, value, std_error) records."""
         out = []
         for name, m in self.methods.items():
-            out.append(
-                {"setting": self.setting, "method": name, "metric": "fdr",
-                 "value": m["fdr"], "std_error": m["fdr_se"]}
-            )
-            out.append(
-                {"setting": self.setting, "method": name, "metric": "power",
-                 "value": m["power"], "std_error": m["power_se"]}
-            )
-            for l, (f, fs) in enumerate(zip(m.get("group_fdr", []), m.get("group_fdr_se", [])), start=1):
-                out.append({"setting": self.setting, "method": name, "metric": f"fdr_g{l}",
-                            "value": f, "std_error": fs})
-            for l, (w, ws) in enumerate(zip(m.get("group_power", []), m.get("group_power_se", [])), start=1):
-                out.append({"setting": self.setting, "method": name, "metric": f"power_g{l}",
-                            "value": w, "std_error": ws})
+            # fdr and power first, then fdr and power of each group
+            pooled, grouped = [], []
+            for metric in ("fdr", "power"):
+                pooled.append((metric, m[metric], m[f"{metric}_se"]))
+                grouped += [(f"{metric}_g{l}", value, se) for l, (value, se) in enumerate(
+                    zip(m.get(f"group_{metric}", []), m.get(f"group_{metric}_se", [])), start=1)]
+            out += [{"setting": self.setting, "method": name, "metric": metric,
+                     "value": value, "std_error": se} for metric, value, se in pooled + grouped]
         return out
 
     def to_json(self) -> str:
@@ -545,6 +527,11 @@ class MetricsReport:
 
 
 def _mean_se(values: np.ndarray):
+    """Mean and standard error over the replicates; of a 2-d array, the lists
+    of them per column, each column reduced on its own 1-d view, which numpy
+    sums as it does a 1-d array."""
+    if values.ndim == 2:
+        return tuple(map(list, zip(*map(_mean_se, values.T))))
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
     return mean, se
@@ -574,9 +561,11 @@ def run_campaign(config: SimulationConfig, methods) -> MetricsReport:
     and ``OPENBLAS_NUM_THREADS=1``.  Set the BLAS thread count (say
     ``OPENBLAS_NUM_THREADS=1``) when running more than one worker.
     """
+    if isinstance(methods, str):
+        raise ConfigurationError(f"methods must be a list of names, got {methods!r}")
     methods = list(methods)
     for name in methods:
-        if name not in _METHODS:
+        if not isinstance(name, str) or name not in _METHODS:
             raise ConfigurationError(f"unknown method {name!r}")
     start = time.monotonic()
     workers = _worker_count()
@@ -591,19 +580,12 @@ def run_campaign(config: SimulationConfig, methods) -> MetricsReport:
 
     summary = {}
     for name in methods:
-        fdp = np.array([rec[name]["fdp"] for rec in per_rep])
-        power = np.array([rec[name]["power"] for rec in per_rep])
-        entry = {}
-        entry["fdr"], entry["fdr_se"] = _mean_se(fdp)
-        entry["power"], entry["power_se"] = _mean_se(power)
-        if "group_fdp" in per_rep[0][name]:
-            gf = np.array([rec[name]["group_fdp"] for rec in per_rep])
-            gp = np.array([rec[name]["group_power"] for rec in per_rep])
-            entry["group_fdr"], entry["group_fdr_se"] = zip(*(_mean_se(gf[:, l]) for l in range(gf.shape[1])))
-            entry["group_power"], entry["group_power_se"] = zip(*(_mean_se(gp[:, l]) for l in range(gp.shape[1])))
-            for key in ("group_fdr", "group_fdr_se", "group_power", "group_power_se"):
-                entry[key] = list(entry[key])
-        summary[name] = entry
+        entry = summary[name] = {}
+        for column in ("fdp", "power", "group_fdp", "group_power"):
+            if column in per_rep[0][name]:
+                metric = column.replace("fdp", "fdr")  # each FDP averages to an FDR
+                values = np.array([rec[name][column] for rec in per_rep])
+                entry[metric], entry[f"{metric}_se"] = _mean_se(values)
     return MetricsReport(
         setting=config.setting,
         target_alpha=config.target_alpha,

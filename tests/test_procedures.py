@@ -474,6 +474,24 @@ def test_fdp_power_range_check():
         fdp_power([5], [0, 1])
 
 
+@pytest.mark.parametrize("rejected", [[0.5], [True], np.array([0.0]), 0, [[0]]])
+def test_fdp_power_refuses_indices_that_are_not_integers(rejected):
+    # 0.5 would index as 0, a flag as 1; an empty list is no rejection
+    with pytest.raises(InputError, match="rejected indices must form a 1-d array of integers"):
+        fdp_power(rejected, [0, 1])
+    assert fdp_power([], [0, 1]) == (0.0, 0.0)
+    assert fdp_power(np.array([1], dtype=np.uint8), [0, 1]) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("truth", [[0, 2], [0, -1], [0.5, 1], [np.nan, 1], ["0", "1"]])
+def test_truth_values_other_than_0_and_1_are_refused(truth):
+    with pytest.raises(InputError, match="truth values must be 0 or 1"):
+        fdp_power([0], truth)
+    with pytest.raises(InputError, match="truth values must be 0 or 1"):
+        _Truth(truth, GroupPartition.from_sizes([1, 1]))
+    assert fdp_power([0], [True, False]) == fdp_power([0], [1.0, 0.0]) == (0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # module invariants
 

@@ -18,14 +18,17 @@ from evmt import (
     ProcedureSpec,
     RejectionCurves,
     combine_and_select,
+    fbc_group_threshold,
     fdp_power,
     groupwise_bc_thresholds,
     knockoff_threshold,
     run_grouped_ebh,
     run_hybrid,
     solve_threshold,
+    structure_weights,
 )
 from evmt import groups, hybrid, knockoffs, procedures, simulate
+from evmt.adaptive import structure_pipeline
 from evmt.simulate import (
     MetricsReport,
     SimInstance,
@@ -207,6 +210,41 @@ def test_unknown_method_rejected():
     cfg = SimulationConfig(setting="E1", replications=2, seed=1)
     with pytest.raises(ConfigurationError):
         run_campaign(cfg, ["BH", "nope"])
+
+
+def _malformed_calls():
+    """Calls with a name or configuration value of the wrong type, each
+    with the message of its refusal."""
+    p = np.linspace(0.01, 0.99, 8)
+    part = GroupPartition.from_sizes([4, 4])
+    thresholds = groupwise_bc_thresholds(p, part, 0.2)
+    curves = RejectionCurves(np.full(8, 0.5), np.full(8, 0.5))
+    fold_thresholds = fbc_group_threshold(p, part, curves, 0.2)
+    return {
+        "hybrid mode": (lambda: HybridConfig(alpha_ebh=0.1, weight_mode=3), "unknown weight mode 3"),
+        "grouped scheme": (lambda: run_grouped_ebh(p, part, 0.2, scheme=3), "unknown weight scheme 3"),
+        "assembled scheme": (lambda: groups.assemble_weights(p, part, thresholds, None, 0.2),
+                             "unknown weight scheme None"),
+        "structure mode": (lambda: structure_weights(p, part, curves, fold_thresholds, 0, 0.2),
+                           "unknown weight mode 0"),
+        "pipeline mode": (lambda: structure_pipeline(p, None, 0.2, mode=["cheap"]),
+                          r"unknown weight mode \['cheap'\]"),
+        "setting": (lambda: SimulationConfig(setting=5), "unknown setting 5"),
+        "default setting": (lambda: default_parameters(5), "unknown setting 5"),
+        "parameters": (lambda: SimulationConfig(setting="S1", parameters=None),
+                       "parameters must be a table, got None"),
+        "group count": (lambda: GroupPartition(labels=[0, 1], n_groups=2.5),
+                        "whole number of at least one group, got 2.5"),
+        "method list": (lambda: run_campaign(SimulationConfig(setting="S1", replications=1), "BH"),
+                        "methods must be a list of names, got 'BH'"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_malformed_calls()))
+def test_malformed_names_and_values_are_configuration_errors(case):
+    call, message = _malformed_calls()[case]
+    with pytest.raises(ConfigurationError, match=message):
+        call()
 
 
 def test_method_requires_matching_setting():
@@ -569,13 +607,15 @@ def test_campaign_runners_call_the_public_functions(monkeypatch):
              "knockoff_threshold", "combine_and_select", "run_structure_adaptive"]
     calls = {name: _count_calls(monkeypatch, simulate, name) for name in names}
     run_campaign(SimulationConfig(setting="S1", replications=2, seed=1), SCORES)
-    run_campaign(SimulationConfig(setting="E1", replications=2, seed=1), GROUPED)
+    # on a grouped instance eBH_Ada is the grouped procedure and fast_eBH_Ada
+    # the blend: one more run_hybrid call per replicate, no more grouped ones
+    run_campaign(SimulationConfig(setting="E1", replications=2, seed=1), GROUPED + ["fast_eBH_Ada"])
     run_campaign(SimulationConfig(setting="KNOCK_SYNTH", replications=2, seed=1), ["KO_1", "KO_2", "KO_Hybrid"])
     run_campaign(SimulationConfig(setting="STRUCT", parameters={"n": 120}, replications=2, seed=1),
                  ["eBH_FBC", "eBH_FBC_unit"])
-    # S1: BH, ST, BC and two blends; E1: BC_Com, BC_Sep and three grouped schemes
+    # S1: BH, ST, BC and two blends; E1: BC_Com, BC_Sep, three grouped schemes and a blend
     counts = {name: len(got) for name, got in calls.items()}
-    assert counts == {"solve_threshold": 2 * 3 + 2, "run_hybrid": 2 * 2, "groupwise_bc_thresholds": 2,
+    assert counts == {"solve_threshold": 2 * 3 + 2, "run_hybrid": 2 * 2 + 2, "groupwise_bc_thresholds": 2,
                       "run_grouped_ebh": 2 * 3, "knockoff_threshold": 2 * 2, "combine_and_select": 2,
                       "run_structure_adaptive": 2 * 2}
     for name, got in calls.items():
