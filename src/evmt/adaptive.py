@@ -30,7 +30,8 @@ nothing, so nothing is fitted and each fold runs its BC scan.
 The fit maximises the log-likelihood by L-BFGS-B over the box
 [-36, 36] of every coefficient, from two fixed starts.  ``_minimize`` is
 scipy's L-BFGS-B loop with ``minimize``'s defaults, written out over
-scipy's ``setulb`` step: it gives the same fits, bit for bit, as the public
+scipy's compiled ``setulb`` step, which ``_setulb`` loads without the
+``scipy.optimize`` package: it gives the same fits, bit for bit, as the public
 ``scipy.optimize.minimize`` call without that call's per-evaluation
 wrappers, so most of a fit's time is its objective.  The objective is
 one numpy kernel (``_negloglik``) over (2, n) buffers allocated once per
@@ -57,6 +58,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,6 +99,8 @@ _LBFGSB_PGTOL = 1e-5
 _LBFGSB_MAXLS = 20
 _LBFGSB_MAXITER = 15000
 _DENS_FLOOR = np.finfo(np.float64).tiny  # an underflowed density counts as this
+_SETULB = None  # scipy's compiled L-BFGS-B step, once _setulb has loaded it
+_SETULB_LOCK = threading.Lock()
 
 # each accepted spelling of a weight mode, lower case, and its canonical name
 _MODES = {"unit": "unit", "cheap": "cheap"}
@@ -152,14 +157,52 @@ def _design(covars, n: Optional[int] = None, d: Optional[int] = None) -> np.ndar
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
-def _minimize(negobj, theta0, box):
+def _setulb():
+    """scipy's compiled L-BFGS-B step ``setulb``, from the extension module
+    ``scipy.optimize._lbfgsb`` loaded on its own, once per process.
+
+    Importing that module by name would first import the whole
+    ``scipy.optimize`` package: about 260 more modules than a fit loads
+    otherwise, ``scipy.sparse`` and ``scipy.linalg`` among them, which a fit
+    never uses.  So, unless the package is already imported, the file is
+    found in scipy's ``optimize`` directory and executed alone.  Its entry
+    in ``sys.modules`` is removed again: a later ``import scipy.optimize``
+    would reuse it and never set ``_lbfgsb`` on the package.  The package
+    then loads its own module object, with the same ``setulb``.
+    """
+    global _SETULB
+    with _SETULB_LOCK:
+        if _SETULB is None:
+            if "scipy.optimize" in sys.modules:
+                from scipy.optimize import _lbfgsb as module
+            else:
+                import importlib.machinery
+                import importlib.util
+                import os
+
+                import scipy
+
+                where = os.path.join(scipy.__path__[0], "optimize")
+                spec = importlib.machinery.PathFinder.find_spec("scipy.optimize._lbfgsb", [where])
+                if spec is None:
+                    raise ImportError(f"scipy's compiled L-BFGS-B module _lbfgsb is not in {where}")
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules.pop(spec.name, None)
+            _SETULB = module.setulb
+    return _SETULB
+
+
+def _minimize(negobj, theta0, box, start=None):
     """L-BFGS-B minimisation of ``negobj`` (value and gradient) from
     ``theta0``, clipped into the box ``[-box, box]`` of every coordinate.
-    Returns ``(x, f, nit, success)``.
+    Returns ``(x, f, nit, success)``.  ``start``, when given, is
+    ``negobj(theta0)``; it stands for the first evaluation when ``theta0``
+    lies in the box.
 
     This is the loop of scipy's ``_minimize_lbfgsb`` with the defaults of
-    ``scipy.optimize.minimize``, without its wrappers: it drives the private
-    ``scipy.optimize._lbfgsb.setulb`` by reverse communication.  ``negobj``
+    ``scipy.optimize.minimize``, without its wrappers: it drives scipy's
+    private compiled step ``setulb`` by reverse communication.  ``negobj``
     runs once at the clipped start and then only when ``setulb`` asks for
     the value and gradient (task 3) at another point than the last one, as
     the cache of scipy's ``ScalarFunction`` does; task 1 is a new iteration
@@ -169,15 +212,22 @@ def _minimize(negobj, theta0, box):
     ``tests/test_adaptive.py::test_prop_minimize_matches_scipy_bitwise``
     compares the two, and fails if scipy changes it.
 
-    This is evmt's one rule for scipy: a function that needs it imports it
-    in its own body, once per call, as here.  The objective that L-BFGS-B
-    evaluates many times is :func:`_ascend`'s numpy kernel and imports
-    nothing.  Imported at module level, ``scipy.optimize`` and
-    ``scipy.special`` would take most of a fresh ``import evmt``, which the
-    commands that fit no model and draw no z-scores never need.
+    scipy is imported where it is used, in the body of the function that
+    needs it.  A fit loads only ``scipy.special`` and the one compiled
+    module ``scipy.optimize._lbfgsb`` (:func:`_setulb`), not the
+    ``scipy.optimize`` package, whose import would take most of a fresh
+    process's time and memory.  On 2 vCPUs, a fresh interpreter that
+    imports the package peaks at about 78 MB after 0.45 s; one that imports
+    evmt and loads only the module peaks at about 33 MB after 0.15 s.  The
+    objective that L-BFGS-B evaluates many times is :func:`_ascend`'s numpy
+    kernel and imports nothing.  In fresh interpreters,
+    ``tests/test_cli.py::test_fit_loads_one_module_of_scipy_optimize``
+    checks what a fit imports, and
+    ``test_fit_and_scipy_optimize_agree_in_either_import_order`` that the
+    fits, ``scipy.optimize._lbfgsb`` and the public call are unchanged
+    whichever of the fit and the package comes first.
     """
-    from scipy.optimize._lbfgsb import setulb
-
+    setulb = _setulb()
     n, m = theta0.size, _LBFGSB_M
     lower, upper = np.full(n, -box), np.full(n, box)
     nbd = np.full(n, 2, dtype=np.int32)  # both bounds on every coordinate
@@ -187,7 +237,8 @@ def _minimize(negobj, theta0, box):
     task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
     isave, dsave = np.zeros(44, np.int32), np.zeros(29)
     f, g = 0.0, np.zeros(n)
-    seen, (f_seen, g_seen) = x.tolist(), negobj(x)
+    seen = x.tolist()
+    f_seen, g_seen = start if start is not None and seen == theta0.tolist() else negobj(x)
     nfev, nit = 1, 0
     while True:
         setulb(m, x, lower, upper, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
@@ -261,8 +312,9 @@ def _ascend(z, ell, beta_pi, beta_kappa):
     """
     negobj = _negloglik(z, ell)
     theta0 = np.concatenate([beta_pi, beta_kappa])
-    x, fx, nit, success = _minimize(negobj, theta0, _BOX)
-    f0 = negobj(theta0)[0]  # at the start itself, which may lie outside the box
+    start = negobj(theta0)  # at the start itself, which may lie outside the box
+    x, fx, nit, success = _minimize(negobj, theta0, _BOX, start)
+    f0 = start[0]
     theta, f = (x, fx) if np.isfinite(fx) and fx <= f0 else (theta0, f0)
     d1 = beta_pi.size
     return theta[:d1], theta[d1:], float(-f), success, nit

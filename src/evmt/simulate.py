@@ -41,6 +41,7 @@ import math
 import numbers
 import os
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional
 
@@ -561,7 +562,7 @@ def run_campaign(config: SimulationConfig, methods) -> MetricsReport:
     and ``OPENBLAS_NUM_THREADS=1``.  Set the BLAS thread count (say
     ``OPENBLAS_NUM_THREADS=1``) when running more than one worker.
     """
-    if isinstance(methods, str):
+    if isinstance(methods, str) or not isinstance(methods, Iterable):
         raise ConfigurationError(f"methods must be a list of names, got {methods!r}")
     methods = list(methods)
     for name in methods:

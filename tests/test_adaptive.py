@@ -1,3 +1,5 @@
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -320,6 +322,22 @@ def test_minimize_stops_on_the_box_where_the_optimum_lies_beyond_it():
     # the gradient still points out of the box there
     grad = negobj(x)[1]
     assert grad[1] > 0.0 > grad[3]
+
+
+def test_setulb_loads_the_compiled_module_alone_or_names_where_it_looked(monkeypatch, tmp_path):
+    # the package is imported here, so hide it: _setulb then loads the file
+    import scipy
+    import scipy.optimize
+
+    for name in ("scipy.optimize", "scipy.optimize._lbfgsb"):
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(adaptive, "_SETULB", None)
+    assert adaptive._setulb() is scipy.optimize._lbfgsb.setulb
+    assert "scipy.optimize._lbfgsb" not in sys.modules
+    monkeypatch.setattr(adaptive, "_SETULB", None)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "optimize"))):
+        adaptive._setulb()
 
 
 def test_fit_with_large_covariates_warns_nothing():

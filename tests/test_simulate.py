@@ -237,6 +237,8 @@ def _malformed_calls():
                         "whole number of at least one group, got 2.5"),
         "method list": (lambda: run_campaign(SimulationConfig(setting="S1", replications=1), "BH"),
                         "methods must be a list of names, got 'BH'"),
+        "method count": (lambda: run_campaign(SimulationConfig(setting="S1", replications=1), 5),
+                         "methods must be a list of names, got 5"),
     }
 
 

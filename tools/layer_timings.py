@@ -49,8 +49,8 @@ The ``fit_lfdr_em`` row fits the mixture on one fold of a STRUCT
 instance of twice the size, seed 3, as ``structure_pipeline`` splits it
 (two folds, ``rng = default_rng(0)``): n = 1500 with d = 2, one fold of the
 benchmark's STRUCT replicate, and n = 10^5.  It reports seconds per fit
-(best of several), objective evaluations per fit (both starts, with the
-evaluation at each start), and the microseconds per evaluation spent
+(best of several), objective evaluations per fit (both starts, each start
+evaluated once), and the microseconds per evaluation spent
 inside the objective (``adaptive._negloglik``'s kernel) and outside it, in
 evmt's L-BFGS-B loop (``adaptive._minimize``) and scipy's ``setulb``
 step, from further fits with a timer around each evaluation.
@@ -64,15 +64,21 @@ replicate's level-free scans.
 The ``cold_start`` row is the fixed cost every ``evmt`` process pays: the
 median wall time of ``COLD_RUNS`` fresh interpreters running
 ``import evmt``, started with ``subprocess``, next to the same for
-``import numpy``, the floor under it.
+``import numpy``, the floor under it.  Its third statement is the cost of a
+process's first fit: ``import evmt.adaptive`` and one ``fit_lfdr_em`` on
+the n = 1500, d = 2 fold of the ``fit_lfdr_em`` row, read from a ``.npy``
+file.  The ``cold_start_maxrss_mb`` row is the median peak resident set
+of the same interpreters, each read by the child itself at its end
+(``VmHWM`` in ``/proc/self/status``, Linux only).
 
 Run from the repository root, against the source tree under test::
 
     PYTHONPATH=src python tools/layer_timings.py
 
-Prints one JSON object, ``{layer: {n: seconds}}``; ``cold_start`` is keyed
-by the statement run and ``replicate`` by the setting's name instead of n,
-and each ``fit_lfdr_em`` entry is an object of the figures above.
+Prints one JSON object, ``{layer: {n: seconds}}``; ``cold_start`` and
+``cold_start_maxrss_mb`` are keyed by the statement run (the fit's by
+``fit_lfdr_em n=1500 d=2``) and ``replicate`` by the setting's name instead
+of n, and each ``fit_lfdr_em`` entry is an object of the figures above.
 """
 
 from __future__ import annotations
@@ -123,6 +129,9 @@ CSV_SEED = 941
 N_LABELS = 1000
 COLD_RUNS = 7
 REPLICATE_SEED = 5
+# a child's own peak resident set, "VmHWM: <kB> kB": its ru_maxrss would
+# also hold this process's peak, which the child keeps across exec
+PRINT_PEAK = "\nprint(next(line for line in open('/proc/self/status') if line.startswith('VmHWM')))"
 FBC_SEED = 17
 
 
@@ -136,15 +145,24 @@ def best_of(fn):
     return best
 
 
-def cold_start(out):
-    """Median wall seconds of fresh interpreters running each import."""
-    for statement in ("import numpy", "import evmt"):
-        runs = []
+def cold_start(out, tmp):
+    """Median wall seconds and peak resident set of fresh interpreters
+    running each statement."""
+    fold = tmp / "fold.npy"
+    np.save(fold, np.column_stack(struct_fold(1500)))
+    fit = (f"import numpy as np; import evmt.adaptive; a = np.load({str(fold)!r}); "
+           "evmt.adaptive.fit_lfdr_em(a[:, 0], a[:, 1:])")
+    for statement in ("import numpy", "import evmt", fit):
+        runs, peaks = [], []
         for _ in range(COLD_RUNS):
             start = time.perf_counter()
-            subprocess.run([sys.executable, "-c", statement], check=True)
+            child = subprocess.run([sys.executable, "-c", statement + PRINT_PEAK],
+                                   check=True, capture_output=True, text=True)
             runs.append(time.perf_counter() - start)
-        out.setdefault("cold_start", {})[statement] = round(statistics.median(runs), 6)
+            peaks.append(int(child.stdout.split()[-2]) / 1024)
+        key = "fit_lfdr_em n=1500 d=2" if statement is fit else statement
+        out.setdefault("cold_start", {})[key] = round(statistics.median(runs), 6)
+        out.setdefault("cold_start_maxrss_mb", {})[key] = round(statistics.median(peaks), 1)
 
 
 def write_cli_csv(path, n):
@@ -250,6 +268,15 @@ def adaptive_layers(out):
         out.setdefault("structure_pipeline_no_covariates", {})[key] = round(seconds, 6)
 
 
+def struct_fold(n):
+    """The p-values and covariates of one fold of a STRUCT instance of 2n
+    hypotheses, seed 3, as ``structure_pipeline`` splits it."""
+    inst = generate(SimulationConfig(setting="STRUCT", parameters={"n": 2 * n}, seed=3), 0)
+    labels = np.empty(2 * n, dtype=np.intp)
+    labels[np.random.default_rng(0).permutation(2 * n)] = np.arange(2 * n) % 2
+    return inst.pvals[labels == 1], inst.covars[labels == 1]
+
+
 def fit_layer(out):
     kernel, calls, inside = adaptive._negloglik, 0, 0.0
 
@@ -267,10 +294,7 @@ def fit_layer(out):
         return timed
 
     for n, key in ((1500, "1500_d2"), (10**5, "1e5_d2")):
-        inst = generate(SimulationConfig(setting="STRUCT", parameters={"n": 2 * n}, seed=3), 0)
-        labels = np.empty(2 * n, dtype=np.intp)
-        labels[np.random.default_rng(0).permutation(2 * n)] = np.arange(2 * n) % 2
-        p, x = inst.pvals[labels == 1], inst.covars[labels == 1]
+        p, x = struct_fold(n)
         seconds = best_of(lambda: fit_lfdr_em(p, x))
         adaptive._negloglik, calls, inside, fits = timed_kernel, 0, 0.0, 0
         try:
@@ -321,15 +345,15 @@ def io_layers(out, tmp):
 
 def main():
     out = {}
-    cold_start(out)
-    sort_layers(out)
-    fbc_layer(out)
-    scan_layers(out)
-    knockoff_layer(out)
-    adaptive_layers(out)
-    fit_layer(out)
-    replicate_layer(out)
     with tempfile.TemporaryDirectory() as tmp:
+        cold_start(out, Path(tmp))
+        sort_layers(out)
+        fbc_layer(out)
+        scan_layers(out)
+        knockoff_layer(out)
+        adaptive_layers(out)
+        fit_layer(out)
+        replicate_layer(out)
         io_layers(out, Path(tmp))
     print(json.dumps(out, indent=1))
 
