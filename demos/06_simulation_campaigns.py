@@ -1,9 +1,8 @@
 """Driving reproducible Monte Carlo campaigns and exporting plot-ready CSV.
 
 Campaigns are deterministic functions of (setting, parameters, seed); each
-replicate runs on its own counter-based substream, so the same report comes
-back no matter how work is scheduled.  Set EVMT_THREADS to parallelise over
-replicates.
+replicate runs on its own counter-based substream, so the same
+(setting, parameters, seed) always gives back the same report.
 """
 
 from pathlib import Path
@@ -26,6 +25,6 @@ out = Path("campaign_e1.csv")
 report.to_csv(out)
 print(f"\nflat metric rows written to {out} (one row per setting/method/metric)")
 
-# identical seed -> identical report, regardless of scheduling
+# identical (setting, parameters, seed) -> identical report
 again = run_campaign(cfg, ["BC_Com", "BC_Sep", "eBH_1", "eBH_2", "eBH_Ada"])
 print("bit-identical rerun:", report.rows() == again.rows())

@@ -13,12 +13,13 @@ the BC grid for BH, Storey, BC and both hybrid blends, the per-group scans
 for the grouped methods, the sorted statistics and mirror grid of each
 knockoff family for ``KO_1``, ``KO_2`` and ``KO_Hybrid``.  The runners call
 the public functions, which take the memo in place of the data.  Each method
-is a row ``(runner, argument)`` of the registry, and equal rows share one
-run (``BC`` and ``BC_Com``; ``eBH_Ada`` and ``fast_eBH_Ada`` on an instance
-without groups), except the cross-fitted rows, which draw from their own
-substreams.  The memo goes with the replicate.  The replicate's truth is
-prepared once (``procedures._Truth``), and every method's FDP and power are
-read from it; the replicates of a grouped setting share one partition.
+is a row ``(runner, argument, fields)`` of the registry, and equal rows share
+one run (``BC`` and ``BC_Com``; ``eBH_Ada`` and ``fast_eBH_Ada`` on an
+instance without groups), except the cross-fitted rows, which draw from their
+own substreams.  A method whose ``fields`` the instance lacks is refused.
+The memo goes with the replicate.  The replicate's truth is prepared once
+(``procedures._Truth``), and every method's FDP and power are read from it;
+the replicates of a grouped setting share one partition.
 
 Settings
 --------
@@ -39,7 +40,6 @@ import functools
 import json
 import math
 import numbers
-import os
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -187,6 +187,8 @@ class SimulationConfig:
         object.__setattr__(self, "setting", setting)
         _check_value(("replications", "reps"), "replications", self.replications, _Param(int, 1), {})
         _check_value(("seed",), "seed", self.seed, _Param(int, 0), {})
+        object.__setattr__(self, "replications", int(self.replications))
+        object.__setattr__(self, "seed", int(self.seed))
         if not isinstance(self.parameters, dict):
             raise _BadConfig(("parameters",), f"parameters must be a table, got {self.parameters!r}", True)
         params.update(self.parameters)
@@ -364,13 +366,6 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
     )
 
 
-def _need(instance, attr, method):
-    value = getattr(instance, attr)
-    if value is None:
-        raise ConfigurationError(f"method {method} needs {attr} for this setting")
-    return value
-
-
 # Stages of the replicate memo, a _Memo whose data is the SimInstance: the
 # memos of its data vectors, validated by the first method that reads them.
 
@@ -384,23 +379,17 @@ def _stats(rep, which):
     return _Memo.of(getattr(rep.data, f"stats_{which}"), check=as_stats)
 
 
-def _grouped_pvals(rep, method):
-    """The p-value memo and its partition, which the method needs."""
-    part = _need(rep.data, "partition", method)
-    return rep(_pvals), part
-
-
 def _run_threshold(rep, alpha, kind):
     return solve_threshold(rep(_pvals), ProcedureSpec(kind=kind, alpha=alpha)).rejected
 
 
 def _run_bc_sep(rep, alpha, _):
-    thresholds = groupwise_bc_thresholds(*_grouped_pvals(rep, "BC_Sep"), alpha)
+    thresholds = groupwise_bc_thresholds(rep(_pvals), rep.data.partition, alpha)
     return np.sort(np.concatenate([res.rejected for res in thresholds]))
 
 
 def _run_grouped(rep, alpha, scheme):
-    return run_grouped_ebh(*_grouped_pvals(rep, f"grouped scheme {scheme}"), alpha, scheme).rejected
+    return run_grouped_ebh(rep(_pvals), rep.data.partition, alpha, scheme).rejected
 
 
 def _run_hybrid(rep, alpha, mode):
@@ -408,12 +397,10 @@ def _run_hybrid(rep, alpha, mode):
 
 
 def _run_struct(rep, alpha, mode, rng):
-    covars = _need(rep.data, "covars", "eBH_FBC")
-    return run_structure_adaptive(rep(_pvals), covars, alpha, mode=mode, rng=rng)
+    return run_structure_adaptive(rep(_pvals), rep.data.covars, alpha, mode=mode, rng=rng)
 
 
 def _run_knockoff(rep, alpha, which):
-    _need(rep.data, f"stats_{which}", f"KO_{which}")
     return knockoff_threshold(rep(_stats, which), alpha).rejected
 
 
@@ -421,28 +408,29 @@ def _run_knockoff_hybrid(rep, alpha, _):
     return combine_and_select(rep(_stats, "a"), rep(_stats, "b"), alpha)
 
 
-# name -> (runner, argument); the registry order fixes each method's
-# substream index, so adding methods must append, not reorder
+# name -> (runner, argument, the SimInstance fields the runner reads); the
+# registry order fixes each method's substream index, so adding methods must
+# append, not reorder
 _METHODS = {
-    "BH": (_run_threshold, "bh"),
-    "ST": (_run_threshold, "storey"),
-    "BC": (_run_threshold, "bc"),
-    "BC_Com": (_run_threshold, "bc"),
-    "BC_Sep": (_run_bc_sep, None),
-    "eBH_1": (_run_grouped, "unit"),
-    "eBH_2": (_run_grouped, "size"),
-    "eBH_Ada": (_run_hybrid, "adaptive"),  # see _GROUPED_METHODS
-    "eBH_Ave": (_run_hybrid, "averaged"),
-    "fast_eBH_Ada": (_run_hybrid, "adaptive"),
-    "eBH_FBC": (_run_struct, "cheap"),
-    "eBH_FBC_unit": (_run_struct, "unit"),
-    "KO_1": (_run_knockoff, "a"),
-    "KO_2": (_run_knockoff, "b"),
-    "KO_Hybrid": (_run_knockoff_hybrid, None),
+    "BH": (_run_threshold, "bh", ("pvals",)),
+    "ST": (_run_threshold, "storey", ("pvals",)),
+    "BC": (_run_threshold, "bc", ("pvals",)),
+    "BC_Com": (_run_threshold, "bc", ("pvals",)),
+    "BC_Sep": (_run_bc_sep, None, ("pvals", "partition")),
+    "eBH_1": (_run_grouped, "unit", ("pvals", "partition")),
+    "eBH_2": (_run_grouped, "size", ("pvals", "partition")),
+    "eBH_Ada": (_run_hybrid, "adaptive", ("pvals",)),  # see _GROUPED_METHODS
+    "eBH_Ave": (_run_hybrid, "averaged", ("pvals",)),
+    "fast_eBH_Ada": (_run_hybrid, "adaptive", ("pvals",)),
+    "eBH_FBC": (_run_struct, "cheap", ("pvals", "covars")),
+    "eBH_FBC_unit": (_run_struct, "unit", ("pvals", "covars")),
+    "KO_1": (_run_knockoff, "a", ("stats_a",)),
+    "KO_2": (_run_knockoff, "b", ("stats_b",)),
+    "KO_Hybrid": (_run_knockoff_hybrid, None, ("stats_a", "stats_b")),
 }
 
 # the rows on an instance with groups, where eBH_Ada is the grouped procedure
-_GROUPED_METHODS = {**_METHODS, "eBH_Ada": (_run_grouped, "adaptive")}
+_GROUPED_METHODS = {**_METHODS, "eBH_Ada": (_run_grouped, "adaptive", ("pvals", "partition"))}
 
 
 def _run_methods(instance: SimInstance, alpha: float, methods, seed: int, replicate: int) -> dict:
@@ -451,13 +439,19 @@ def _run_methods(instance: SimInstance, alpha: float, methods, seed: int, replic
     The replicate memo holds the memos of the validated data, and the
     rejections of each row that draws no random numbers, keyed by runner,
     level and argument: equal rows share one run.  ``_run_struct`` draws
-    from the method's own substream, so it runs once for each method.
+    from the method's own substream, so it runs once for each method.  A
+    method whose row reads a field the instance lacks is refused before any
+    row runs.
     """
+    table = _METHODS if instance.partition is None else _GROUPED_METHODS
+    rows = {name: table[name] for name in methods}
+    for name, (_, _, fields) in rows.items():
+        missing = [f for f in fields if getattr(instance, f) is None]
+        if missing:
+            raise ConfigurationError(f"method {name} needs {' and '.join(missing)} for this setting")
     rep = _Memo(instance)
-    rows = _METHODS if instance.partition is None else _GROUPED_METHODS
     out = {}
-    for name in methods:
-        runner, argument = rows[name]
+    for name, (runner, argument, _) in rows.items():
         if runner is _run_struct:
             rng = _replicate_rng(seed, replicate, lane=1 + list(_METHODS).index(name))
             out[name] = runner(rep, alpha, argument, rng)
@@ -538,30 +532,8 @@ def _mean_se(values: np.ndarray):
     return mean, se
 
 
-def _worker_count() -> int:
-    """Worker processes from ``EVMT_THREADS``, capped at the CPU count (default 1)."""
-    raw = os.environ.get("EVMT_THREADS", "").strip() or "1"
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigurationError(f"EVMT_THREADS must be a positive integer, got {raw!r}")
-    return min(workers, os.cpu_count() or 1)
-
-
 def run_campaign(config: SimulationConfig, methods) -> MetricsReport:
-    """Run every method on every replicate and reduce to mean FDR / power.
-
-    ``EVMT_THREADS`` (a positive integer, default 1: serial) sets the number
-    of worker processes over replicates, capped at the CPU count; results do
-    not depend on the worker count.  Each worker keeps the BLAS library's
-    own thread count, so workers can oversubscribe the cores in the mixture
-    fit's matrix products: on 2 vCPUs a 40-replicate STRUCT campaign took
-    5.60 s with two workers, 1.52 s serially and 1.11 s with two workers
-    and ``OPENBLAS_NUM_THREADS=1``.  Set the BLAS thread count (say
-    ``OPENBLAS_NUM_THREADS=1``) when running more than one worker.
-    """
+    """Run every method on every replicate and reduce to mean FDR / power."""
     if isinstance(methods, str) or not isinstance(methods, Iterable):
         raise ConfigurationError(f"methods must be a list of names, got {methods!r}")
     methods = list(methods)
@@ -569,15 +541,7 @@ def run_campaign(config: SimulationConfig, methods) -> MetricsReport:
         if not isinstance(name, str) or name not in _METHODS:
             raise ConfigurationError(f"unknown method {name!r}")
     start = time.monotonic()
-    workers = _worker_count()
-    reps = range(config.replications)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_replicate_metrics, *zip(*[(config, r, methods) for r in reps])))
-    else:
-        per_rep = [_replicate_metrics(config, r, methods) for r in reps]
+    per_rep = [_replicate_metrics(config, r, methods) for r in range(config.replications)]
 
     summary = {}
     for name in methods:

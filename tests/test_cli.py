@@ -560,12 +560,6 @@ def test_line_numbers_count_skipped_blank_lines(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
-def test_simulate_bad_thread_count_exit_3(monkeypatch, capsys):
-    monkeypatch.setenv("EVMT_THREADS", "abc")
-    assert run_cli(["simulate", "--setting", "E1", "--reps", 2, "--seed", 1]) == 3
-    assert "EVMT_THREADS" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "command, header, rows, column",
     [

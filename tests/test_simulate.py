@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import os
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -27,13 +26,12 @@ from evmt import (
     solve_threshold,
     structure_weights,
 )
-from evmt import groups, hybrid, knockoffs, procedures, simulate
+from evmt import cli, groups, hybrid, knockoffs, procedures, simulate
 from evmt.adaptive import structure_pipeline
 from evmt.simulate import (
     MetricsReport,
     SimInstance,
     SimulationConfig,
-    _worker_count,
     default_parameters,
     generate,
     run_campaign,
@@ -249,10 +247,49 @@ def test_malformed_names_and_values_are_configuration_errors(case):
         call()
 
 
-def test_method_requires_matching_setting():
-    cfg = SimulationConfig(setting="S1", replications=2, seed=1)
-    with pytest.raises(ConfigurationError):
-        run_campaign(cfg, ["BC_Sep"])  # no partition in S1
+# the instance fields each method reads (eBH_Ada reads the partition only
+# where there is one), and those each setting fills at its default parameters
+_READS = {
+    **dict.fromkeys(["BH", "ST", "BC", "BC_Com", "eBH_Ada", "eBH_Ave", "fast_eBH_Ada"], ("pvals",)),
+    **dict.fromkeys(["BC_Sep", "eBH_1", "eBH_2"], ("pvals", "partition")),
+    **dict.fromkeys(["eBH_FBC", "eBH_FBC_unit"], ("pvals", "covars")),
+    "KO_1": ("stats_a",), "KO_2": ("stats_b",), "KO_Hybrid": ("stats_a", "stats_b"),
+}
+_FILLS = {
+    **dict.fromkeys(["E1", "E2", "F1", "F2", "F3"], {"pvals", "partition"}),
+    **dict.fromkeys(["S1", "S2", "ALLNULL"], {"pvals"}),
+    "STRUCT": {"pvals", "covars"},
+    "KNOCK_SYNTH": {"stats_a", "stats_b"},
+}
+
+
+@pytest.mark.parametrize("setting, name", [(setting, name) for setting in _FILLS for name in _READS
+                                           if not set(_READS[name]) <= _FILLS[setting]])
+def test_method_requires_matching_setting(setting, name):
+    missing = " and ".join(f for f in _READS[name] if f not in _FILLS[setting])
+    with pytest.raises(ConfigurationError, match=f"^method {name} needs {missing} for this setting$"):
+        run_campaign(SimulationConfig(setting=setting, replications=1), [name])
+
+
+def test_a_refused_method_stops_the_replicate_before_any_row_runs(monkeypatch):
+    calls = _count_calls(monkeypatch, simulate, "solve_threshold")
+    with pytest.raises(ConfigurationError, match="method BC_Sep needs partition"):
+        run_campaign(SimulationConfig(setting="S1", replications=1), ["BH", "BC_Sep"])
+    assert calls == []
+
+
+@pytest.mark.parametrize("setting", list(_FILLS))
+def test_every_default_method_runs_on_its_setting(setting):
+    # the tables above match the program's
+    config = SimulationConfig(setting=setting, replications=1)
+    inst = generate(config, 0)
+    filled = {f.name for f in dataclasses.fields(inst) if getattr(inst, f.name) is not None}
+    assert filled == _FILLS[setting] | {"truth"}
+    assert set(_READS) == set(simulate._METHODS)
+    # a row for every setting; "grouped" and "scores" name lists that settings share
+    assert set(cli._DEFAULT_METHODS) == set(_FILLS) | {"grouped", "scores"}
+    methods = cli._DEFAULT_METHODS[setting]
+    assert list(run_campaign(config, methods).methods) == methods
 
 
 def test_report_csv_and_json_roundtrip(tmp_path):
@@ -338,8 +375,14 @@ def test_parameter_defaults_come_from_the_table():
         defaults = default_parameters(setting)
         assert defaults == {k: v.default for k, v in table.items() if v.default is not None}
         assert SimulationConfig(setting=setting).parameters == defaults
-    # integral floats count as integers; the optional ALLNULL keys stay optional
+    # integral floats count as integers and are stored as them; the optional
+    # ALLNULL keys stay optional
     SimulationConfig(setting="S1", parameters={"n": 1e3, "n_alt": 50.0})
+    as_floats = SimulationConfig(setting="S1", parameters={"n": 100}, replications=2.0, seed=1.0)
+    assert type(as_floats.replications) is int and type(as_floats.seed) is int
+    want = run_campaign(replace(as_floats, replications=2, seed=1), ["BH"])
+    got = run_campaign(as_floats, ["BH"])
+    assert (got.replications, got.seed, got.rows()) == (2, 1, want.rows())
     SimulationConfig(setting="ALLNULL", parameters={"n": 50, "group_sizes": [20, 30], "d": 2})
 
 
@@ -350,7 +393,6 @@ def test_parameters_are_checked_once_per_config(monkeypatch):
         raise AssertionError("parameters checked again")
 
     monkeypatch.setattr(simulate, "_check_table", fail)
-    monkeypatch.setenv("EVMT_THREADS", "1")
     run_campaign(config, ["BH", "eBH_Ada"])
 
 
@@ -381,31 +423,6 @@ def test_toy_two_group_story():
     ada = run_grouped_ebh(pvals, part, 0.05, scheme="adaptive", truth=truth)
     assert ada.rejected.size == 40
     assert ada.fdp == 0.0 and ada.power == 1.0
-
-
-def test_parallel_campaign_matches_serial(monkeypatch):
-    cfg = SimulationConfig(setting="E2", replications=12, seed=31)
-    serial = run_campaign(cfg, ["eBH_2"])
-    monkeypatch.setenv("EVMT_THREADS", "2")
-    parallel = run_campaign(cfg, ["eBH_2"])
-    assert serial.rows() == parallel.rows()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_bad_thread_count_is_a_configuration_error(monkeypatch, value):
-    monkeypatch.setenv("EVMT_THREADS", value)
-    with pytest.raises(ConfigurationError, match="EVMT_THREADS"):
-        run_campaign(SimulationConfig(setting="E1", replications=2, seed=1), ["BH"])
-
-
-def test_thread_count_is_capped_at_cpu_count(monkeypatch):
-    # parsing only: no pool is started
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for value, want in (("", 1), (" 1 ", 1), ("2", 2), ("100000", 2)):
-        monkeypatch.setenv("EVMT_THREADS", value)
-        assert _worker_count() == want
-    monkeypatch.delenv("EVMT_THREADS")
-    assert _worker_count() == 1
 
 
 def _count_calls(monkeypatch, module, name):
@@ -451,7 +468,6 @@ def _count_stage_builds(monkeypatch, stages):
     ],
 )
 def test_each_level_free_stage_runs_once_per_replicate(monkeypatch, setting, methods, per_replicate):
-    monkeypatch.delenv("EVMT_THREADS", raising=False)
     builds = _count_stage_builds(monkeypatch, [
         (procedures, "_sorted"), (procedures, "_bc_grid"),
         (groups, "_group_scans"), (knockoffs, "_knockoff_grid"),
@@ -467,7 +483,6 @@ def test_each_level_free_stage_runs_once_per_replicate(monkeypatch, setting, met
 
 def test_grouped_eBH_Ada_stays_apart_from_the_hybrid(monkeypatch):
     # with groups, eBH_Ada is the grouped procedure and fast_eBH_Ada the hybrid
-    monkeypatch.delenv("EVMT_THREADS", raising=False)
     blends = _count_calls(monkeypatch, hybrid, "_hybrid_evalues")
     grouped = _count_calls(monkeypatch, simulate, "run_grouped_ebh")
     cfg = SimulationConfig(setting="E1", replications=4, seed=3)
@@ -478,9 +493,6 @@ def test_grouped_eBH_Ada_stays_apart_from_the_hybrid(monkeypatch):
 def test_shared_runners_run_once_per_replicate(monkeypatch):
     # without groups, eBH_Ada and fast_eBH_Ada share one adaptive blend, and
     # BC and BC_Com one scan; eBH_Ave makes the second blend
-    from evmt import cli
-
-    monkeypatch.delenv("EVMT_THREADS", raising=False)
     blends = _count_calls(monkeypatch, hybrid, "_hybrid_evalues")
     mirror = _count_calls(monkeypatch, procedures, "_run_scan")
     stepup = _count_calls(monkeypatch, procedures, "_stepup_scan")
@@ -512,11 +524,9 @@ _REPORT_PLAN = {
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("setting", list(_REPORT_PLAN))
-def test_campaign_reports_are_unchanged(monkeypatch, setting, threads):
+def test_campaign_reports_are_unchanged(setting):
     expected = json.loads((Path(__file__).parent / "data" / "campaign_reports.json").read_text())
-    monkeypatch.setenv("EVMT_THREADS", threads)
     kwargs, methods = _REPORT_PLAN[setting]
     report = run_campaign(SimulationConfig(setting=setting, **kwargs), methods)
     # JSON keeps every float exactly (shortest round-trip repr)
@@ -604,7 +614,6 @@ def test_prop_replicate_rejections_equal_public_functions(inst, alpha, grouped):
 
 def test_campaign_runners_call_the_public_functions(monkeypatch):
     # each runner hands the replicate's memo to the public function
-    monkeypatch.delenv("EVMT_THREADS", raising=False)
     names = ["solve_threshold", "run_hybrid", "groupwise_bc_thresholds", "run_grouped_ebh",
              "knockoff_threshold", "combine_and_select", "run_structure_adaptive"]
     calls = {name: _count_calls(monkeypatch, simulate, name) for name in names}
