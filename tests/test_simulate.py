@@ -524,13 +524,17 @@ _REPORT_PLAN = {
 }
 
 
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("setting", list(_REPORT_PLAN))
-def test_campaign_reports_are_unchanged(setting):
+def test_campaign_reports_are_unchanged(setting, runs):
+    # with runs=2 the same campaign runs twice in a row: nothing one campaign
+    # leaves behind in the process changes the next one's report
     expected = json.loads((Path(__file__).parent / "data" / "campaign_reports.json").read_text())
     kwargs, methods = _REPORT_PLAN[setting]
-    report = run_campaign(SimulationConfig(setting=setting, **kwargs), methods)
-    # JSON keeps every float exactly (shortest round-trip repr)
-    assert json.loads(json.dumps(report.methods)) == expected[setting]
+    for _ in range(runs):
+        report = run_campaign(SimulationConfig(setting=setting, **kwargs), methods)
+        # JSON keeps every float exactly (shortest round-trip repr)
+        assert json.loads(json.dumps(report.methods)) == expected[setting]
 
 
 _PROP_PVALUE = st.one_of(
