@@ -30,8 +30,9 @@ nothing, so nothing is fitted and each fold runs its BC scan.
 The fit maximises the log-likelihood by L-BFGS-B over the box
 [-36, 36] of every coefficient, from two fixed starts.  ``_minimize`` is
 scipy's L-BFGS-B loop with ``minimize``'s defaults, written out over
-scipy's compiled ``setulb`` step, which ``_setulb`` loads without the
-``scipy.optimize`` package: it gives the same fits, bit for bit, as the public
+scipy's compiled ``setulb`` step, which ``_compiled`` loads without the
+``scipy.optimize`` package (as it loads ``expit`` and ``logit`` without
+``scipy.special``): it gives the same fits, bit for bit, as the public
 ``scipy.optimize.minimize`` call without that call's per-evaluation
 wrappers, so most of a fit's time is its objective.  The objective is
 one numpy kernel (``_negloglik``) over (2, n) buffers allocated once per
@@ -56,8 +57,12 @@ e-value budget), not by construction.
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -99,8 +104,8 @@ _LBFGSB_PGTOL = 1e-5
 _LBFGSB_MAXLS = 20
 _LBFGSB_MAXITER = 15000
 _DENS_FLOOR = np.finfo(np.float64).tiny  # an underflowed density counts as this
-_SETULB = None  # scipy's compiled L-BFGS-B step, once _setulb has loaded it
-_SETULB_LOCK = threading.Lock()
+_COMPILED = {}  # scipy's compiled modules by name, as _compiled has loaded them
+_COMPILED_LOCK = threading.Lock()
 
 # each accepted spelling of a weight mode, lower case, and its canonical name
 _MODES = {"unit": "unit", "cheap": "cheap"}
@@ -123,14 +128,12 @@ class LfdrModel:
     start: str = "default"
 
     def pi(self, covars) -> np.ndarray:
-        from scipy.special import expit
-
+        expit = _compiled("special", "_special_ufuncs").expit
         z = _design(covars, d=self.beta_pi.size - 1)
         return np.clip(expit(z @ self.beta_pi), EPS1, 1.0 - EPS2)
 
     def kappa(self, covars) -> np.ndarray:
-        from scipy.special import expit
-
+        expit = _compiled("special", "_special_ufuncs").expit
         z = _design(covars, d=self.beta_kappa.size - 1)
         return expit(z @ self.beta_kappa)
 
@@ -157,40 +160,42 @@ def _design(covars, n: Optional[int] = None, d: Optional[int] = None) -> np.ndar
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
-def _setulb():
-    """scipy's compiled L-BFGS-B step ``setulb``, from the extension module
-    ``scipy.optimize._lbfgsb`` loaded on its own, once per process.
+def _compiled(package: str, name: str):
+    """scipy's compiled extension module ``scipy.<package>.<name>``, loaded
+    on its own, once per process.
 
-    Importing that module by name would first import the whole
-    ``scipy.optimize`` package: about 260 more modules than a fit loads
-    otherwise, ``scipy.sparse`` and ``scipy.linalg`` among them, which a fit
-    never uses.  So, unless the package is already imported, the file is
-    found in scipy's ``optimize`` directory and executed alone.  Its entry
-    in ``sys.modules`` is removed again: a later ``import scipy.optimize``
-    would reuse it and never set ``_lbfgsb`` on the package.  The package
-    then loads its own module object, with the same ``setulb``.
+    A fit takes ``setulb`` from ``scipy.optimize._lbfgsb``; the mixture's
+    ``expit`` and ``logit`` and the generators' ``ndtr`` come from
+    ``scipy.special._special_ufuncs``.  Importing either module by name
+    would first import its whole package, which neither a fit nor a
+    campaign uses: ``scipy.optimize`` is about 260 more modules than a fit
+    loads otherwise, ``scipy.sparse`` and ``scipy.linalg`` among them, and
+    ``scipy.special`` about 290 more.  So, unless the package is already
+    imported, the file is found in scipy's ``<package>`` directory and
+    executed alone.  Its entry in ``sys.modules`` is removed again: a later
+    package import would reuse it and never set it as the package's
+    attribute.  The package then loads its own module object, whose
+    functions are the same objects.  (``scipy.special._ufuncs`` re-exports
+    the three ufuncs, but running it imports the package.)
     """
-    global _SETULB
-    with _SETULB_LOCK:
-        if _SETULB is None:
-            if "scipy.optimize" in sys.modules:
-                from scipy.optimize import _lbfgsb as module
+    qualname = f"scipy.{package}.{name}"
+    with _COMPILED_LOCK:
+        module = _COMPILED.get(qualname)
+        if module is None:
+            if f"scipy.{package}" in sys.modules:
+                module = importlib.import_module(qualname)
             else:
-                import importlib.machinery
-                import importlib.util
-                import os
-
                 import scipy
 
-                where = os.path.join(scipy.__path__[0], "optimize")
-                spec = importlib.machinery.PathFinder.find_spec("scipy.optimize._lbfgsb", [where])
+                where = os.path.join(scipy.__path__[0], package)
+                spec = importlib.machinery.PathFinder.find_spec(qualname, [where])
                 if spec is None:
-                    raise ImportError(f"scipy's compiled L-BFGS-B module _lbfgsb is not in {where}")
+                    raise ImportError(f"scipy's compiled module {name} is not in {where}")
                 module = importlib.util.module_from_spec(spec)
                 spec.loader.exec_module(module)
                 sys.modules.pop(spec.name, None)
-            _SETULB = module.setulb
-    return _SETULB
+            _COMPILED[qualname] = module
+    return module
 
 
 def _minimize(negobj, theta0, box, start=None):
@@ -213,21 +218,22 @@ def _minimize(negobj, theta0, box, start=None):
     compares the two, and fails if scipy changes it.
 
     scipy is imported where it is used, in the body of the function that
-    needs it.  A fit loads only ``scipy.special`` and the one compiled
-    module ``scipy.optimize._lbfgsb`` (:func:`_setulb`), not the
-    ``scipy.optimize`` package, whose import would take most of a fresh
-    process's time and memory.  On 2 vCPUs, a fresh interpreter that
-    imports the package peaks at about 78 MB after 0.45 s; one that imports
-    evmt and loads only the module peaks at about 33 MB after 0.15 s.  The
-    objective that L-BFGS-B evaluates many times is :func:`_ascend`'s numpy
-    kernel and imports nothing.  In fresh interpreters,
-    ``tests/test_cli.py::test_fit_loads_one_module_of_scipy_optimize``
-    checks what a fit imports, and
+    needs it.  A fit loads two compiled modules, ``scipy.optimize._lbfgsb``
+    for ``setulb`` and ``scipy.special._special_ufuncs`` for ``expit`` and
+    ``logit`` (:func:`_compiled`), and neither package, whose imports would
+    take most of a fresh process's time and memory.  On 2 vCPUs, a fresh
+    interpreter that imports evmt and fits once at n = 1500
+    (``tools/layer_timings.py``, ``cold_start``) takes about 0.18 s and
+    peaks at about 35 MB; importing ``scipy.special`` as well made it about
+    0.36 s and 55 MB.  The objective that L-BFGS-B evaluates many times is
+    :func:`_ascend`'s numpy kernel and imports nothing.  In fresh
+    interpreters, ``tests/test_cli.py::test_fit_loads_one_module_of_scipy_optimize``
+    checks what a fit and a campaign import, and
     ``test_fit_and_scipy_optimize_agree_in_either_import_order`` that the
-    fits, ``scipy.optimize._lbfgsb`` and the public call are unchanged
-    whichever of the fit and the package comes first.
+    fits, the campaign reports, both packages and the public call are
+    unchanged whichever of the fit and the packages comes first.
     """
-    setulb = _setulb()
+    setulb = _compiled("optimize", "_lbfgsb").setulb
     n, m = theta0.size, _LBFGSB_M
     lower, upper = np.full(n, -box), np.full(n, box)
     nbd = np.full(n, 2, dtype=np.int32)  # both bounds on every coordinate
@@ -358,8 +364,7 @@ def fit_lfdr_em(pvals, covars=None) -> LfdrModel:
             f"the mixture fit needs at least {2 * (d + 1)} observations for d={d}, got {p.size}"
         )
 
-    from scipy.special import logit
-
+    logit = _compiled("special", "_special_ufuncs").logit
     fits = []
     for start, pi0, kappa0 in (("default", 0.9, 0.5), ("edge", 0.99, 0.01)):
         a0, b0 = np.zeros(d + 1), np.zeros(d + 1)

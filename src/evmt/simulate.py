@@ -16,10 +16,17 @@ the public functions, which take the memo in place of the data.  Each method
 is a row ``(runner, argument, fields)`` of the registry, and equal rows share
 one run (``BC`` and ``BC_Com``; ``eBH_Ada`` and ``fast_eBH_Ada`` on an
 instance without groups), except the cross-fitted rows, which draw from their
-own substreams.  A method whose ``fields`` the instance lacks is refused.
-The memo goes with the replicate.  The replicate's truth is prepared once
-(``procedures._Truth``), and every method's FDP and power are read from it;
-the replicates of a grouped setting share one partition.
+own substreams.  ``_FILLS`` names the fields each setting's instances
+carry, and a method whose ``fields`` they lack is refused before the first
+replicate is drawn.  The memo goes with the replicate.  The replicate's
+truth is prepared once (``procedures._Truth``), and every method's FDP and
+power are read from it; the replicates of a grouped setting share one
+partition.
+
+The z-score settings and STRUCT take the normal distribution function
+``ndtr`` from scipy's compiled module ``scipy.special._special_ufuncs``,
+which ``adaptive._compiled`` loads alone: a campaign never imports the
+``scipy.special`` package.
 
 Settings
 --------
@@ -47,7 +54,7 @@ from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
-from .adaptive import run_structure_adaptive
+from .adaptive import _compiled, run_structure_adaptive
 from .errors import ConfigurationError, InputError
 from .groups import GroupPartition, groupwise_bc_thresholds, run_grouped_ebh
 from .hybrid import HybridConfig, run_hybrid
@@ -112,6 +119,15 @@ _PARAMETERS = {
 }
 
 _DEFAULT_ALPHA = {"F3": 0.2, "STRUCT": 0.1, "KNOCK_SYNTH": 0.2}
+
+# the SimInstance fields besides truth that generate() fills, by setting;
+# ALLNULL also fills partition with group_sizes and covars with d > 0
+_FILLS = {
+    **dict.fromkeys(("E1", "E2", "F1", "F2", "F3"), ("pvals", "partition")),
+    **dict.fromkeys(("S1", "S2", "ALLNULL"), ("pvals",)),
+    "STRUCT": ("pvals", "covars"),
+    "KNOCK_SYNTH": ("stats_a", "stats_b"),
+}
 
 
 class _BadConfig(ConfigurationError):
@@ -322,8 +338,7 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
         )
 
     if setting in ("S1", "S2"):
-        from scipy.special import ndtr
-
+        ndtr = _compiled("special", "_special_ufuncs").ndtr
         n, na = int(params["n"]), int(params["n_alt"])
         x = rng.normal(size=n)
         x[:na] = rng.normal(params["mu"] * np.log(n), params["sigma"], size=na)
@@ -332,8 +347,7 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
         return SimInstance(pvals=1.0 - ndtr(x), truth=truth)
 
     if setting == "STRUCT":
-        from scipy.special import ndtr
-
+        ndtr = _compiled("special", "_special_ufuncs").ndtr
         n = int(params["n"])
         x = rng.normal(size=n)
         pi = 1.0 / (1.0 + np.exp(-(params["a0"] + params["a1"] * x)))
@@ -364,6 +378,18 @@ def generate(config: SimulationConfig, replicate_index: int) -> SimInstance:
         pvals=rng.uniform(size=n), truth=np.zeros(n, dtype=int),
         partition=part, covars=covars,
     )
+
+
+def _filled(config: SimulationConfig) -> set:
+    """The ``SimInstance`` fields besides ``truth`` that :func:`generate`
+    fills for ``config``."""
+    params = config.parameters
+    filled = set(_FILLS[config.setting])
+    if params.get("group_sizes"):
+        filled.add("partition")
+    if params.get("d"):
+        filled.add("covars")
+    return filled
 
 
 # Stages of the replicate memo, a _Memo whose data is the SimInstance: the
@@ -439,19 +465,13 @@ def _run_methods(instance: SimInstance, alpha: float, methods, seed: int, replic
     The replicate memo holds the memos of the validated data, and the
     rejections of each row that draws no random numbers, keyed by runner,
     level and argument: equal rows share one run.  ``_run_struct`` draws
-    from the method's own substream, so it runs once for each method.  A
-    method whose row reads a field the instance lacks is refused before any
-    row runs.
+    from the method's own substream, so it runs once for each method.
     """
     table = _METHODS if instance.partition is None else _GROUPED_METHODS
-    rows = {name: table[name] for name in methods}
-    for name, (_, _, fields) in rows.items():
-        missing = [f for f in fields if getattr(instance, f) is None]
-        if missing:
-            raise ConfigurationError(f"method {name} needs {' and '.join(missing)} for this setting")
     rep = _Memo(instance)
     out = {}
-    for name, (runner, argument, _) in rows.items():
+    for name in methods:
+        runner, argument, _ = table[name]
         if runner is _run_struct:
             rng = _replicate_rng(seed, replicate, lane=1 + list(_METHODS).index(name))
             out[name] = runner(rep, alpha, argument, rng)
@@ -533,13 +553,23 @@ def _mean_se(values: np.ndarray):
 
 
 def run_campaign(config: SimulationConfig, methods) -> MetricsReport:
-    """Run every method on every replicate and reduce to mean FDR / power."""
+    """Run every method on every replicate and reduce to mean FDR / power.
+
+    A method whose row reads a field the setting's instances lack is
+    refused before the first replicate is drawn.
+    """
     if isinstance(methods, str) or not isinstance(methods, Iterable):
         raise ConfigurationError(f"methods must be a list of names, got {methods!r}")
     methods = list(methods)
     for name in methods:
         if not isinstance(name, str) or name not in _METHODS:
             raise ConfigurationError(f"unknown method {name!r}")
+    filled = _filled(config)
+    table = _METHODS if "partition" not in filled else _GROUPED_METHODS
+    for name in methods:
+        missing = [f for f in table[name][2] if f not in filled]
+        if missing:
+            raise ConfigurationError(f"method {name} needs {' and '.join(missing)} for this setting")
     start = time.monotonic()
     per_rep = [_replicate_metrics(config, r, methods) for r in range(config.replications)]
 

@@ -324,20 +324,33 @@ def test_minimize_stops_on_the_box_where_the_optimum_lies_beyond_it():
     assert grad[1] > 0.0 > grad[3]
 
 
-def test_setulb_loads_the_compiled_module_alone_or_names_where_it_looked(monkeypatch, tmp_path):
-    # the package is imported here, so hide it: _setulb then loads the file
+@pytest.mark.parametrize("package, name, attributes", [
+    ("optimize", "_lbfgsb", ["setulb"]),
+    ("special", "_special_ufuncs", ["ndtr", "expit", "logit"]),
+], ids=["_lbfgsb", "_special_ufuncs"])
+def test_compiled_loads_the_module_alone_or_names_where_it_looked(
+        monkeypatch, tmp_path, package, name, attributes):
+    # the package is imported here, so hide it: _compiled then loads the file
     import scipy
     import scipy.optimize
+    import scipy.special
 
-    for name in ("scipy.optimize", "scipy.optimize._lbfgsb"):
-        monkeypatch.delitem(sys.modules, name)
-    monkeypatch.setattr(adaptive, "_SETULB", None)
-    assert adaptive._setulb() is scipy.optimize._lbfgsb.setulb
-    assert "scipy.optimize._lbfgsb" not in sys.modules
-    monkeypatch.setattr(adaptive, "_SETULB", None)
+    loaded = getattr(getattr(scipy, package), name)
+    qualname = f"scipy.{package}.{name}"
+    for key in (f"scipy.{package}", qualname):
+        monkeypatch.delitem(sys.modules, key)
+    monkeypatch.setattr(adaptive, "_COMPILED", {})
+    module = adaptive._compiled(package, name)
+    assert module is not loaded
+    for attribute in attributes:
+        assert getattr(module, attribute) is getattr(loaded, attribute)
+    assert qualname not in sys.modules
+    assert adaptive._compiled(package, name) is module  # loaded once
+    assert list(adaptive._COMPILED) == [qualname]
+    monkeypatch.setattr(adaptive, "_COMPILED", {})
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "optimize"))):
-        adaptive._setulb()
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / package))):
+        adaptive._compiled(package, name)
 
 
 def test_fit_with_large_covariates_warns_nothing():

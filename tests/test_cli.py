@@ -861,22 +861,28 @@ def test_model_and_simulate_commands_run_in_a_fresh_process(tmp_path):
 
 
 def test_fit_loads_one_module_of_scipy_optimize(tmp_path):
-    # the fit loads scipy's compiled L-BFGS-B module alone, not its package;
-    # -X importtime lists what the import system loads, and -v also names
-    # the module that adaptive._setulb executes from its file
+    # a fit and a campaign load scipy's compiled L-BFGS-B module and its
+    # special-function ufuncs alone, not their packages; -X importtime lists
+    # what the import system loads, and -v also names the modules that
+    # adaptive._compiled executes from their files
     rng = np.random.default_rng(5)
     x = rng.normal(size=(80, 2))
     p = np.where(rng.random(80) < 0.3, rng.uniform(0.0, 0.01, 80), rng.uniform(size=80))
     write_csv(tmp_path / "s.csv", ["pvalue", "x1", "x2"], zip(p.tolist(), *x.T.tolist()))
-    run = _fresh_python(["-X", "importtime", "-v", "-m", "evmt.cli", "fbc", "--input", "s.csv",
-                         "--out", "r.csv"], cwd=tmp_path)
-    assert run.returncode == 0, run.stderr
-    imported = {line.split("|")[-1].strip() for line in run.stderr.splitlines()
-                if line.startswith("import time:")}
-    imported |= set(re.findall(r"^# extension module '([\w.]+)' loaded from", run.stderr, re.M))
-    assert "scipy.special" in imported
-    heavy = ("scipy.optimize", "scipy.sparse", "scipy.linalg")
-    assert sorted(m for m in imported if m.startswith(heavy)) == ["scipy.optimize._lbfgsb"]
+    commands = {
+        "fbc": ["fbc", "--input", "s.csv", "--out", "r.csv"],
+        "simulate": ["simulate", "--setting", "S1", "--reps", 1, "--out", "m.csv"],
+    }
+    heavy = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.special")
+    for command, args in commands.items():
+        run = _fresh_python(["-X", "importtime", "-v", "-m", "evmt.cli", *args], cwd=tmp_path)
+        assert run.returncode == 0, run.stderr
+        imported = {line.split("|")[-1].strip() for line in run.stderr.splitlines()
+                    if line.startswith("import time:")}
+        imported |= set(re.findall(r"^# extension module '([\w.]+)' loaded from", run.stderr, re.M))
+        fitted = ["scipy.optimize._lbfgsb"] if command == "fbc" else []
+        assert sorted(m for m in imported if m.startswith(heavy)) == \
+            fitted + ["scipy.special._special_ufuncs"], command
 
 
 _FIT_AND_OPTIMIZE = """
@@ -884,6 +890,7 @@ import sys
 import numpy as np
 from evmt import adaptive
 from evmt.adaptive import fit_lfdr_em
+from evmt.simulate import SimulationConfig, run_campaign
 
 def fit():
     rng = np.random.default_rng(11)
@@ -892,10 +899,18 @@ def fit():
     m = fit_lfdr_em(p, x)
     return (m.beta_pi.tobytes(), m.beta_kappa.tobytes(), m.loglik, m.converged, m.n_iter, m.start)
 
+def campaign():
+    config = SimulationConfig(setting="S1", replications=1, seed=4)
+    return repr(run_campaign(config, ["BH", "BC", "eBH_Ada"]).methods)
+
 if OPTIMIZE_FIRST:
     import scipy.optimize
-first = fit()
-assert ("scipy.optimize" in sys.modules) == OPTIMIZE_FIRST
+first = fit(), campaign()
+assert ("scipy.optimize" in sys.modules) == ("scipy.special" in sys.modules) == OPTIMIZE_FIRST
+import scipy.special
+assert scipy.special.ndtr(0.0) == 0.5
+assert scipy.special.ndtr is adaptive._compiled("special", "_special_ufuncs").ndtr
+assert (fit(), campaign()) == first
 import scipy.optimize
 from oracles import scipy_lbfgsb
 assert callable(scipy.optimize._lbfgsb.setulb)
@@ -906,15 +921,16 @@ theta0 = np.array([2.0, 0.5, -1.0, 0.3])
 x, f, nit, success = adaptive._minimize(negobj, theta0, adaptive._BOX)
 ref = scipy_lbfgsb(negobj, theta0, adaptive._BOX)
 assert (x.tobytes(), f, nit, success) == (ref.x.tobytes(), ref.fun, ref.nit, ref.success)
-assert fit() == first
+assert (fit(), campaign()) == first
 print("ok")
 """
 
 
 @pytest.mark.parametrize("optimize_first", [False, True])
 def test_fit_and_scipy_optimize_agree_in_either_import_order(optimize_first):
-    # a fit before the package import must leave scipy.optimize._lbfgsb
-    # reachable, and the fits and the public minimize call unchanged
+    # a fit and a campaign before the package imports must leave
+    # scipy.optimize._lbfgsb and scipy.special's ufuncs reachable, and the
+    # fits, the campaign reports and the public minimize call unchanged
     code = f"OPTIMIZE_FIRST = {optimize_first}\n{_FIT_AND_OPTIMIZE}"
     run = _fresh_python(["-c", code], cwd=Path(__file__).resolve().parent)
     assert run.returncode == 0, run.stderr

@@ -278,6 +278,41 @@ def test_a_refused_method_stops_the_replicate_before_any_row_runs(monkeypatch):
     assert calls == []
 
 
+class _Drawn(Exception):
+    pass
+
+
+# each setting at its defaults, and ALLNULL with groups, covariates or both
+_FILL_CASES = {**{setting: (setting, {}) for setting in _FILLS},
+               "ALLNULL-groups": ("ALLNULL", {"group_sizes": [120, 80]}),
+               "ALLNULL-covars": ("ALLNULL", {"d": 2}),
+               "ALLNULL-both": ("ALLNULL", {"group_sizes": [150, 50], "d": 1})}
+
+
+@pytest.mark.parametrize("case", list(_FILL_CASES))
+def test_a_method_is_refused_before_the_first_draw(monkeypatch, case):
+    # the program's table of filled fields matches generate, and run_campaign
+    # refuses by it: every method is refused or reaches the first draw
+    setting, parameters = _FILL_CASES[case]
+    config = SimulationConfig(setting=setting, parameters=parameters, replications=1)
+    inst = generate(config, 0)
+    filled = {f.name for f in dataclasses.fields(inst) if getattr(inst, f.name) is not None}
+    assert simulate._filled(config) == filled - {"truth"}
+
+    def draw(config, replicate):
+        raise _Drawn
+
+    monkeypatch.setattr(simulate, "generate", draw)
+    for name, fields in _READS.items():
+        missing = " and ".join(f for f in fields if f not in filled)
+        if missing:
+            with pytest.raises(ConfigurationError, match=f"^method {name} needs {missing} for this setting$"):
+                run_campaign(config, [name])
+        else:
+            with pytest.raises(_Drawn):
+                run_campaign(config, [name])
+
+
 @pytest.mark.parametrize("setting", list(_FILLS))
 def test_every_default_method_runs_on_its_setting(setting):
     # the tables above match the program's

@@ -67,9 +67,11 @@ median wall time of ``COLD_RUNS`` fresh interpreters running
 ``import numpy``, the floor under it.  Its third statement is the cost of a
 process's first fit: ``import evmt.adaptive`` and one ``fit_lfdr_em`` on
 the n = 1500, d = 2 fold of the ``fit_lfdr_em`` row, read from a ``.npy``
-file.  The ``cold_start_maxrss_mb`` row is the median peak resident set
-of the same interpreters, each read by the child itself at its end
-(``VmHWM`` in ``/proc/self/status``, Linux only).
+file.  Its fourth is a process's first campaign: ``run_campaign`` of one S1
+replicate with the CLI's S1 method set, what ``evmt simulate --setting S1
+--reps 1`` computes.  The ``cold_start_maxrss_mb`` row is the median peak
+resident set of the same interpreters, each read by the child itself at its
+end (``VmHWM`` in ``/proc/self/status``, Linux only).
 
 Run from the repository root, against the source tree under test::
 
@@ -77,7 +79,8 @@ Run from the repository root, against the source tree under test::
 
 Prints one JSON object, ``{layer: {n: seconds}}``; ``cold_start`` and
 ``cold_start_maxrss_mb`` are keyed by the statement run (the fit's by
-``fit_lfdr_em n=1500 d=2``) and ``replicate`` by the setting's name instead
+``fit_lfdr_em n=1500 d=2``, the campaign's by ``S1 replicate``) and
+``replicate`` by the setting's name instead
 of n, and each ``fit_lfdr_em`` entry is an object of the figures above.
 """
 
@@ -152,7 +155,10 @@ def cold_start(out, tmp):
     np.save(fold, np.column_stack(struct_fold(1500)))
     fit = (f"import numpy as np; import evmt.adaptive; a = np.load({str(fold)!r}); "
            "evmt.adaptive.fit_lfdr_em(a[:, 0], a[:, 1:])")
-    for statement in ("import numpy", "import evmt", fit):
+    replicate = ("from evmt.simulate import SimulationConfig, run_campaign; "
+                 f"run_campaign(SimulationConfig('S1', replications=1), {cli._DEFAULT_METHODS['S1']!r})")
+    keys = {fit: "fit_lfdr_em n=1500 d=2", replicate: "S1 replicate"}
+    for statement in ("import numpy", "import evmt", fit, replicate):
         runs, peaks = [], []
         for _ in range(COLD_RUNS):
             start = time.perf_counter()
@@ -160,7 +166,7 @@ def cold_start(out, tmp):
                                    check=True, capture_output=True, text=True)
             runs.append(time.perf_counter() - start)
             peaks.append(int(child.stdout.split()[-2]) / 1024)
-        key = "fit_lfdr_em n=1500 d=2" if statement is fit else statement
+        key = keys.get(statement, statement)
         out.setdefault("cold_start", {})[key] = round(statistics.median(runs), 6)
         out.setdefault("cold_start_maxrss_mb", {})[key] = round(statistics.median(peaks), 1)
 
