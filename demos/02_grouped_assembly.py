@@ -18,7 +18,7 @@ pvals, part, truth = toy_two_group()
 
 for scheme in ("unit", "size", "adaptive"):
     rep = run_grouped_ebh(pvals, part, 0.05, scheme=scheme, truth=truth)
-    per_group = [int(r.size) for r in rep.per_group_rejected]
+    per_group = [int(t.rejected.size) for t in rep.thresholds]
     w_small = rep.weights[0]
     w_large = rep.weights[-1]
     print(

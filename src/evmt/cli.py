@@ -60,7 +60,7 @@ _SPECIAL_COLUMNS = ("pvalue", "group", "truth", "evalue")
 # sets that the grouped and the score settings share
 _DEFAULT_METHODS = {
     "grouped": ["BC_Com", "BC_Sep", "eBH_1", "eBH_2", "eBH_Ada"],
-    "scores": ["BH", "ST", "BC", "eBH_Ave", "eBH_Ada", "fast_eBH_Ada"],
+    "scores": ["BH", "ST", "BC", "eBH_Ave", "eBH_Ada"],
     "STRUCT": ["BH", "eBH_FBC"],
     "KNOCK_SYNTH": ["KO_1", "KO_2", "KO_Hybrid"],
     "ALLNULL": ["BH", "ST", "BC"],

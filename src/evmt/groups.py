@@ -38,7 +38,8 @@ stage of a ``procedures._Memo`` of p and the partition keyed by the curves
 (None for BC) and the level, runs each group's scan and returns the
 thresholds with the leave-one-out counts; ``_loo_weights`` computes
 ``(n / n_l) * B_i / (B_i + cross_l)`` from the mirror scores and those
-counts, ``cross_l`` being the sum of the other groups' counts.  The public
+counts, ``cross_l`` being the sum of the other groups' counts, in one pass
+over all hypotheses indexed by their group codes.  The public
 functions take the memo in place of the p-values, so the grouped methods of
 a campaign replicate, and the stages of a cross-fitted run, share the scans.
 """
@@ -181,28 +182,29 @@ def _group_scans(memo: _Memo, curves, alpha: float):
 
 
 def _loo_weights(memo: _Memo, curves, thresholds, alpha: float) -> np.ndarray:
-    """Leave-one-out weights ``(n / n_l) * b_i / (b_i + cross_l)``.
+    """Leave-one-out weights ``(n / n_l) * b_i / (b_i + cross_l)``, in one
+    pass over all hypotheses.
 
     ``b_i = 1 + #{j != i in group l : mirror_j <= T_l}`` (1 when group l is
-    infeasible) counts on the stored mirror scores, ``1 - p`` or
-    ``curves.at(1 - p)``, as the scans did; ``cross_l`` is the other groups'
-    total leave-one-out count from :func:`_group_scans` at ``alpha``.
+    infeasible, whose threshold is taken as -inf) counts on the mirror
+    scores, ``1 - p`` or ``curves.at(1 - p)``, as the scans did; the
+    groups' counts are one ``bincount`` of the labels of the exceeding
+    hypotheses.  ``cross_l`` is the other groups' total leave-one-out count
+    from :func:`_group_scans` at ``alpha``.
     """
-    part = memo.part
+    labels, n_groups = memo.part.labels, memo.part.n_groups
     counts = memo(_group_scans, curves, alpha)[1]
     mirror = 1.0 - memo.data if curves is None else curves.at(1.0 - memo.data)
-    n = mirror.size
-    total = counts.sum()
-    w = np.empty(n)
-    for l in range(part.n_groups):
-        idx = part.indices(l)
-        res = thresholds[l]
-        b = np.ones(idx.size)
-        if res.feasible:
-            exceed = mirror[idx] <= res.threshold
-            b += np.count_nonzero(exceed) - exceed
-        w[idx] = (n / part.sizes[l]) * b / (b + (total - counts[l]))
-    return w
+    t = np.array([res.threshold if res.feasible else -np.inf for res in thresholds])
+    exceed = mirror <= t[labels]
+    # b_i = 1 + m_l - 1{mirror_i <= T_l}, m_l being group l's count, takes
+    # two values per group: row 0 of b for a member that does not exceed T_l,
+    # row 1 for one that does.  Each hypothesis reads its weight off that
+    # (2, L) table.
+    b = 1.0 + np.bincount(labels[exceed], minlength=n_groups) - np.arange(2)[:, None]
+    with np.errstate(invalid="ignore"):  # 0 / 0 only in row 1 of a group with m_l = 0, never read
+        w = (mirror.size / memo.part.sizes) * b / (b + (counts.sum() - counts))
+    return w.ravel()[labels + n_groups * exceed]
 
 
 def groupwise_bc_thresholds(pvals, part: GroupPartition, alpha: float):
@@ -240,7 +242,8 @@ def assemble_weights(
 
 @dataclass(frozen=True)
 class GroupReport:
-    """Outcome of the grouped e-value procedure."""
+    """Outcome of the grouped e-value procedure.  Group l's own BC
+    rejections are ``thresholds[l].rejected``."""
 
     alpha: float
     scheme: str
@@ -248,7 +251,6 @@ class GroupReport:
     weights: np.ndarray
     evalues: np.ndarray
     rejected: np.ndarray
-    per_group_rejected: list
     fdp: Optional[float] = None
     power: Optional[float] = None
     group_fdp: Optional[np.ndarray] = None
@@ -301,7 +303,6 @@ def run_grouped_ebh(
     weights = assemble_weights(memo, part, thresholds, scheme, alpha)
     evalues = group_evalues(memo, part, thresholds, weights)
     rejected = _ebh_select(evalues, alpha)
-    per_group = [res.rejected for res in thresholds]
 
     fdp = power = group_fdp = group_power = None
     if truth is not None:
@@ -313,7 +314,6 @@ def run_grouped_ebh(
         weights=weights,
         evalues=evalues,
         rejected=rejected,
-        per_group_rejected=per_group,
         fdp=fdp,
         power=power,
         group_fdp=group_fdp,

@@ -17,7 +17,7 @@ procedure that reaches further into the p-values carries its e-value
 whole.
 
 Notation (p~ denotes min(p, 1 - p); mirror scores ``m_j = 1 - p_j`` are
-compared as stored):
+compared as computed in floating point):
 
 ``t_bh_loo[i]``
     Step-up threshold of the fully censored vector (p~_1, ..., p~_n) with
@@ -239,8 +239,8 @@ def _bh_loo(loo: "LooThresholds", censored: np.ndarray) -> np.ndarray:
 class LooThresholds:
     """Leave-one-out thresholds backing the adaptive weights.
 
-    All mirror comparisons run on the stored mirror scores
-    ``mirror = 1 - p`` (exact for p >= 0.5), so counts agree bit-for-bit
+    All mirror comparisons run on the mirror scores ``1 - p`` (exact for
+    p >= 0.5), computed where they are read, so counts agree bit-for-bit
     with the threshold scans that produced them.  Besides the base mirror
     scan of p and its relaxed plateau (:func:`procedures._relaxed_plateau`,
     computed here because the weights read it), the weights read one
@@ -257,7 +257,6 @@ class LooThresholds:
     """
 
     pvals: np.ndarray
-    mirror: np.ndarray
     alpha_bh: float
     alpha_bc: float
     # M = max_j t_bh_loo[j]
@@ -286,8 +285,7 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
     # of its grid do not add to the n-length arrays below
     scan = _bc_scan(memo, alpha_bc)
     k_relaxed, mstar, _ = _relaxed_plateau(scan.grid, alpha_bc)
-    mirror = 1.0 - p
-    s = np.sort(np.minimum(p, mirror))
+    s = np.sort(np.minimum(p, 1.0 - p))
     thresh = np.arange(1, n + 1) * alpha_bh / n
     ok_last = _last_true(s <= thresh)
     # t_bh_loo[j] is largest for the entry of rank 0, which keeps every
@@ -295,7 +293,6 @@ def compute_loo_thresholds(pvals, alpha_bh: float, alpha_bc: float) -> LooThresh
     shifted_last = 1 + _last_true(s[:-1] <= thresh[1:])
     return LooThresholds(
         pvals=p,
-        mirror=mirror,
         alpha_bh=alpha_bh,
         alpha_bc=alpha_bc,
         t_bh_max=(1 + max(ok_last, shifted_last)) * alpha_bh / n,
@@ -321,7 +318,7 @@ def _bc_weight(loo: LooThresholds) -> np.ndarray:
     n = loo.pvals.size
     scan = loo._scan
     # 1 + d_i: the base mirror count m(T_bc) less i's own mirror (1 when infeasible)
-    x = scan.m_at_T - (loo.mirror <= scan.threshold) if scan.feasible else np.ones(n)
+    x = scan.m_at_T - (1.0 - loo.pvals <= scan.threshold) if scan.feasible else np.ones(n)
     return _phi(x, n * loo.t_bh_max)
 
 
@@ -364,7 +361,8 @@ def _bh_weight(loo: LooThresholds, at: np.ndarray) -> np.ndarray:
             raise InvariantError("zeroing must not shrink the relaxed plateau")
     if cands.size == 0:
         return np.ones(at.size)
-    p, mirror = loo.pvals[at], loo.mirror[at]
+    p = loo.pvals[at]
+    mirror = 1.0 - p
     big = p > 0.5
     censored = np.minimum(p, mirror)
     pos = cands.searchsorted(censored, "left")

@@ -481,18 +481,12 @@ def _run_methods(instance: SimInstance, alpha: float, methods, seed: int, replic
 
 
 def _replicate_metrics(config: SimulationConfig, replicate: int, methods) -> dict:
+    """Each method's ``(fdp, power, group_fdp, group_power)`` on one
+    replicate, as :meth:`procedures._Truth.score` returns it."""
     instance = generate(config, replicate)
     rejections = _run_methods(instance, config.target_alpha, methods, config.seed, replicate)
     truth = _Truth(instance.truth, instance.partition)
-    out = {}
-    for name, rejected in rejections.items():
-        fdp, power, gf, gp = truth.score(rejected)
-        record = {"fdp": fdp, "power": power}
-        if gf is not None:
-            record["group_fdp"] = gf.tolist()
-            record["group_power"] = gp.tolist()
-        out[name] = record
-    return out
+    return {name: truth.score(rejected) for name, rejected in rejections.items()}
 
 
 @dataclass(frozen=True)
@@ -576,11 +570,10 @@ def run_campaign(config: SimulationConfig, methods) -> MetricsReport:
     summary = {}
     for name in methods:
         entry = summary[name] = {}
-        for column in ("fdp", "power", "group_fdp", "group_power"):
-            if column in per_rep[0][name]:
-                metric = column.replace("fdp", "fdr")  # each FDP averages to an FDR
-                values = np.array([rec[name][column] for rec in per_rep])
-                entry[metric], entry[f"{metric}_se"] = _mean_se(values)
+        # each FDP averages to an FDR; the per-group scores are None without groups
+        for k, metric in enumerate(("fdr", "power", "group_fdr", "group_power")):
+            if per_rep[0][name][k] is not None:
+                entry[metric], entry[f"{metric}_se"] = _mean_se(np.array([rec[name][k] for rec in per_rep]))
     return MetricsReport(
         setting=config.setting,
         target_alpha=config.target_alpha,

@@ -120,6 +120,31 @@ def brute_loo_mirror_count(p, alpha):
     return count
 
 
+def brute_loo_weights(p, part, curves, thresholds, counts):
+    """Grouped leave-one-out weights ``(n / n_l) * b_i / (b_i + cross_l)`` by a
+    loop over the groups.
+
+    ``b_i = 1 + #{j != i in group l : mirror_j <= T_l}``, 1 when group l is
+    infeasible, on the mirror scores ``1 - p`` (``curves.at(1 - p)`` with
+    curves); ``cross_l`` is the sum of the other groups' leave-one-out
+    ``counts``.  Each group's weights are one expression in the operation
+    order of the package, so the two agree bit for bit.
+    """
+    mirror = 1.0 - p if curves is None else curves.at(1.0 - p)
+    n = mirror.size
+    total = counts.sum()
+    w = np.empty(n)
+    for l in range(part.n_groups):
+        idx = np.flatnonzero(part.labels == l)
+        res = thresholds[l]
+        b = np.ones(idx.size)
+        if res.feasible:
+            exceed = mirror[idx] <= res.threshold
+            b += np.count_nonzero(exceed) - exceed
+        w[idx] = (n / idx.size) * b / (b + (total - counts[l]))
+    return w
+
+
 def brute_bc_zeroed_loo_threshold(p, alpha, j, i):
     """BC threshold with p_i set to 0 and p_j mirrored (j != i)."""
     q = list(p)

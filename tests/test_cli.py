@@ -236,9 +236,10 @@ def test_fbc_controls_the_fdr_on_global_null_data_with_covariates(tmp_path, caps
     # curves fitted on the p-values they test reached an FDR of 0.26-0.28 here
     rng = np.random.default_rng(2018)
     alpha, reps, n = 0.2, 1000, 100
-    path, out = tmp_path / "null.csv", tmp_path / "r.csv"
     fdp = np.empty(reps)
     for r in range(reps):
+        # fresh files each replicate: rewriting a just-written file can wait on its flush
+        path, out = tmp_path / f"null{r}.csv", tmp_path / f"r{r}.csv"
         p, x = rng.uniform(size=n), 2.0 * rng.normal(size=(n, 2))
         write_csv(path, ["pvalue", "x1", "x2", "truth"], [(a, b, c, 0) for a, (b, c) in zip(p, x)])
         assert run_cli(["fbc", "--input", path, "--alpha", alpha, "--out", out]) == 0

@@ -4,16 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmt import ConfigurationError, InputError, ProcedureSpec, fdp_power, solve_threshold
+from evmt.adaptive import fbc_group_threshold, structure_weights
 from evmt.groups import (
     GroupPartition,
+    _group_scans,
     assemble_weights,
     group_evalues,
     groupwise_bc_thresholds,
     run_grouped_ebh,
 )
-from evmt.procedures import _bc_scan, _relaxed_plateau
+from evmt.procedures import RejectionCurves, _bc_scan, _Memo, _relaxed_plateau, as_pvalues
 
-from oracles import brute_bc_loo_threshold, brute_bc_threshold, random_pvalues
+from oracles import brute_bc_loo_threshold, brute_bc_threshold, brute_loo_weights, random_pvalues
 
 
 def toy_instance():
@@ -255,6 +257,42 @@ def test_infeasible_group_still_contributes_censored_exceedances():
     assert np.allclose(w[2:], (7 / 5) * b / (b + 1.0))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n_groups=st.one_of(st.integers(1, 8), st.integers(1, 300)),
+    most=st.integers(1, 30),
+    values=st.sampled_from(["uniform", "ties", "edges"]),
+    with_curves=st.booleans(),
+    alpha=st.sampled_from([0.05, 0.2, 0.4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_prop_loo_weights_match_the_group_loop(n_groups, most, values, with_curves, alpha, seed):
+    # the one array pass of the grouped and cross-fitted weights against the
+    # loop over the groups, bit for bit; groups of 1 ... most hypotheses in
+    # random order, about a fifth of them with large p-values only, which
+    # makes them infeasible
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(n_groups), rng.integers(1, most + 1, n_groups)))
+    part = GroupPartition(labels=labels, n_groups=n_groups)
+    n = labels.size
+    p = np.where(rng.uniform(size=n) < 0.3, rng.beta(0.3, 30.0, n), rng.uniform(size=n))
+    if values == "ties":
+        p = np.round(p, 2)
+    elif values == "edges":
+        p = np.where(rng.uniform(size=n) < 0.3, rng.choice([0.0, 0.5, 1.0], n), p)
+    large = np.isin(labels, np.flatnonzero(rng.uniform(size=n_groups) < 0.2))
+    p[large] = rng.uniform(0.5, 1.0, int(large.sum()))
+    curves = RejectionCurves(rng.uniform(0.05, 1.0, n), rng.uniform(0.0, 1.0, n)) if with_curves else None
+    memo = _Memo.of(p, check=as_pvalues, part=part)
+
+    thr = groupwise_bc_thresholds(p, part, alpha)
+    want = brute_loo_weights(p, part, None, thr, memo(_group_scans, None, alpha)[1])
+    assert assemble_weights(p, part, thr, "adaptive", alpha).tobytes() == want.tobytes()
+    folds = fbc_group_threshold(p, part, curves, alpha)
+    want = brute_loo_weights(p, part, curves, folds, memo(_group_scans, curves, alpha)[1])
+    assert structure_weights(p, part, curves, folds, "cheap", alpha).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 
@@ -302,8 +340,8 @@ def test_overall_rejections_contained_in_group_rejections():
         for scheme in ("unit", "size", "adaptive"):
             rep = run_grouped_ebh(p, part, float(rng.uniform(0.05, 0.4)), scheme)
             group_union = set()
-            for rej in rep.per_group_rejected:
-                group_union |= set(rej.tolist())
+            for res in rep.thresholds:
+                group_union |= set(res.rejected.tolist())
             assert set(rep.rejected.tolist()) <= group_union
 
 

@@ -36,12 +36,12 @@ from oracles import (
 
 def t_bh_loo(loo):
     """Step-up threshold of the censored vector with entry i zeroed, for all i."""
-    return _bh_loo(loo, np.minimum(loo.pvals, loo.mirror))
+    return _bh_loo(loo, np.minimum(loo.pvals, 1.0 - loo.pvals))
 
 
 def grid_positions(loo):
     """Grid position of each censored score, #{k : cands[k] < min(p_i, 1 - p_i)}."""
-    return loo._scan.grid.cands.searchsorted(np.minimum(loo.pvals, loo.mirror), "left")
+    return loo._scan.grid.cands.searchsorted(np.minimum(loo.pvals, 1.0 - loo.pvals), "left")
 
 
 def brute_bh_plateau(values, alpha):

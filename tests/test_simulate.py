@@ -532,7 +532,7 @@ def test_shared_runners_run_once_per_replicate(monkeypatch):
     mirror = _count_calls(monkeypatch, procedures, "_run_scan")
     stepup = _count_calls(monkeypatch, procedures, "_stepup_scan")
     cfg = SimulationConfig(setting="S1", replications=5, seed=5)
-    report = run_campaign(cfg, cli._DEFAULT_METHODS["scores"] + ["BC_Com"])
+    report = run_campaign(cfg, cli._DEFAULT_METHODS["scores"] + ["fast_eBH_Ada", "BC_Com"])
     assert len(blends) == 10
     # BC (BC_Com) and the BC level of each blend; BH, ST and the BH level of each blend
     assert len(mirror) == 5 * 3 and len(stepup) == 5 * 4
@@ -648,7 +648,7 @@ def test_prop_replicate_rejections_equal_public_functions(inst, alpha, grouped):
     with mock.patch.object(simulate, "generate", return_value=inst):
         records = simulate._replicate_metrics(config, 0, list(want))
     for name, rejected in want.items():
-        assert (records[name]["fdp"], records[name]["power"]) == fdp_power(rejected, inst.truth), name
+        assert records[name][:2] == fdp_power(rejected, inst.truth), name
 
 
 def test_campaign_runners_call_the_public_functions(monkeypatch):

@@ -40,7 +40,9 @@ Times the CLI's I/O on a CSV built like the benchmark's ``cli-1m`` input
 (seed 941, n rows, labels ``g000`` ... ``g999``): ``cli.read_table`` without
 and with labels, ``GroupPartition.from_labels`` on the parsed labels, and
 ``cli._write_outputs`` on the rejection tables of ``evmt bh`` and
-``evmt groups --weights adaptive``.
+``evmt groups --weights adaptive``.  Before each write the table and its
+``.json`` are unlinked, as the benchmark's CLI round does, so no figure
+includes the wait of reopening a just-written file.
 
 Each figure is the best of several calls, repeated until the layer has run
 for at least ``BUDGET_S`` seconds (at least three calls).
@@ -185,6 +187,10 @@ def write_cli_csv(path, n):
 
 
 def write_table(out, evalues, weights, rejected):
+    # each call writes fresh files, as perfbench/run.py's CLI round does:
+    # reopening a just-written file for writing can wait for its flush
+    out.unlink(missing_ok=True)
+    out.with_suffix(".json").unlink(missing_ok=True)
     with contextlib.redirect_stdout(io.StringIO()):
         cli._write_outputs(argparse.Namespace(out=str(out)), evalues, weights, rejected, {})
 
